@@ -1,11 +1,11 @@
 """Hot inner loops: particle and path time-stepping.
 
-Two interchangeable backends live here.  The default is numba ``@njit``
-(compiled, cached); setting the environment variable ``MFGLAB_NO_NUMBA=1``
-before import selects the pure-numpy fallback instead.  Both backends
-implement the same update expressions in the same order, so results are
-bitwise-reproducible within a backend; across backends they agree to
-floating-point roundoff (see benchmarks/bench_kernels.py).
+Each kernel steps a whole ensemble with numpy array expressions, one time
+step per loop iteration.  The update expressions are evaluated in a fixed
+order, so results are bitwise-reproducible.  In the representative kernel
+every operation is elementwise across paths, so a path's trajectory and
+cost do not depend on which other paths share the call; single-path replay
+and batched replay both rely on this.
 
 Update rule (explicit Euler-Maruyama, unit diffusion):
 
@@ -18,27 +18,13 @@ the left-endpoint rule with precomputed discount weights.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-NUMBA_ENABLED = os.environ.get("MFGLAB_NO_NUMBA", "0").lower() not in ("1", "true", "yes")
-
-if NUMBA_ENABLED:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        NUMBA_ENABLED = False
 
 _DIVERGE_LIMIT = 1e12
 
 
-# ---------------------------------------------------------------------------
-# pure-numpy backend
-# ---------------------------------------------------------------------------
-
-
-def _population_np(states, noise, dt, sdt, b1, b2, b3, fx, fm, off):
+def population_kernel(states, noise, dt, sdt, b1, b2, b3, fx, fm, off):
+    """Advance the coupled ensemble in place; returns (means, diverged_step)."""
     n_steps = noise.shape[1]
     means = np.empty(n_steps + 1)
     for k in range(n_steps):
@@ -53,8 +39,13 @@ def _population_np(states, noise, dt, sdt, b1, b2, b3, fx, fm, off):
     return means, -1
 
 
-def _representative_np(x0s, mflow, off, noise, dt, sdt, disc,
-                       b1, b2, b3, b4, A, C, fx, fm, states, keep):
+def representative_kernel(x0s, mflow, off, noise, dt, sdt, disc,
+                          b1, b2, b3, b4, A, C, fx, fm, states, keep):
+    """Independent paths against a frozen mean flow.
+
+    Returns (discounted costs, terminal states, diverged_step).  When
+    ``keep`` is true, ``states`` (n_paths, n_steps+1) is filled.
+    """
     n_paths, n_steps = noise.shape
     x = x0s.copy()
     costs = np.zeros(n_paths)
@@ -73,7 +64,9 @@ def _representative_np(x0s, mflow, off, noise, dt, sdt, disc,
     return costs, x, -1
 
 
-def _forward_field_np(x0, u, xgrid, noise, dt, sdt, b1, b2, gain):
+def forward_field_kernel(x0, u, xgrid, noise, dt, sdt, b1, b2, gain):
+    """Ensemble driven by a tabulated decoupling field; returns
+    (means, terminal ensemble, diverged_step)."""
     n_particles, n_steps = noise.shape
     nx = xgrid.shape[0]
     dx = xgrid[1] - xgrid[0]
@@ -93,127 +86,3 @@ def _forward_field_np(x0, u, xgrid, noise, dt, sdt, b1, b2, gain):
             return means, x, k
     means[n_steps] = float(x.mean())
     return means, x, -1
-
-
-# ---------------------------------------------------------------------------
-# numba backend
-# ---------------------------------------------------------------------------
-
-if NUMBA_ENABLED:
-
-    @njit(cache=True)
-    def _population_nb(states, noise, dt, sdt, b1, b2, b3, fx, fm, off):
-        n_steps = noise.shape[1]
-        n = states.shape[1]
-        means = np.empty(n_steps + 1)
-        for k in range(n_steps):
-            s = 0.0
-            for i in range(n):
-                s += states[k, i]
-            m = s / n
-            means[k] = m
-            for i in range(n):
-                x = states[k, i]
-                a = fx * x + fm * m + off[k]
-                xn = x + (b1 * x + b2 * m + b3 * a) * dt + sdt * noise[i, k]
-                states[k + 1, i] = xn
-                if not (-_DIVERGE_LIMIT < xn < _DIVERGE_LIMIT):
-                    return means, k
-        s = 0.0
-        for i in range(n):
-            s += states[n_steps, i]
-        means[n_steps] = s / n
-        return means, -1
-
-    @njit(cache=True)
-    def _representative_nb(x0s, mflow, off, noise, dt, sdt, disc,
-                           b1, b2, b3, b4, A, C, fx, fm, states, keep):
-        n_paths, n_steps = noise.shape
-        costs = np.zeros(n_paths)
-        terminal = np.empty(n_paths)
-        for i in range(n_paths):
-            x = x0s[i]
-            if keep:
-                states[i, 0] = x
-            c = 0.0
-            for k in range(n_steps):
-                m = mflow[k]
-                a = fx * x + fm * m + off[k]
-                f = b4 * x * m + A * x * x + C * a * a
-                c += disc[k] * f * dt
-                x = x + (b1 * x + b2 * m + b3 * a) * dt + sdt * noise[i, k]
-                if keep:
-                    states[i, k + 1] = x
-                if not (-_DIVERGE_LIMIT < x < _DIVERGE_LIMIT):
-                    return costs, terminal, k
-            costs[i] = c
-            terminal[i] = x
-        return costs, terminal, -1
-
-    @njit(cache=True)
-    def _forward_field_nb(x0, u, xgrid, noise, dt, sdt, b1, b2, gain):
-        n_particles, n_steps = noise.shape
-        nx = xgrid.shape[0]
-        dx = xgrid[1] - xgrid[0]
-        means = np.empty(n_steps + 1)
-        x = x0.copy()
-        for k in range(n_steps):
-            s = 0.0
-            for i in range(n_particles):
-                s += x[i]
-            m = s / n_particles
-            means[k] = m
-            for i in range(n_particles):
-                pos = (x[i] - xgrid[0]) / dx
-                idx = int(np.floor(pos))
-                if idx < 0:
-                    idx = 0
-                elif idx > nx - 2:
-                    idx = nx - 2
-                w = pos - idx
-                uval = u[k, idx] * (1.0 - w) + u[k, idx + 1] * w
-                xn = x[i] + (b1 * x[i] + b2 * m - gain * uval) * dt + sdt * noise[i, k]
-                x[i] = xn
-                if not (-_DIVERGE_LIMIT < xn < _DIVERGE_LIMIT):
-                    return means, x, k
-        s = 0.0
-        for i in range(n_particles):
-            s += x[i]
-        means[n_steps] = s / n_particles
-        return means, x, -1
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-
-def population_kernel(states, noise, dt, sdt, b1, b2, b3, fx, fm, off):
-    """Advance the coupled ensemble in place; returns (means, diverged_step)."""
-    if NUMBA_ENABLED:
-        return _population_nb(states, noise, dt, sdt, b1, b2, b3, fx, fm, off)
-    return _population_np(states, noise, dt, sdt, b1, b2, b3, fx, fm, off)
-
-
-def representative_kernel(x0s, mflow, off, noise, dt, sdt, disc,
-                          b1, b2, b3, b4, A, C, fx, fm, states, keep):
-    """Independent paths against a frozen mean flow.
-
-    Returns (discounted costs, terminal states, diverged_step).  When
-    ``keep`` is true, ``states`` (n_paths, n_steps+1) is filled.
-    """
-    if NUMBA_ENABLED:
-        return _representative_nb(x0s, mflow, off, noise, dt, sdt, disc,
-                                  b1, b2, b3, b4, A, C, fx, fm, states, keep)
-    costs, terminal, dstep = _representative_np(
-        x0s, mflow, off, noise, dt, sdt, disc,
-        b1, b2, b3, b4, A, C, fx, fm, states, keep)
-    return costs, terminal, dstep
-
-
-def forward_field_kernel(x0, u, xgrid, noise, dt, sdt, b1, b2, gain):
-    """Ensemble driven by a tabulated decoupling field; returns
-    (means, terminal ensemble, diverged_step)."""
-    if NUMBA_ENABLED:
-        return _forward_field_nb(x0, u, xgrid, noise, dt, sdt, b1, b2, gain)
-    return _forward_field_np(x0, u, xgrid, noise, dt, sdt, b1, b2, gain)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -55,9 +56,6 @@ EXIT_CONFIG = 2
 EXIT_ROOTS = 3
 EXIT_DIVERGED = 4
 EXIT_NO_CONVERGENCE = 5
-
-VERIFY_CHECKS = ("nash", "gateaux", "consistency", "representation",
-                 "uniqueness", "lipschitz")
 
 
 def _load(args) -> RunConfig:
@@ -130,6 +128,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 
 def cmd_fixed_point(cfg: RunConfig) -> int:
+    if cfg.n_particles < 2:
+        raise ConfigError("fixed-point needs sim.nParticles >= 2")
     fp_cfg = FixedPointConfig(
         T=cfg.T, dt=cfg.dt, x_lo=cfg.x_lo, x_hi=cfg.x_hi, dx=cfg.dx,
         N=cfg.n_particles, damping=cfg.damping, tol=cfg.tol,
@@ -152,6 +152,93 @@ def cmd_fixed_point(cfg: RunConfig) -> int:
     return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
 
 
+@dataclass(frozen=True)
+class CheckResult:
+    """Outcome of one ``verify`` check: its summary line and its CSV."""
+
+    passed: bool
+    detail: str
+    header: list[str]
+    rows: list[tuple]
+
+
+def _check_nash(cfg: RunConfig, U, mc: MCConfig) -> CheckResult:
+    perts = [(f"offset_{eps:g}", offset_perturbation(cfg.model, U, eps))
+             for eps in (0.25, 0.5, 1.0)]
+    rep = verify_nash(cfg.model, U, perts, mc, m0=cfg.law0.mean)
+    return CheckResult(
+        rep.all_non_negative,
+        f"base {rep.base_cost.mean:.4f}, min delta CI "
+        f"{min(p.delta_ci[0] for p in rep.perturbed):.3e}",
+        ["label", "delta_mean", "ci_lo", "ci_hi", "stderr"],
+        [(p.label, p.delta_mean, p.delta_ci[0], p.delta_ci[1], p.delta_se)
+         for p in rep.perturbed],
+    )
+
+
+def _check_gateaux(cfg: RunConfig, U, mc: MCConfig) -> CheckResult:
+    slopes = gateaux_slope(cfg.model, U, 1.0, [1.0, 0.5, 0.25], mc, m0=cfg.law0.mean)
+    shrink = all(abs(s2) <= abs(s1) + 1e-9
+                 for (_, s1), (_, s2) in zip(slopes, slopes[1:]))
+    return CheckResult(shrink, "slopes " + ", ".join(f"{s:.4f}" for _, s in slopes),
+                       ["epsilon", "slope"], slopes)
+
+
+def _check_consistency(cfg: RunConfig, U, mc: MCConfig) -> CheckResult:
+    dev = flow_consistency(cfg.model, U, cfg.law0, min(cfg.n_particles, 200),
+                           cfg.seed, min(cfg.T, 2.0), cfg.dt)
+    return CheckResult(dev <= 1e-9, f"max deviation {dev:.3e}",
+                       ["max_deviation"], [(dev,)])
+
+
+def _check_representation(cfg: RunConfig, U, mc: MCConfig) -> CheckResult:
+    fb = AffineFeedback.equilibrium(cfg.model, U)
+    pop = simulate_population(cfg.model, fb, cfg.law0, min(cfg.n_particles, 2000),
+                              max(cfg.T, 4.0), cfg.dt, cfg.seed)
+    gap = y_representation_check(cfg.model, U, pop.states, pop.means, pop.times)
+    return CheckResult(gap <= 1e-3, f"max gap {gap:.3e}", ["max_gap"], [(gap,)])
+
+
+def _check_uniqueness(cfg: RunConfig, U, mc: MCConfig) -> CheckResult:
+    law = cfg.law0 if cfg.law0.kind == "gaussian" else InitialLaw.gaussian(
+        cfg.law0.mean, 0.5)
+    rep = weak_uniqueness_check(
+        cfg.model, U, x=cfg.law0.mean, law=law,
+        seeds=(cfg.seed + 1, cfg.seed + 2),
+        mc=replace(mc, n_paths=min(mc.n_paths, 4000)),
+    )
+    return CheckResult(
+        rep.passed,
+        f"z {rep.overlap_z:.2f}, KS {rep.ks_statistic:.4f} "
+        f"(crit {rep.ks_critical_1pct:.4f})",
+        ["value_a", "se_a", "value_b", "se_b", "z", "ks", "ks_crit"],
+        [(rep.estimate_a[0], rep.estimate_a[1], rep.estimate_b[0],
+          rep.estimate_b[1], rep.overlap_z, rep.ks_statistic, rep.ks_critical_1pct)],
+    )
+
+
+def _check_lipschitz(cfg: RunConfig, U, mc: MCConfig) -> CheckResult:
+    gen = np.random.Generator(np.random.Philox(key=cfg.seed))
+    pts = gen.uniform(-3.0, 3.0, size=(64, 4))
+    probes = [((a, b), (c, d)) for a, b, c, d in pts]
+    ratio = lipschitz_scan(cfg.model, U, probes)
+    bound = max(2.0 * abs(U.a1), abs(U.a2)) + 1e-9
+    return CheckResult(ratio <= bound, f"max ratio {ratio:.4f} <= bound {bound:.4f}",
+                       ["max_ratio", "gradient_bound"], [(ratio, bound)])
+
+
+# name -> check; checks run in this order and each writes <name>.csv
+_CHECKS = {
+    "nash": _check_nash,
+    "gateaux": _check_gateaux,
+    "consistency": _check_consistency,
+    "representation": _check_representation,
+    "uniqueness": _check_uniqueness,
+    "lipschitz": _check_lipschitz,
+}
+VERIFY_CHECKS = tuple(_CHECKS)
+
+
 def cmd_verify(cfg: RunConfig, which: list[str]) -> int:
     if not which:
         print("error: no checks selected", file=sys.stderr)
@@ -162,79 +249,17 @@ def cmd_verify(cfg: RunConfig, which: list[str]) -> int:
                   f"(known: {', '.join(VERIFY_CHECKS)})", file=sys.stderr)
             return EXIT_CONFIG
     _, U = _solve_roots(cfg)
-    model = cfg.model
     mc = MCConfig(T=cfg.T, dt=cfg.dt, n_paths=cfg.n_paths, seed=cfg.seed,
                   x0=cfg.law0.mean)
     lines = []
     all_pass = True
-
-    def record(name: str, passed: bool, detail: str) -> None:
-        nonlocal all_pass
-        all_pass = all_pass and passed
-        lines.append(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
-
-    if "nash" in which:
-        perts = [(f"offset_{eps:g}", offset_perturbation(model, U, eps))
-                 for eps in (0.25, 0.5, 1.0)]
-        rep = verify_nash(model, U, perts, mc, m0=cfg.law0.mean)
-        rows = [(p.label, p.delta_mean, p.delta_ci[0], p.delta_ci[1], p.delta_se)
-                for p in rep.perturbed]
-        write_csv(os.path.join(cfg.output, "nash.csv"),
-                  ["label", "delta_mean", "ci_lo", "ci_hi", "stderr"], rows)
-        record("nash", rep.all_non_negative,
-               f"base {rep.base_cost.mean:.4f}, min delta CI "
-               f"{min(p.delta_ci[0] for p in rep.perturbed):.3e}")
-    if "gateaux" in which:
-        slopes = gateaux_slope(model, U, 1.0, [1.0, 0.5, 0.25], mc,
-                               m0=cfg.law0.mean)
-        write_csv(os.path.join(cfg.output, "gateaux.csv"),
-                  ["epsilon", "slope"], slopes)
-        shrink = all(abs(s2) <= abs(s1) + 1e-9
-                     for (_, s1), (_, s2) in zip(slopes, slopes[1:]))
-        record("gateaux", shrink,
-               "slopes " + ", ".join(f"{s:.4f}" for _, s in slopes))
-    if "consistency" in which:
-        dev = flow_consistency(model, U, cfg.law0, min(cfg.n_particles, 200),
-                               cfg.seed, min(cfg.T, 2.0), cfg.dt)
-        write_csv(os.path.join(cfg.output, "consistency.csv"),
-                  ["max_deviation"], [(dev,)])
-        record("consistency", dev <= 1e-9, f"max deviation {dev:.3e}")
-    if "representation" in which:
-        fb = AffineFeedback.equilibrium(model, U)
-        pop = simulate_population(model, fb, cfg.law0,
-                                  min(cfg.n_particles, 2000),
-                                  max(cfg.T, 4.0), cfg.dt, cfg.seed)
-        gap = y_representation_check(model, U, pop.states, pop.means, pop.times)
-        write_csv(os.path.join(cfg.output, "representation.csv"),
-                  ["max_gap"], [(gap,)])
-        record("representation", gap <= 1e-3, f"max gap {gap:.3e}")
-    if "uniqueness" in which:
-        law = cfg.law0 if cfg.law0.kind == "gaussian" else InitialLaw.gaussian(
-            cfg.law0.mean, 0.5)
-        rep = weak_uniqueness_check(
-            model, U, x=cfg.law0.mean, law=law,
-            seeds=(cfg.seed + 1, cfg.seed + 2),
-            mc=MCConfig(T=mc.T, dt=mc.dt, n_paths=min(mc.n_paths, 4000),
-                        seed=mc.seed, x0=mc.x0),
-        )
-        write_csv(os.path.join(cfg.output, "uniqueness.csv"),
-                  ["value_a", "se_a", "value_b", "se_b", "z", "ks", "ks_crit"],
-                  [(rep.estimate_a[0], rep.estimate_a[1], rep.estimate_b[0],
-                    rep.estimate_b[1], rep.overlap_z, rep.ks_statistic,
-                    rep.ks_critical_1pct)])
-        record("uniqueness", rep.passed,
-               f"z {rep.overlap_z:.2f}, KS {rep.ks_statistic:.4f} "
-               f"(crit {rep.ks_critical_1pct:.4f})")
-    if "lipschitz" in which:
-        gen = np.random.Generator(np.random.Philox(key=cfg.seed))
-        pts = gen.uniform(-3.0, 3.0, size=(64, 4))
-        probes = [((a, b), (c, d)) for a, b, c, d in pts]
-        ratio = lipschitz_scan(model, U, probes)
-        bound = max(2.0 * abs(U.a1), abs(U.a2)) + 1e-9
-        write_csv(os.path.join(cfg.output, "lipschitz.csv"),
-                  ["max_ratio", "gradient_bound"], [(ratio, bound)])
-        record("lipschitz", ratio <= bound,
-               f"max ratio {ratio:.4f} <= bound {bound:.4f}")
+    for name, check in _CHECKS.items():
+        if name not in which:
+            continue
+        res = check(cfg, U, mc)
+        write_csv(os.path.join(cfg.output, f"{name}.csv"), res.header, res.rows)
+        all_pass = all_pass and res.passed
+        lines.append(f"{'PASS' if res.passed else 'FAIL'} {name}: {res.detail}")
 
     write_text(os.path.join(cfg.output, "summary.txt"), "\n".join(lines) + "\n")
     for line in lines:

@@ -71,9 +71,9 @@ def _known(key: str) -> bool:
     )
 
 
-def _as_float(entries, key: str) -> float | None:
+def _as_float(entries, key: str, default: float | None = None) -> float | None:
     if key not in entries:
-        return None
+        return default
     value, lineno = entries[key]
     try:
         return float(value)
@@ -81,9 +81,9 @@ def _as_float(entries, key: str) -> float | None:
         raise ConfigError(f"{key}: cannot parse {value!r} as a real number", line=lineno)
 
 
-def _as_int(entries, key: str) -> int | None:
+def _as_int(entries, key: str, default: int | None = None) -> int | None:
     if key not in entries:
-        return None
+        return default
     value, lineno = entries[key]
     try:
         return int(value, 0)
@@ -111,43 +111,42 @@ def parse_config(text: str) -> RunConfig:
     kind_entry = entries.get("law0.kind", ("dirac", 0))
     kind = kind_entry[0]
     if kind == "dirac":
-        law0 = InitialLaw.dirac(_as_float(entries, "law0.x0") or 0.0)
+        law0 = InitialLaw.dirac(_as_float(entries, "law0.x0", 0.0))
     elif kind == "gaussian":
-        law0 = InitialLaw.gaussian(
-            _as_float(entries, "law0.mean") or 0.0,
-            _as_float(entries, "law0.sd") or 1.0,
-        )
+        sd = _as_float(entries, "law0.sd", 1.0)
+        if sd < 0:
+            raise ConfigError("law0.sd must be nonnegative", line=entries["law0.sd"][1])
+        law0 = InitialLaw.gaussian(_as_float(entries, "law0.mean", 0.0), sd)
     else:
         raise ConfigError(f"law0.kind must be dirac or gaussian, got {kind!r}",
                           line=kind_entry[1])
 
     cfg = RunConfig(model=model, law0=law0, raw={k: v for k, (v, _) in entries.items()})
-    if (v := _as_float(entries, "sim.T")) is not None:
-        cfg.T = v
-    if (v := _as_float(entries, "sim.dt")) is not None:
-        cfg.dt = v
-    if (v := _as_int(entries, "sim.nPaths")) is not None:
-        cfg.n_paths = v
-    if (v := _as_int(entries, "sim.nParticles")) is not None:
-        cfg.n_particles = v
-    if (v := _as_int(entries, "sim.seed")) is not None:
-        cfg.seed = v
-    if (v := _as_float(entries, "fixedPoint.damping")) is not None:
-        cfg.damping = v
-    if (v := _as_float(entries, "fixedPoint.tol")) is not None:
-        cfg.tol = v
-    if (v := _as_int(entries, "fixedPoint.maxIter")) is not None:
-        cfg.max_iter = v
-    if (v := _as_float(entries, "fixedPoint.xLo")) is not None:
-        cfg.x_lo = v
-    if (v := _as_float(entries, "fixedPoint.xHi")) is not None:
-        cfg.x_hi = v
-    if (v := _as_float(entries, "fixedPoint.dx")) is not None:
-        cfg.dx = v
+    cfg.T = _as_float(entries, "sim.T", cfg.T)
+    cfg.dt = _as_float(entries, "sim.dt", cfg.dt)
+    cfg.n_paths = _as_int(entries, "sim.nPaths", cfg.n_paths)
+    cfg.n_particles = _as_int(entries, "sim.nParticles", cfg.n_particles)
+    cfg.seed = _as_int(entries, "sim.seed", cfg.seed)
+    cfg.damping = _as_float(entries, "fixedPoint.damping", cfg.damping)
+    cfg.tol = _as_float(entries, "fixedPoint.tol", cfg.tol)
+    cfg.max_iter = _as_int(entries, "fixedPoint.maxIter", cfg.max_iter)
+    cfg.x_lo = _as_float(entries, "fixedPoint.xLo", cfg.x_lo)
+    cfg.x_hi = _as_float(entries, "fixedPoint.xHi", cfg.x_hi)
+    cfg.dx = _as_float(entries, "fixedPoint.dx", cfg.dx)
     if "output" in entries:
         cfg.output = entries["output"][0]
     if cfg.T <= 0 or cfg.dt <= 0 or cfg.n_paths < 1 or cfg.n_particles < 1:
         raise ConfigError("sim.T, sim.dt, sim.nPaths, sim.nParticles must be positive")
+    if cfg.T < cfg.dt:
+        raise ConfigError("sim.T must be at least one step sim.dt")
+    if cfg.n_paths < 2:
+        raise ConfigError("sim.nPaths must be at least 2 (a standard error needs two paths)")
+    if not 0.0 < cfg.damping <= 1.0:
+        raise ConfigError("fixedPoint.damping must lie in (0, 1]")
+    if cfg.tol <= 0 or cfg.max_iter < 1:
+        raise ConfigError("fixedPoint.tol must be positive and fixedPoint.maxIter at least 1")
+    if cfg.dx <= 0 or round((cfg.x_hi - cfg.x_lo) / cfg.dx) < 4:
+        raise ConfigError("fixedPoint.dx must be positive and xHi - xLo at least 4 dx")
     return cfg
 
 

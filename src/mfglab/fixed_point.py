@@ -25,7 +25,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from . import _kernels, rng
-from .errors import DivergedError, StepTooLargeError
+from .errors import DivergedError, MFGLabError, StepTooLargeError
 from .master import select_admissible, solve_root_system
 from .model import LQModel
 from .simulate import InitialLaw
@@ -95,19 +95,6 @@ def space_grid(x_lo: float, x_hi: float, dx: float) -> np.ndarray:
     if n < 4:
         raise ValueError("space grid too coarse")
     return x_lo + dx * np.arange(n + 1)
-
-
-def default_space_grid(model: LQModel, law0: InitialLaw, dx: float = 0.05) -> np.ndarray:
-    """Mean +- 6 stationary standard deviations of the equilibrium dynamics."""
-    try:
-        U = select_admissible(model, solve_root_system(model))
-        cx = model.b1 - model.b3 * model.b3 * U.a1 / model.C
-        sd = np.sqrt(1.0 / (2.0 * abs(cx)))
-    except Exception:
-        sd = 1.0
-    center = law0.mean
-    half = max(6.0 * sd, 3.0 * abs(center), 3.0)
-    return space_grid(center - half, center + half, dx)
 
 
 def backward_field_solve(
@@ -196,7 +183,7 @@ def stationary_terminal(model: LQModel, flow: MeanFlow):
     zero otherwise.  Removes the backward boundary layer."""
     try:
         U = select_admissible(model, solve_root_system(model))
-    except Exception:
+    except MFGLabError:
         return lambda x: np.zeros_like(x)
     m_T = float(flow.m[-1])
     return lambda x: 2.0 * U.a1 * x + U.a2 * m_T

@@ -14,32 +14,32 @@ def fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path: str, header: list[str], rows) -> None:
-    """Write rows atomically (temp file + rename), '\\n' newlines."""
+def _write_atomic(path: str, write) -> None:
+    """Call ``write(fh)`` on a temp file beside ``path``, then rename it over
+    ``path``; the temp file is removed if anything fails."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(fmt(v) for v in row) + "\n")
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_csv(path: str, header: list[str], rows) -> None:
+    """Write rows atomically (temp file + rename), '\\n' newlines."""
+
+    def write(fh):
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(fmt(v) for v in row) + "\n")
+
+    _write_atomic(path, write)
 
 
 def write_text(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _write_atomic(path, lambda fh: fh.write(text))

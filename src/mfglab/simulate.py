@@ -2,11 +2,11 @@
 player, discounted cost estimation with a reported tail bound, and the 1-D
 empirical quadratic Wasserstein distance.
 
-Feedback controls are affine, a(x, m, t) = fx*x + fm*m + offset(t): every
-equilibrium and every in-scope perturbation has this shape, and it is what
-the compiled kernels consume.  All noise is drawn from counter-based streams
-keyed by (seed, stream, path index) so that any single path can be replayed
-bit-exactly in isolation.
+Feedback control laws are affine, a(x, m, t) = fx*x + fm*m + offset(t):
+every equilibrium and every in-scope perturbation has this shape, and it is
+what the kernels in ``_kernels`` consume.  All noise is drawn from
+counter-based streams keyed by (seed, stream, path index) so that any single
+path can be replayed bit-exactly in isolation.
 """
 
 from __future__ import annotations
@@ -177,7 +177,6 @@ class TrajectoryBatch:
     feedback: AffineFeedback
     mean_flow: np.ndarray
     states: np.ndarray | None = None  # (n_paths, n_steps+1) when kept
-    controls: np.ndarray | None = None
 
     @property
     def n_paths(self) -> int:
@@ -294,14 +293,9 @@ def simulate_representative(
         costs[lo:hi] = c
         terminal[lo:hi] = term
 
-    controls = None
-    if keep_states:
-        controls = feedback.fx * states + feedback.fm * mflow[None, :]
-        full_off = np.append(off, off[-1] if off.size else 0.0)
-        controls += full_off[None, :]
     return TrajectoryBatch(
         times=times, costs=costs, terminal=terminal, seed=seed, model=model,
-        feedback=feedback, mean_flow=mflow, states=states, controls=controls,
+        feedback=feedback, mean_flow=mflow, states=states,
     )
 
 

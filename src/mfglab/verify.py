@@ -77,19 +77,30 @@ def equilibrium_mean_flow(model: LQModel, U: QuadraticValue, m0: float):
     return lambda t: m0 * np.exp(rate * np.asarray(t))
 
 
-def _paired(
+def _paired_legs(
     model: LQModel,
-    base: AffineFeedback,
-    other: AffineFeedback,
-    mean_flow,
+    U: QuadraticValue,
+    feedbacks,
     mc: MCConfig,
-) -> tuple[TrajectoryBatch, TrajectoryBatch]:
-    common = dict(x0=mc.x0, mean_flow=mean_flow, T=mc.T, dt=mc.dt,
-                  seed=mc.seed, n_paths=mc.n_paths)
-    return (
-        simulate_representative(model, base, **common),
-        simulate_representative(model, other, **common),
-    )
+    m0: float,
+) -> tuple[TrajectoryBatch, list[tuple[TrajectoryBatch, np.ndarray]]]:
+    """Common-random-number legs against the equilibrium.
+
+    The base leg plays the equilibrium feedback; each perturbed leg plays
+    one of ``feedbacks``.  Every leg starts at ``mc.x0``, faces the
+    equilibrium mean flow from ``m0`` and consumes the same noise streams of
+    ``mc.seed``.  Returns the base batch and, per feedback, its batch with
+    the per-path cost differences (perturbed minus base).
+    """
+    _require_admissible(model, U)
+    legs = dict(x0=mc.x0, mean_flow=equilibrium_mean_flow(model, U, m0), T=mc.T,
+                dt=mc.dt, seed=mc.seed, n_paths=mc.n_paths)
+    base = simulate_representative(model, AffineFeedback.equilibrium(model, U), **legs)
+    perturbed = []
+    for fb in feedbacks:
+        pert = simulate_representative(model, fb, **legs)
+        perturbed.append((pert, pert.costs - base.costs))
+    return base, perturbed
 
 
 def verify_nash(
@@ -105,22 +116,11 @@ def verify_nash(
     ``offset_perturbation`` or ``gain_perturbation``.  The population stays
     at equilibrium (a single player's deviation does not move the flow).
     """
-    _require_admissible(model, U)
-    base_fb = AffineFeedback.equilibrium(model, U)
-    mean_flow = equilibrium_mean_flow(model, U, m0)
-    base = simulate_representative(
-        model, base_fb, x0=mc.x0, mean_flow=mean_flow, T=mc.T, dt=mc.dt,
-        seed=mc.seed, n_paths=mc.n_paths,
-    )
-    base_est = estimate_cost(model, base)
+    perturbations = list(perturbations)
+    base, legs = _paired_legs(model, U, [fb for _, fb in perturbations], mc, m0)
     rows = []
     ok = True
-    for label, fb in perturbations:
-        pert = simulate_representative(
-            model, fb, x0=mc.x0, mean_flow=mean_flow, T=mc.T, dt=mc.dt,
-            seed=mc.seed, n_paths=mc.n_paths,
-        )
-        diff = pert.costs - base.costs
+    for (label, _), (pert, diff) in zip(perturbations, legs):
         dm = float(diff.mean())
         dse = float(diff.std(ddof=1) / math.sqrt(diff.size))
         ci = (dm - 1.96 * dse, dm + 1.96 * dse)
@@ -130,7 +130,8 @@ def verify_nash(
         ))
         if ci[0] <= -3.0 * dse:
             ok = False
-    return NashReport(base_cost=base_est, perturbed=tuple(rows), all_non_negative=ok)
+    return NashReport(base_cost=estimate_cost(model, base), perturbed=tuple(rows),
+                      all_non_negative=ok)
 
 
 def offset_perturbation(model: LQModel, U: QuadraticValue, offset) -> AffineFeedback:
@@ -161,24 +162,16 @@ def gateaux_slope(
     Returns (epsilon, (J(eps) - J(0)) / eps) pairs; slopes of a quadratic
     cost are linear in epsilon and vanish at the minimum.
     """
-    _require_admissible(model, U)
     if not callable(direction):
         g = float(direction)
         direction = lambda t: g * np.ones_like(np.asarray(t, dtype=float))
+    epsilons = list(epsilons)
     base_fb = AffineFeedback.equilibrium(model, U)
-    mean_flow = equilibrium_mean_flow(model, U, m0)
-    base = simulate_representative(
-        model, base_fb, x0=mc.x0, mean_flow=mean_flow, T=mc.T, dt=mc.dt,
-        seed=mc.seed, n_paths=mc.n_paths,
-    )
+    feedbacks = [base_fb.with_offset(lambda t, e=eps: e * direction(t)) for eps in epsilons]
+    _, legs = _paired_legs(model, U, feedbacks, mc, m0)
     out = []
-    for eps in epsilons:
-        fb = base_fb.with_offset(lambda t, e=eps: e * direction(t))
-        pert = simulate_representative(
-            model, fb, x0=mc.x0, mean_flow=mean_flow, T=mc.T, dt=mc.dt,
-            seed=mc.seed, n_paths=mc.n_paths,
-        )
-        delta = float((pert.costs - base.costs).mean())
+    for eps, (_, diff) in zip(epsilons, legs):
+        delta = float(diff.mean())
         out.append((float(eps), delta / eps if eps != 0.0 else 0.0))
     return out
 
@@ -195,24 +188,20 @@ def flow_consistency(
 ) -> float:
     """Replay each population particle as a representative player.
 
-    The particle is restarted from its own draw, against the frozen
-    population mean flow and its own noise stream; the identity says the
-    two recursions coincide.  ``flow_perturbation`` deliberately biases the
+    Each particle is restarted from its own draw, against the frozen
+    population mean flow and its own noise stream (path i of one batch of
+    N paths); the identity says the two recursions coincide.  ``flow_perturbation`` deliberately biases the
     frozen flow (sensitivity guard for tests).
     """
     _require_admissible(model, U)
     fb = AffineFeedback.equilibrium(model, U)
     pop = simulate_population(model, fb, law0, N, T, dt, seed)
-    mflow = pop.means + flow_perturbation
-    max_dev = 0.0
-    for i in range(N):
-        rep = simulate_representative(
-            model, fb, x0=pop.states[0, i], mean_flow=mflow, T=T, dt=dt,
-            seed=seed, n_paths=1, keep_states=True,
-            stream=rng.STREAM_POPULATION, path_offset=i,
-        )
-        max_dev = max(max_dev, float(np.max(np.abs(rep.states[0] - pop.states[:, i]))))
-    return max_dev
+    rep = simulate_representative(
+        model, fb, x0=pop.states[0], mean_flow=pop.means + flow_perturbation,
+        T=T, dt=dt, seed=seed, n_paths=N, keep_states=True,
+        stream=rng.STREAM_POPULATION,
+    )
+    return float(np.max(np.abs(rep.states - pop.states.T)))
 
 
 def y_representation_check(

@@ -107,6 +107,20 @@ def test_verify_subset(tmp_path, capsys):
     assert summary.count("PASS") == 2
 
 
+def test_verify_runs_checks_in_table_order_once(tmp_path, capsys):
+    p = tmp_path / "run.cfg"
+    p.write_text(BASE + f"output = {tmp_path / 'out'}\n")
+    code = main(["verify", "--config", str(p),
+                 "--checks", "lipschitz,consistency,lipschitz"])
+    assert code == EXIT_OK
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in out] == ["PASS consistency", "PASS lipschitz"]
+    summary = (tmp_path / "out" / "summary.txt").read_text().splitlines()
+    assert summary == out
+    for name in ("consistency", "lipschitz"):
+        assert (tmp_path / "out" / f"{name}.csv").exists()
+
+
 def test_verify_unknown_check_is_config_error(cfg_path):
     assert main(["verify", "--config", cfg_path, "--checks", "nope"]) == EXIT_CONFIG
 
@@ -155,3 +169,22 @@ def test_out_override(tmp_path, cfg_path):
 
 def test_missing_config_file_exit_code():
     assert main(["solve", "--config", "/nonexistent.cfg"]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("command, overrides", [
+    ("fixed-point", {"fixedPoint.damping": "2"}),
+    ("fixed-point", {"sim.nParticles": "1"}),
+    ("fixed-point", {"fixedPoint.xLo": "0", "fixedPoint.xHi": "0.1"}),
+    ("simulate", {"sim.nPaths": "1"}),
+    ("simulate", {"sim.T": "0.001"}),
+    ("simulate", {"law0.kind": "gaussian", "law0.sd": "-1"}),
+], ids=["damping", "one-particle", "coarse-grid", "one-path", "T-below-dt", "negative-sd"])
+def test_invalid_values_exit_config_without_traceback(tmp_path, capsys, command, overrides):
+    kept = [line for line in BASE.splitlines() if line.split(" =")[0] not in overrides]
+    p = tmp_path / "run.cfg"
+    p.write_text("\n".join(kept + [f"{k} = {v}" for k, v in overrides.items()])
+                 + f"\noutput = {tmp_path / 'out'}\n")
+    assert main([command, "--config", str(p)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "error" in err
+    assert "Traceback" not in err

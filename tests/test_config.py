@@ -99,3 +99,29 @@ def test_comments_and_blank_lines_ignored(tmp_path):
     p.write_text(BASE + "\n# trailing comment\n\n")
     cfg = load_config(str(p))
     assert cfg.model.A == 2.0
+
+
+def test_law_zero_values_are_kept():
+    # a key set to 0 is the value 0, not "missing"
+    cfg = parse_config(BASE + "law0.kind = gaussian\nlaw0.mean = 0\nlaw0.sd = 0\n")
+    assert (cfg.law0.mean, cfg.law0.sd) == (0.0, 0.0)
+    cfg = parse_config(BASE + "law0.kind = gaussian\n")
+    assert (cfg.law0.mean, cfg.law0.sd) == (0.0, 1.0)
+    assert parse_config(BASE + "law0.x0 = 0\n").law0.x0 == 0.0
+
+
+@pytest.mark.parametrize("extra", [
+    "law0.kind = gaussian\nlaw0.sd = -1\n",
+    "fixedPoint.damping = 2\n",
+    "fixedPoint.damping = 0\n",
+    "fixedPoint.tol = 0\n",
+    "fixedPoint.maxIter = 0\n",
+    "fixedPoint.dx = 0\n",
+    "fixedPoint.xLo = 0\nfixedPoint.xHi = 0.1\n",
+    "sim.nPaths = 1\n",
+    "sim.T = 0.001\nsim.dt = 0.002\n",
+], ids=["negative-sd", "damping-above-1", "damping-0", "tol-0", "maxIter-0", "dx-0",
+        "coarse-grid", "one-path", "T-below-dt"])
+def test_out_of_range_values_rejected(extra):
+    with pytest.raises(ConfigError):
+        parse_config(BASE + extra)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from mfglab import DecouplingField, FixedPointConfig, MeanFlow, backward_field_solve, solve_mfg
-from mfglab.errors import StepTooLargeError
+from mfglab import fixed_point
+from mfglab.errors import NoRealRootError, StepTooLargeError
 from mfglab.fixed_point import (
     forward_flow_update,
     space_grid,
@@ -142,3 +143,23 @@ def test_flow_deltas_recorded(example_model):
     assert rep.iterations == 3
     assert len(rep.deltas) == 3
     assert rep.deltas[1] == pytest.approx(rep.deltas[0] / 2.0, rel=1e-6)
+
+
+def test_stationary_terminal_propagates_foreign_errors(example_model, monkeypatch):
+    # only mfglab's own root-selection failures mean "no stationary field";
+    # any other error is a bug and must not become a zero terminal condition
+    flow = MeanFlow.constant(1.0, 0.1, 0.0)
+
+    def no_root(model):
+        raise NoRealRootError("no real root")
+
+    monkeypatch.setattr(fixed_point, "solve_root_system", no_root)
+    x = np.array([-1.0, 2.0])
+    assert np.array_equal(fixed_point.stationary_terminal(example_model, flow)(x), [0.0, 0.0])
+
+    def broken(model):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(fixed_point, "solve_root_system", broken)
+    with pytest.raises(RuntimeError, match="boom"):
+        fixed_point.stationary_terminal(example_model, flow)

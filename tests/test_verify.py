@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mfglab import rng
 from mfglab import (
     InitialLaw,
     MCConfig,
@@ -12,8 +13,13 @@ from mfglab import (
     weak_uniqueness_check,
     y_representation_check,
 )
-from mfglab.simulate import AffineFeedback
-from mfglab.verify import equilibrium_mean_flow, gain_perturbation, offset_perturbation
+from mfglab.simulate import AffineFeedback, simulate_representative
+from mfglab.verify import (
+    _paired_legs,
+    equilibrium_mean_flow,
+    gain_perturbation,
+    offset_perturbation,
+)
 
 MC_SMALL = MCConfig(T=6.0, dt=1e-3, n_paths=20_000, seed=0, x0=0.0)
 
@@ -45,6 +51,27 @@ def test_verify_nash_zero_offset_is_exact_zero(example_model, example_selected):
     rep = verify_nash(example_model, example_selected, perts, mc)
     assert rep.perturbed[0].delta_mean == 0.0
     assert rep.perturbed[0].delta_se == 0.0
+
+
+def test_paired_legs_match_independent_runs(instance_b, instance_b_selected):
+    # each leg is an ordinary representative run on the same noise streams,
+    # so the deltas are the bitwise differences of independent calls
+    U = instance_b_selected
+    mc = MCConfig(T=1.0, dt=1e-2, n_paths=300, seed=4, x0=0.7)
+    feedbacks = [offset_perturbation(instance_b, U, 0.3),
+                 gain_perturbation(instance_b, U, 1.2)]
+    base, legs = _paired_legs(instance_b, U, feedbacks, mc, m0=0.4)
+    common = dict(x0=0.7, mean_flow=equilibrium_mean_flow(instance_b, U, 0.4),
+                  T=1.0, dt=1e-2, seed=4, n_paths=300)
+    ref_base = simulate_representative(
+        instance_b, AffineFeedback.equilibrium(instance_b, U), **common)
+    assert np.array_equal(base.costs, ref_base.costs)
+    assert len(legs) == 2
+    for fb, (pert, deltas) in zip(feedbacks, legs):
+        ref = simulate_representative(instance_b, fb, **common)
+        assert np.array_equal(pert.costs, ref.costs)
+        assert np.array_equal(deltas, ref.costs - ref_base.costs)
+        assert np.all(deltas != 0.0)
 
 
 def test_gain_perturbation_costs_more(example_model, example_selected):
@@ -92,6 +119,25 @@ def test_flow_consistency_sensitive_to_flow_bias(instance_b, instance_b_selected
         N=50, seed=3, T=2.0, dt=1e-3, flow_perturbation=1e-3,
     )
     assert dev > 1e-9
+
+
+def test_flow_consistency_matches_single_path_replays(instance_b, instance_b_selected):
+    # reference: replay each particle alone, at its own stream offset; the
+    # batched replay must give the same deviation bit for bit
+    law = InitialLaw.gaussian(1.0, 0.5)
+    fb = AffineFeedback.equilibrium(instance_b, instance_b_selected)
+    pop = simulate_population(instance_b, fb, law, 30, 1.0, 1e-2, 3)
+    ref = 0.0
+    for i in range(30):
+        rep = simulate_representative(
+            instance_b, fb, x0=pop.states[0, i], mean_flow=pop.means + 1e-3,
+            T=1.0, dt=1e-2, seed=3, n_paths=1, keep_states=True,
+            stream=rng.STREAM_POPULATION, path_offset=i,
+        )
+        ref = max(ref, float(np.max(np.abs(rep.states[0] - pop.states[:, i]))))
+    dev = flow_consistency(instance_b, instance_b_selected, law, N=30, seed=3,
+                           T=1.0, dt=1e-2, flow_perturbation=1e-3)
+    assert dev == ref > 0.0
 
 
 def test_y_representation_example(example_model, example_selected):
