@@ -139,6 +139,10 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("sim.T, sim.dt, sim.nPaths, sim.nParticles must be positive")
     if cfg.T < cfg.dt:
         raise ConfigError("sim.T must be at least one step sim.dt")
+    n_steps = cfg.T / cfg.dt
+    if abs(n_steps - round(n_steps)) > 1e-9 * n_steps:
+        raise ConfigError(f"sim.T = {cfg.T!r} is not a whole number of steps "
+                          f"sim.dt = {cfg.dt!r}")
     if cfg.n_paths < 2:
         raise ConfigError("sim.nPaths must be at least 2 (a standard error needs two paths)")
     if not 0.0 < cfg.damping <= 1.0:

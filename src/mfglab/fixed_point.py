@@ -164,11 +164,20 @@ def forward_flow_update(
     seed: int,
 ) -> MeanFlow:
     """Particle update of the mean flow under the field-induced drift."""
-    times = field.times
-    n_steps = times.size - 1
-    dt = float(times[1] - times[0])
+    x0, noise = _population_draws(law0, N, seed, field.times.size - 1)
+    return _forward_flow(model, field, x0, noise)
+
+
+def _population_draws(law0: InitialLaw, N: int, seed: int, n_steps: int):
+    """Initial particles and their (N, n_steps) noise, both fixed by the seed."""
     x0 = law0.sample(N, seed)
     noise = rng.gaussian_block(seed, rng.STREAM_POPULATION, 0, N, n_steps)
+    return x0, noise
+
+
+def _forward_flow(model: LQModel, field: DecouplingField, x0, noise) -> MeanFlow:
+    times = field.times
+    dt = float(times[1] - times[0])
     means, _terminal, dstep = _kernels.forward_field_kernel(
         x0, field.u, field.x, noise, dt, np.sqrt(dt),
         model.b1, model.b2, model.control_gain,
@@ -195,17 +204,19 @@ def solve_mfg(
     """Damped iteration of the consistency map from a constant initial flow.
 
     The particle seed is held fixed across iterations, so the iterated map
-    is deterministic and its fixed point does not depend on the damping.
+    is deterministic and its fixed point does not depend on the damping;
+    the initial particles and their noise are drawn once per solve.
     """
     grid = space_grid(config.x_lo, config.x_hi, config.dx)
     flow = MeanFlow.constant(config.T, config.dt, law0.mean)
+    x0, noise = _population_draws(law0, config.N, config.seed, flow.times.size - 1)
     field = None
     deltas = []
     converged = False
     theta = config.damping
     for it in range(1, config.max_iter + 1):
         field = backward_field_solve(model, flow, grid, stationary_terminal(model, flow))
-        update = forward_flow_update(model, field, law0, config.N, config.seed)
+        update = _forward_flow(model, field, x0, noise)
         # convergence is judged on the undamped residual of the consistency
         # map, so runs with different damping stop within tol of the same
         # fixed point
@@ -216,6 +227,7 @@ def solve_mfg(
         if delta <= config.tol:
             converged = True
             break
+    del x0, noise  # N×steps floats, not needed past the loop
     # field consistent with the final flow
     field = backward_field_solve(model, flow, grid, stationary_terminal(model, flow))
     return FixedPointReport(

@@ -8,7 +8,8 @@ unit diffusion.  Everything here is a pure function of doubles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 from .errors import ModelError
 
@@ -26,6 +27,10 @@ class LQModel:
     C: float
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ModelError(f"coefficient {f.name} must be finite, got {value!r}")
         if not self.r > 0:
             raise ModelError(f"discount rate must be positive, got r = {self.r!r}")
         if not self.A > 0:

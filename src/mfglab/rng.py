@@ -37,9 +37,18 @@ def gaussian_block(
     """(n_rows, n_cols) standard normals; row i is the stream of
     (seed, stream, first_index + i), independent of how rows are grouped."""
     out = np.empty((n_rows, n_cols))
+    # One generator re-keyed per row: a reset to (key, counter 0, empty
+    # buffer) yields the same stream as make_generator(seed, stream, index)
+    # without building a new Philox per row.
+    bitgen = np.random.Philox()
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state
+    state.update(buffer_pos=4, has_uint32=0, uinteger=0)
+    state["state"]["counter"] = np.zeros(4, dtype=np.uint64)
     for i in range(n_rows):
-        u = make_generator(seed, stream, first_index + i).random(n_cols)
-        # random() can return exactly 0.0, where the inverse CDF is -inf.
-        np.clip(u, 2.5e-17, None, out=u)
-        out[i] = ndtri(u)
-    return out
+        state["state"]["key"] = _key(seed, stream, first_index + i)
+        bitgen.state = state
+        gen.random(out=out[i])
+    # random() can return exactly 0.0, where the inverse CDF is -inf.
+    np.clip(out, 2.5e-17, None, out=out)
+    return ndtri(out, out=out)

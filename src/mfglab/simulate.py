@@ -6,7 +6,9 @@ Feedback control laws are affine, a(x, m, t) = fx*x + fm*m + offset(t):
 every equilibrium and every in-scope perturbation has this shape, and it is
 what the kernels in ``_kernels`` consume.  All noise is drawn from
 counter-based streams keyed by (seed, stream, path index) so that any single
-path can be replayed bit-exactly in isolation.
+path can be replayed bit-exactly in isolation.  Common-random-number legs
+(several feedbacks against the same streams) share one noise draw per block
+of paths: ``simulate_legs`` steps every leg against that block.
 """
 
 from __future__ import annotations
@@ -238,6 +240,74 @@ def simulate_population(
     return PopulationPath(times=times, states=states, means=means, seed=seed)
 
 
+def simulate_legs(
+    model: LQModel,
+    feedbacks: list[AffineFeedback],
+    x0,
+    mean_flow,
+    T: float,
+    dt: float,
+    seed: int,
+    n_paths: int = 1,
+    noise_scale: float = 1.0,
+    keep_states: bool = False,
+    stream: int = rng.STREAM_PATHS,
+    path_offset: int = 0,
+) -> list[TrajectoryBatch]:
+    """Paths that react to, but do not influence, the supplied mean flow:
+    one batch per feedback, all driven by the same noise.
+
+    ``mean_flow`` is a callable of t, a scalar, or an array on the time grid.
+    Path j of every leg consumes the noise stream (seed, stream,
+    path_offset + j).  Each block of ``PATH_CHUNK`` paths is drawn once and
+    every leg is stepped against it; a leg's result is bitwise the same as
+    simulating it alone, since the kernel does not write to the noise.
+    """
+    times = _time_grid(T, dt)
+    n_steps = times.size - 1
+    if callable(mean_flow):
+        mflow = np.asarray([mean_flow(t) for t in times], dtype=float)
+    else:
+        mflow = np.broadcast_to(np.asarray(mean_flow, dtype=float), times.shape).copy()
+    if mflow.size != times.size:
+        raise ValueError("mean flow does not cover the time grid")
+
+    x0s = np.broadcast_to(np.asarray(x0, dtype=float), (n_paths,)).copy()
+    offs = [fb.offsets_on(times[:-1]) for fb in feedbacks]
+    disc = np.exp(-model.r * times[:-1])
+    sdt = math.sqrt(dt)
+
+    costs = [np.empty(n_paths) for _ in feedbacks]
+    terminal = [np.empty(n_paths) for _ in feedbacks]
+    states = [np.empty((n_paths, n_steps + 1)) if keep_states else None for _ in feedbacks]
+    dummy = np.empty((0, 0))
+
+    for lo in range(0, n_paths, PATH_CHUNK):
+        hi = min(lo + PATH_CHUNK, n_paths)
+        noise = rng.gaussian_block(seed, stream, path_offset + lo, hi - lo, n_steps)
+        if noise_scale != 1.0:
+            noise *= noise_scale
+        for j, fb in enumerate(feedbacks):
+            chunk_states = states[j][lo:hi] if keep_states else dummy
+            c, term, dstep = _kernels.representative_kernel(
+                x0s[lo:hi], mflow, offs[j], noise, dt, sdt, disc,
+                model.b1, model.b2, model.b3, model.b4, model.A, model.C,
+                fb.fx, fb.fm, chunk_states, keep_states,
+            )
+            if dstep >= 0:
+                raise DivergedError(dstep)
+            costs[j][lo:hi] = c
+            terminal[j][lo:hi] = term
+
+    return [
+        TrajectoryBatch(
+            times=times, costs=costs[j], terminal=terminal[j], seed=seed, model=model,
+            feedback=fb, mean_flow=mflow, states=states[j],
+        )
+        for j, fb in enumerate(feedbacks)
+    ]
+
+
 def simulate_representative(
     model: LQModel,
     feedback: AffineFeedback,
@@ -254,49 +324,14 @@ def simulate_representative(
 ) -> TrajectoryBatch:
     """Paths that react to, but do not influence, the supplied mean flow.
 
-    ``mean_flow`` is a callable of t, a scalar, or an array on the time grid.
-    Path j consumes the noise stream (seed, stream, path_offset + j), so two
-    calls with the same seed are driven by common random numbers.
+    The one-leg case of ``simulate_legs``: path j consumes the noise stream
+    (seed, stream, path_offset + j), so two calls with the same seed are
+    driven by common random numbers.
     """
-    times = _time_grid(T, dt)
-    n_steps = times.size - 1
-    if callable(mean_flow):
-        mflow = np.asarray([mean_flow(t) for t in times], dtype=float)
-    else:
-        mflow = np.broadcast_to(np.asarray(mean_flow, dtype=float), times.shape).copy()
-    if mflow.size != times.size:
-        raise ValueError("mean flow does not cover the time grid")
-
-    x0s = np.broadcast_to(np.asarray(x0, dtype=float), (n_paths,)).copy()
-    off = feedback.offsets_on(times[:-1])
-    disc = np.exp(-model.r * times[:-1])
-    sdt = math.sqrt(dt)
-
-    costs = np.empty(n_paths)
-    terminal = np.empty(n_paths)
-    states = np.empty((n_paths, n_steps + 1)) if keep_states else None
-    dummy = np.empty((0, 0))
-
-    for lo in range(0, n_paths, PATH_CHUNK):
-        hi = min(lo + PATH_CHUNK, n_paths)
-        noise = rng.gaussian_block(seed, stream, path_offset + lo, hi - lo, n_steps)
-        if noise_scale != 1.0:
-            noise *= noise_scale
-        chunk_states = states[lo:hi] if keep_states else dummy
-        c, term, dstep = _kernels.representative_kernel(
-            x0s[lo:hi], mflow, off, noise, dt, sdt, disc,
-            model.b1, model.b2, model.b3, model.b4, model.A, model.C,
-            feedback.fx, feedback.fm, chunk_states, keep_states,
-        )
-        if dstep >= 0:
-            raise DivergedError(dstep)
-        costs[lo:hi] = c
-        terminal[lo:hi] = term
-
-    return TrajectoryBatch(
-        times=times, costs=costs, terminal=terminal, seed=seed, model=model,
-        feedback=feedback, mean_flow=mflow, states=states,
-    )
+    return simulate_legs(
+        model, [feedback], x0, mean_flow, T, dt, seed, n_paths, noise_scale,
+        keep_states, stream, path_offset,
+    )[0]
 
 
 def estimate_cost(model: LQModel, batch: TrajectoryBatch) -> CostEstimate:

@@ -25,6 +25,7 @@ from .simulate import (
     InitialLaw,
     TrajectoryBatch,
     estimate_cost,
+    simulate_legs,
     simulate_population,
     simulate_representative,
 )
@@ -89,18 +90,17 @@ def _paired_legs(
     The base leg plays the equilibrium feedback; each perturbed leg plays
     one of ``feedbacks``.  Every leg starts at ``mc.x0``, faces the
     equilibrium mean flow from ``m0`` and consumes the same noise streams of
-    ``mc.seed``.  Returns the base batch and, per feedback, its batch with
-    the per-path cost differences (perturbed minus base).
+    ``mc.seed``, drawn once per block for all legs.  Returns the base batch
+    and, per feedback, its batch with the per-path cost differences
+    (perturbed minus base).
     """
     _require_admissible(model, U)
-    legs = dict(x0=mc.x0, mean_flow=equilibrium_mean_flow(model, U, m0), T=mc.T,
-                dt=mc.dt, seed=mc.seed, n_paths=mc.n_paths)
-    base = simulate_representative(model, AffineFeedback.equilibrium(model, U), **legs)
-    perturbed = []
-    for fb in feedbacks:
-        pert = simulate_representative(model, fb, **legs)
-        perturbed.append((pert, pert.costs - base.costs))
-    return base, perturbed
+    base, *legs = simulate_legs(
+        model, [AffineFeedback.equilibrium(model, U), *feedbacks], x0=mc.x0,
+        mean_flow=equilibrium_mean_flow(model, U, m0), T=mc.T, dt=mc.dt,
+        seed=mc.seed, n_paths=mc.n_paths,
+    )
+    return base, [(pert, pert.costs - base.costs) for pert in legs]
 
 
 def verify_nash(

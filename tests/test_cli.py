@@ -178,7 +178,12 @@ def test_missing_config_file_exit_code():
     ("simulate", {"sim.nPaths": "1"}),
     ("simulate", {"sim.T": "0.001"}),
     ("simulate", {"law0.kind": "gaussian", "law0.sd": "-1"}),
-], ids=["damping", "one-particle", "coarse-grid", "one-path", "T-below-dt", "negative-sd"])
+    ("simulate", {"sim.T": "0.5", "sim.dt": "0.3"}),
+    ("solve", {"model.b1": "nan"}),
+    ("solve", {"model.A": "inf"}),
+    ("simulate", {"model.b4": "-inf"}),
+], ids=["damping", "one-particle", "coarse-grid", "one-path", "T-below-dt", "negative-sd",
+        "T-not-whole-steps", "nan-b1", "inf-A", "minus-inf-b4"])
 def test_invalid_values_exit_config_without_traceback(tmp_path, capsys, command, overrides):
     kept = [line for line in BASE.splitlines() if line.split(" =")[0] not in overrides]
     p = tmp_path / "run.cfg"

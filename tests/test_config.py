@@ -125,3 +125,12 @@ def test_law_zero_values_are_kept():
 def test_out_of_range_values_rejected(extra):
     with pytest.raises(ConfigError):
         parse_config(BASE + extra)
+
+
+def test_horizon_must_be_whole_steps():
+    # 0.5 / 0.3 is not an integer: the grid would silently end at t = 0.6
+    with pytest.raises(ConfigError, match="whole number of steps"):
+        parse_config(BASE + "sim.T = 0.5\nsim.dt = 0.3\n")
+    for T, dt in (("3", "0.004"), ("1", "0.002"), ("0.7", "0.1")):
+        cfg = parse_config(BASE + f"sim.T = {T}\nsim.dt = {dt}\n")
+        assert (cfg.T, cfg.dt) == (float(T), float(dt))

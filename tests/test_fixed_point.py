@@ -163,3 +163,25 @@ def test_stationary_terminal_propagates_foreign_errors(example_model, monkeypatc
     monkeypatch.setattr(fixed_point, "solve_root_system", broken)
     with pytest.raises(RuntimeError, match="boom"):
         fixed_point.stationary_terminal(example_model, flow)
+
+
+def test_solve_mfg_deltas_match_per_iteration_updates(instance_b):
+    # the solve draws its particles and noise once; a loop that redraws them
+    # through forward_flow_update on every iteration gives the same deltas
+    law0 = InitialLaw.gaussian(1.0, 0.3)
+    cfg = FixedPointConfig(
+        T=0.5, dt=1e-2, x_lo=-4.0, x_hi=4.0, dx=0.1, N=300,
+        damping=0.7, tol=1e-12, max_iter=4, seed=3,
+    )
+    rep = solve_mfg(instance_b, law0, cfg)
+    grid = space_grid(cfg.x_lo, cfg.x_hi, cfg.dx)
+    flow = MeanFlow.constant(cfg.T, cfg.dt, law0.mean)
+    deltas = []
+    for _ in range(cfg.max_iter):
+        terminal = stationary_terminal(instance_b, flow)
+        field = backward_field_solve(instance_b, flow, grid, terminal)
+        update = forward_flow_update(instance_b, field, law0, cfg.N, cfg.seed)
+        deltas.append(float(np.max(np.abs(update.m - flow.m))))
+        flow = MeanFlow(times=flow.times, m=(1.0 - 0.7) * flow.m + 0.7 * update.m)
+    assert rep.deltas == tuple(deltas)
+    assert np.array_equal(rep.final_flow.m, flow.m)

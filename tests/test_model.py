@@ -29,6 +29,15 @@ def test_validation_rejects_bad_parameters():
         LQModel(r=2.0, b1=0.0, b2=0.0, b3=0.0, b4=0.0, A=2.0, C=1.0)
 
 
+@pytest.mark.parametrize("name", ["r", "b1", "b2", "b3", "b4", "A", "C"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_validation_rejects_non_finite_coefficients(name, value):
+    coeffs = dict(r=2.0, b1=0.0, b2=0.0, b3=2.0, b4=0.0, A=2.0, C=1.0)
+    coeffs[name] = value
+    with pytest.raises(ModelError, match="finite"):
+        LQModel(**coeffs)
+
+
 def test_control_gain(example_model, instance_b):
     assert example_model.control_gain == 2.0
     assert instance_b.control_gain == 2.0

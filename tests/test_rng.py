@@ -1,4 +1,6 @@
 import numpy as np
+import pytest
+from scipy.special import ndtri
 
 from mfglab import rng
 
@@ -36,3 +38,13 @@ def test_gaussian_block_is_standard_normal():
 def test_large_seed_values_accepted():
     g = rng.make_generator(2**62 + 11, rng.STREAM_PATHS, 2**40)
     assert np.isfinite(g.standard_normal())
+
+
+@pytest.mark.parametrize("n_cols", [1, 3, 17])
+@pytest.mark.parametrize("seed, first_index", [(5, 0), (2**41 + 9, 123)])
+def test_gaussian_block_rows_equal_generator_streams(seed, first_index, n_cols):
+    block = rng.gaussian_block(seed, rng.STREAM_POPULATION, first_index, 6, n_cols)
+    for i in range(6):
+        gen = rng.make_generator(seed, rng.STREAM_POPULATION, first_index + i)
+        ref = ndtri(np.clip(gen.random(n_cols), 2.5e-17, None))
+        assert np.array_equal(block[i], ref)

@@ -11,6 +11,7 @@ from mfglab import (
     simulate_representative,
     w2_empirical,
 )
+from mfglab import _kernels, rng, simulate
 from mfglab.simulate import ParticleEnsemble, default_horizon, export_flow_csv
 
 
@@ -182,3 +183,43 @@ def test_export_flow_rows(example_model, eq_feedback):
     t, mean, var, q05, q95 = rows[0]
     assert (t, mean, var) == (0.0, 1.0, 0.0)
     assert q05 <= mean <= q95
+
+
+@pytest.mark.parametrize("keep_states", [False, True])
+def test_simulate_legs_match_per_leg_kernel_runs(instance_b, instance_b_selected,
+                                                  monkeypatch, keep_states):
+    # reference: each leg stepped on its own by the kernel, chunk by chunk,
+    # on noise drawn for that leg alone
+    monkeypatch.setattr(simulate, "PATH_CHUNK", 7)
+    model, U = instance_b, instance_b_selected
+    eq = AffineFeedback.equilibrium(model, U)
+    feedbacks = [eq, eq.with_offset(lambda t: 0.3 * np.cos(t)), eq.scaled(1.2)]
+    T, dt, seed, n_paths, scale, stream, offset = 0.5, 1e-2, 11, 17, 0.8, rng.STREAM_CHECKS, 5
+    x0 = np.linspace(-1.0, 1.0, n_paths)
+    flow = lambda t: 0.4 * math.exp(-t)
+    legs = simulate.simulate_legs(
+        model, feedbacks, x0, flow, T, dt, seed, n_paths=n_paths, noise_scale=scale,
+        keep_states=keep_states, stream=stream, path_offset=offset,
+    )
+    n_steps = 50
+    times = dt * np.arange(n_steps + 1)
+    mflow = np.array([flow(t) for t in times])
+    disc = np.exp(-model.r * times[:-1])
+    assert len(legs) == len(feedbacks)
+    for fb, leg in zip(feedbacks, legs):
+        off = fb.offsets_on(times[:-1])
+        for lo, hi in ((0, 7), (7, 14), (14, 17)):
+            noise = scale * rng.gaussian_block(seed, stream, offset + lo, hi - lo, n_steps)
+            states = np.empty((hi - lo, n_steps + 1)) if keep_states else np.empty((0, 0))
+            c, term, dstep = _kernels.representative_kernel(
+                x0[lo:hi], mflow, off, noise, dt, math.sqrt(dt), disc,
+                model.b1, model.b2, model.b3, model.b4, model.A, model.C,
+                fb.fx, fb.fm, states, keep_states,
+            )
+            assert dstep == -1
+            assert np.array_equal(leg.costs[lo:hi], c)
+            assert np.array_equal(leg.terminal[lo:hi], term)
+            if keep_states:
+                assert np.array_equal(leg.states[lo:hi], states)
+        assert leg.feedback is fb
+        assert (leg.states is not None) == keep_states
