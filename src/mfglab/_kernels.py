@@ -1,11 +1,16 @@
 """Hot inner loops: particle and path time-stepping.
 
-Each kernel steps a whole ensemble with numpy array expressions, one time
-step per loop iteration.  The update expressions are evaluated in a fixed
-order, so results are bitwise-reproducible.  In the representative kernel
-every operation is elementwise across paths, so a path's trajectory and
-cost do not depend on which other paths share the call; single-path replay
-and batched replay both rely on this.
+Each kernel steps a whole ensemble, one time step per loop iteration.
+``noise`` has shape (paths, steps); ``rng.gaussian_block`` returns it in
+Fortran order, so step k's column ``noise[:, k]`` is contiguous (any order
+gives the same results, only slower).  Each step evaluates its update into
+work buffers allocated once per call (``np.multiply(..., out=)``, ``+=``,
+``np.take(..., out=)``), in exactly the operation order of the expressions
+below, so every IEEE result is the same as evaluating them directly and
+runs are bitwise-reproducible.  In the representative kernel every
+operation is elementwise across paths, so a path's trajectory and cost do
+not depend on which other paths share the call; single-path replay and
+batched replay both rely on this.
 
 Update rule (explicit Euler-Maruyama, unit diffusion):
 
@@ -13,7 +18,11 @@ Update rule (explicit Euler-Maruyama, unit diffusion):
     x  <- x + (b1*x + b2*m_k + b3*a_k)*dt + sqrt(dt)*g_k
 
 with m_k the (frozen or synchronously computed) population mean.  Costs use
-the left-endpoint rule with precomputed discount weights.
+the left-endpoint rule with precomputed discount weights:
+
+    cost += disc_k*(b4*x*m_k + A*x*x + C*a_k*a_k)*dt
+
+A step diverges when some |x| is not below ``_DIVERGE_LIMIT`` (NaN included).
 """
 
 from __future__ import annotations
@@ -23,17 +32,40 @@ import numpy as np
 _DIVERGE_LIMIT = 1e12
 
 
+def _diverged(x, scratch, mask) -> bool:
+    """not all(|x| < limit), through preallocated buffers."""
+    np.abs(x, out=scratch)
+    np.less(scratch, _DIVERGE_LIMIT, out=mask)
+    return not mask.all()
+
+
 def population_kernel(states, noise, dt, sdt, b1, b2, b3, fx, fm, off):
     """Advance the coupled ensemble in place; returns (means, diverged_step)."""
     n_steps = noise.shape[1]
+    n = states.shape[1]
     means = np.empty(n_steps + 1)
+    a = np.empty(n)
+    t = np.empty(n)
+    mask = np.empty(n, dtype=bool)
     for k in range(n_steps):
         x = states[k]
+        nxt = states[k + 1]
         m = float(x.mean())
         means[k] = m
-        a = fx * x + fm * m + off[k]
-        states[k + 1] = x + (b1 * x + b2 * m + b3 * a) * dt + sdt * noise[:, k]
-        if not np.all(np.abs(states[k + 1]) < _DIVERGE_LIMIT):
+        # a = fx*x + fm*m + off[k]
+        np.multiply(x, fx, out=a)
+        a += fm * m
+        a += off[k]
+        # x + (b1*x + b2*m + b3*a)*dt + sdt*noise[:, k]
+        np.multiply(x, b1, out=nxt)
+        nxt += b2 * m
+        np.multiply(a, b3, out=t)
+        nxt += t
+        nxt *= dt
+        nxt += x
+        np.multiply(noise[:, k], sdt, out=t)
+        nxt += t
+        if _diverged(nxt, t, mask):
             return means, k
     means[n_steps] = float(states[n_steps].mean())
     return means, -1
@@ -49,40 +81,93 @@ def representative_kernel(x0s, mflow, off, noise, dt, sdt, disc,
     n_paths, n_steps = noise.shape
     x = x0s.copy()
     costs = np.zeros(n_paths)
+    a = np.empty(n_paths)
+    t1 = np.empty(n_paths)
+    t2 = np.empty(n_paths)
+    mask = np.empty(n_paths, dtype=bool)
     if keep:
         states[:, 0] = x
     for k in range(n_steps):
         m = mflow[k]
-        a = fx * x + fm * m + off[k]
-        f = b4 * x * m + A * x * x + C * a * a
-        costs += disc[k] * f * dt
-        x = x + (b1 * x + b2 * m + b3 * a) * dt + sdt * noise[:, k]
+        # a = fx*x + fm*m + off[k]
+        np.multiply(x, fx, out=a)
+        a += fm * m
+        a += off[k]
+        # costs += disc[k]*(b4*x*m + A*x*x + C*a*a)*dt
+        np.multiply(x, b4, out=t1)
+        t1 *= m
+        np.multiply(x, A, out=t2)
+        t2 *= x
+        t1 += t2
+        np.multiply(a, C, out=t2)
+        t2 *= a
+        t1 += t2
+        t1 *= disc[k]
+        t1 *= dt
+        costs += t1
+        # x = x + (b1*x + b2*m + b3*a)*dt + sdt*noise[:, k]
+        np.multiply(x, b1, out=t1)
+        t1 += b2 * m
+        np.multiply(a, b3, out=t2)
+        t1 += t2
+        t1 *= dt
+        x += t1
+        np.multiply(noise[:, k], sdt, out=t1)
+        x += t1
         if keep:
             states[:, k + 1] = x
-        if not np.all(np.abs(x) < _DIVERGE_LIMIT):
+        if _diverged(x, t1, mask):
             return costs, x, k
     return costs, x, -1
 
 
 def forward_field_kernel(x0, u, xgrid, noise, dt, sdt, b1, b2, gain):
     """Ensemble driven by a tabulated decoupling field; returns
-    (means, terminal ensemble, diverged_step)."""
+    (means, terminal ensemble, diverged_step).
+
+    u(t_k, x) is interpolated linearly on ``xgrid`` with edge-slope
+    extrapolation: idx = clip(floor((x - x_0)/dx), 0, nx - 2),
+    w = pos - idx, u = u_k[idx]*(1 - w) + u_k[idx + 1]*w.
+    """
     n_particles, n_steps = noise.shape
     nx = xgrid.shape[0]
     dx = xgrid[1] - xgrid[0]
     means = np.empty(n_steps + 1)
     x = x0.copy()
+    pos = np.empty(n_particles)
+    idx = np.empty(n_particles, dtype=np.int64)
+    uval = np.empty(n_particles)
+    t = np.empty(n_particles)
+    mask = np.empty(n_particles, dtype=bool)
     for k in range(n_steps):
         m = float(x.mean())
         means[k] = m
-        # linear interpolation with edge-slope extrapolation
-        pos = (x - xgrid[0]) / dx
-        idx = np.clip(np.floor(pos).astype(np.int64), 0, nx - 2)
-        w = pos - idx
+        np.subtract(x, xgrid[0], out=pos)
+        pos /= dx
+        np.floor(pos, out=t)
+        np.copyto(idx, t, casting="unsafe")
+        np.clip(idx, 0, nx - 2, out=idx)
+        pos -= idx  # the weight w
         uk = u[k]
-        uval = uk[idx] * (1.0 - w) + uk[idx + 1] * w
-        x = x + (b1 * x + b2 * m - gain * uval) * dt + sdt * noise[:, k]
-        if not np.all(np.abs(x) < _DIVERGE_LIMIT):
+        # uk[idx]*(1 - w) + uk[idx + 1]*w; idx is in range, so "clip"
+        # only spares np.take a buffered copy
+        np.take(uk, idx, out=uval, mode="clip")
+        np.subtract(1.0, pos, out=t)
+        uval *= t
+        idx += 1
+        np.take(uk, idx, out=t, mode="clip")
+        t *= pos
+        uval += t
+        # x = x + (b1*x + b2*m - gain*uval)*dt + sdt*noise[:, k]
+        np.multiply(x, b1, out=t)
+        t += b2 * m
+        uval *= gain
+        t -= uval
+        t *= dt
+        x += t
+        np.multiply(noise[:, k], sdt, out=t)
+        x += t
+        if _diverged(x, t, mask):
             return means, x, k
     means[n_steps] = float(x.mean())
     return means, x, -1

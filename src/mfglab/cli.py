@@ -9,6 +9,7 @@ All randomness flows from the config seed (overridable with --seed).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -184,9 +185,21 @@ def _check_gateaux(cfg: RunConfig, U, mc: MCConfig) -> CheckResult:
                        ["epsilon", "slope"], slopes)
 
 
+def _horizon_at_most(cfg: RunConfig, cap: float) -> float:
+    """min(T, cap), with the cap lowered to a whole number of steps (at least one)."""
+    n_steps = max(1, math.floor(cap / cfg.dt * (1.0 + 1e-9)))
+    return min(cfg.T, n_steps * cfg.dt)
+
+
+def _horizon_at_least(cfg: RunConfig, cap: float) -> float:
+    """max(T, cap), with the cap raised to a whole number of steps."""
+    n_steps = math.ceil(cap / cfg.dt * (1.0 - 1e-9))
+    return max(cfg.T, n_steps * cfg.dt)
+
+
 def _check_consistency(cfg: RunConfig, U, mc: MCConfig) -> CheckResult:
     dev = flow_consistency(cfg.model, U, cfg.law0, min(cfg.n_particles, 200),
-                           cfg.seed, min(cfg.T, 2.0), cfg.dt)
+                           cfg.seed, _horizon_at_most(cfg, 2.0), cfg.dt)
     return CheckResult(dev <= 1e-9, f"max deviation {dev:.3e}",
                        ["max_deviation"], [(dev,)])
 
@@ -194,7 +207,7 @@ def _check_consistency(cfg: RunConfig, U, mc: MCConfig) -> CheckResult:
 def _check_representation(cfg: RunConfig, U, mc: MCConfig) -> CheckResult:
     fb = AffineFeedback.equilibrium(cfg.model, U)
     pop = simulate_population(cfg.model, fb, cfg.law0, min(cfg.n_particles, 2000),
-                              max(cfg.T, 4.0), cfg.dt, cfg.seed)
+                              _horizon_at_least(cfg, 4.0), cfg.dt, cfg.seed)
     gap = y_representation_check(cfg.model, U, pop.states, pop.means, pop.times)
     return CheckResult(gap <= 1e-3, f"max gap {gap:.3e}", ["max_gap"], [(gap,)])
 

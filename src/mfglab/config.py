@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError
 from .model import LQModel
-from .simulate import InitialLaw
+from .simulate import InitialLaw, whole_steps
 
 _MODEL_KEYS = {"r", "b1", "b2", "b3", "b4", "A", "C"}
 _LAW_KEYS = {"kind", "x0", "mean", "sd"}
@@ -139,8 +139,9 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("sim.T, sim.dt, sim.nPaths, sim.nParticles must be positive")
     if cfg.T < cfg.dt:
         raise ConfigError("sim.T must be at least one step sim.dt")
-    n_steps = cfg.T / cfg.dt
-    if abs(n_steps - round(n_steps)) > 1e-9 * n_steps:
+    try:
+        whole_steps(cfg.T, cfg.dt)
+    except ValueError:
         raise ConfigError(f"sim.T = {cfg.T!r} is not a whole number of steps "
                           f"sim.dt = {cfg.dt!r}")
     if cfg.n_paths < 2:

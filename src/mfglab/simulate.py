@@ -198,8 +198,20 @@ class CostEstimate:
     n_paths: int
 
 
+def whole_steps(T: float, dt: float) -> int:
+    """The number of steps ``dt`` in the horizon ``T``.
+
+    Raises ValueError unless T/dt is finite and within a relative 1e-9 (the
+    floating-point noise of the division) of a whole number.
+    """
+    ratio = T / dt
+    if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9 * abs(ratio):
+        raise ValueError(f"horizon {T!r} is not a whole number of steps {dt!r}")
+    return round(ratio)
+
+
 def _time_grid(T: float, dt: float) -> np.ndarray:
-    n_steps = int(round(T / dt))
+    n_steps = whole_steps(T, dt)
     if n_steps < 1:
         raise ValueError("horizon shorter than one step")
     return dt * np.arange(n_steps + 1)

@@ -182,8 +182,10 @@ def test_missing_config_file_exit_code():
     ("solve", {"model.b1": "nan"}),
     ("solve", {"model.A": "inf"}),
     ("simulate", {"model.b4": "-inf"}),
+    ("simulate", {"sim.T": "inf"}),
+    ("simulate", {"sim.dt": "nan"}),
 ], ids=["damping", "one-particle", "coarse-grid", "one-path", "T-below-dt", "negative-sd",
-        "T-not-whole-steps", "nan-b1", "inf-A", "minus-inf-b4"])
+        "T-not-whole-steps", "nan-b1", "inf-A", "minus-inf-b4", "inf-T", "nan-dt"])
 def test_invalid_values_exit_config_without_traceback(tmp_path, capsys, command, overrides):
     kept = [line for line in BASE.splitlines() if line.split(" =")[0] not in overrides]
     p = tmp_path / "run.cfg"
@@ -193,3 +195,36 @@ def test_invalid_values_exit_config_without_traceback(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert "error" in err
     assert "Traceback" not in err
+
+
+def test_verify_check_horizons_are_whole_steps(tmp_path, monkeypatch):
+    # at dt = 0.003 neither the consistency cap 2.0 nor the representation
+    # floor 4.0 is a whole number of steps: the checks must run on the
+    # nearest whole-step horizons inside those limits (1.998 and 4.002)
+    from mfglab import cli
+
+    seen = {}
+
+    def recording(name, fn, t_at):
+        def wrapper(*args):
+            seen[name] = (args[t_at], args[t_at + 1])
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(cli, "flow_consistency",
+                        recording("consistency", cli.flow_consistency, 5))
+    monkeypatch.setattr(cli, "simulate_population",
+                        recording("representation", cli.simulate_population, 4))
+    overrides = {"sim.T": "3", "sim.dt": "0.003", "sim.nParticles": "20"}
+    kept = [line for line in BASE.splitlines() if line.split(" =")[0] not in overrides]
+    p = tmp_path / "run.cfg"
+    p.write_text("\n".join(kept + [f"{k} = {v}" for k, v in overrides.items()])
+                 + f"\noutput = {tmp_path / 'out'}\n")
+    assert main(["verify", "--config", str(p),
+                 "--checks", "consistency,representation"]) == EXIT_OK
+    for name, lo, hi in (("consistency", 2.0 - 0.003, 2.0),
+                         ("representation", 4.0, 4.0 + 0.003)):
+        T, dt = seen[name]
+        steps = T / dt
+        assert abs(steps - round(steps)) <= 1e-9 * steps, name
+        assert lo - 1e-12 < T <= hi + 1e-12, name

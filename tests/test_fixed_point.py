@@ -3,12 +3,13 @@ import pytest
 
 from mfglab import DecouplingField, FixedPointConfig, MeanFlow, backward_field_solve, solve_mfg
 from mfglab import fixed_point
-from mfglab.errors import NoRealRootError, StepTooLargeError
+from mfglab.errors import DivergedError, NoRealRootError, StepTooLargeError
 from mfglab.fixed_point import (
     forward_flow_update,
     space_grid,
     stationary_terminal,
 )
+from mfglab.model import LQModel
 from mfglab.simulate import InitialLaw
 
 
@@ -55,6 +56,60 @@ def test_backward_solve_cfl_guard(example_model):
     flow = MeanFlow.constant(T=2.0, dt=0.1, value=0.0)
     with pytest.raises(StepTooLargeError):
         backward_field_solve(example_model, flow, GRID, lambda x: 2.0 * x)
+
+
+def test_backward_solve_non_finite_step_reports_divergence():
+    # b4 * m overflows the explicit source to inf on the first step; the
+    # solve must report the divergence, not let a finite-input check of the
+    # linear solver raise ValueError
+    model = LQModel(r=1, b1=0, b2=0, b3=1, b4=1e305, A=1, C=1)
+    flow = MeanFlow.constant(0.1, 0.01, 1e4)
+    grid = space_grid(-1.0, 1.0, 0.25)
+    with pytest.raises(DivergedError) as info, np.errstate(over="ignore", invalid="ignore"):
+        backward_field_solve(model, flow, grid, lambda x: np.zeros_like(x))
+    assert info.value.step == flow.times.size - 2
+
+
+def test_backward_solve_matches_banded_solver(instance_b):
+    # the once-factored tridiagonal solve reproduces scipy's banded solver
+    # bitwise on every row of the field
+    from scipy.linalg import solve_banded
+
+    flow = MeanFlow(times=0.01 * np.arange(51), m=np.linspace(1.0, 0.2, 51))
+    grid = space_grid(-3.0, 3.0, 0.1)
+    terminal = stationary_terminal(instance_b, flow)
+    field = backward_field_solve(instance_b, flow, grid, terminal)
+    dt, dx, gain = flow.dt, float(grid[1] - grid[0]), instance_b.control_gain
+    lam = dt / (2.0 * dx * dx)
+    ab = np.zeros((3, grid.size - 2))
+    ab[0, 1:] = -lam
+    ab[1, :] = 1.0 + 2.0 * lam
+    ab[2, :-1] = -lam
+    u = field.u
+    x = field.x
+    for k in range(flow.times.size - 2, -1, -1):
+        uk1, m = u[k + 1], flow.m[k + 1]
+        g = instance_b.b1 * x + instance_b.b2 * m - gain * uk1
+        dudx = np.empty(x.size)
+        dudx[1:-1] = np.where(g[1:-1] > 0.0, (uk1[1:-1] - uk1[:-2]) / dx,
+                              (uk1[2:] - uk1[1:-1]) / dx)
+        dudx[0] = (uk1[1] - uk1[0]) / dx
+        dudx[-1] = (uk1[-1] - uk1[-2]) / dx
+        src = instance_b.b1 * uk1 + instance_b.b4 * m + 2.0 * instance_b.A * x
+        explicit = uk1 + dt * (g * dudx + src - instance_b.r * uk1)
+        rhs = explicit[1:-1].copy()
+        rhs[0] += lam * explicit[0]
+        rhs[-1] += lam * explicit[-1]
+        assert np.array_equal(u[k, 1:-1], solve_banded((1, 1), ab, rhs))
+        assert u[k, 0] == explicit[0] and u[k, -1] == explicit[-1]
+
+
+def test_mean_flow_rejects_partial_step_horizon():
+    # 0.5 is not a whole number of steps 0.3; rounding would end at t = 0.6
+    with pytest.raises(ValueError, match="whole number of steps"):
+        MeanFlow.constant(0.5, 0.3, 0.0)
+    # a horizon off by floating-point noise only is still whole
+    assert MeanFlow.constant(0.3, 0.1, 0.0).times.size == 4
 
 
 def test_forward_flow_update_tracks_ode(example_model, example_selected):

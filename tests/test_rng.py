@@ -48,3 +48,17 @@ def test_gaussian_block_rows_equal_generator_streams(seed, first_index, n_cols):
         gen = rng.make_generator(seed, rng.STREAM_POPULATION, first_index + i)
         ref = ndtri(np.clip(gen.random(n_cols), 2.5e-17, None))
         assert np.array_equal(block[i], ref)
+
+
+@pytest.mark.parametrize("n_rows", [1, 63, 64, 65, 130])
+def test_gaussian_block_is_fortran_ordered_generator_rows(n_rows):
+    # rows are drawn through 64-row tiles; every tile boundary keeps the
+    # per-stream rows, and each step's column is contiguous
+    block = rng.gaussian_block(9, rng.STREAM_PATHS, 40, n_rows, 5)
+    assert block.shape == (n_rows, 5)
+    assert block.flags.f_contiguous
+    assert block[:, 2].flags.c_contiguous
+    for i in range(n_rows):
+        gen = rng.make_generator(9, rng.STREAM_PATHS, 40 + i)
+        ref = ndtri(np.clip(gen.random(5), 2.5e-17, None))
+        assert np.array_equal(block[i], ref)

@@ -223,3 +223,25 @@ def test_simulate_legs_match_per_leg_kernel_runs(instance_b, instance_b_selected
                 assert np.array_equal(leg.states[lo:hi], states)
         assert leg.feedback is fb
         assert (leg.states is not None) == keep_states
+
+
+def test_whole_steps():
+    assert simulate.whole_steps(3.0, 0.004) == 750
+    # floating-point noise in the division is still a whole step count
+    assert 0.3 / 0.1 != 3.0 and simulate.whole_steps(0.3, 0.1) == 3
+    for T, dt in ((0.5, 0.3), (2.0, 0.003), (math.inf, 0.1), (1.0, math.nan)):
+        with pytest.raises(ValueError, match="whole number of steps"):
+            simulate.whole_steps(T, dt)
+
+
+def test_horizon_must_be_whole_steps(example_model, eq_feedback):
+    # 0.5 / 0.3 is not an integer: a rounded grid would end at t = 0.6
+    with pytest.raises(ValueError, match="whole number of steps"):
+        simulate_representative(example_model, eq_feedback, x0=0.0, mean_flow=0.0,
+                                T=0.5, dt=0.3, seed=0, n_paths=2)
+    with pytest.raises(ValueError, match="whole number of steps"):
+        simulate_population(example_model, eq_feedback, InitialLaw.dirac(0.0), N=2,
+                            T=0.5, dt=0.3, seed=0)
+    batch = simulate_representative(example_model, eq_feedback, x0=0.0, mean_flow=0.0,
+                                    T=0.3, dt=0.1, seed=0, n_paths=2)
+    assert batch.times.size == 4
