@@ -13,6 +13,7 @@ from .errors import (
     ModelError,
     NoAdmissibleRootError,
     NoRealRootError,
+    RestPointMismatchError,
     StepTooLargeError,
 )
 from .admissibility import (

@@ -1,9 +1,10 @@
 """Command-line surface.
 
 Subcommands: check, solve, simulate, verify, fixed-point.
-Exit codes: 0 success, 2 config/usage error, 3 root-selection failure,
-4 simulation divergence, 5 fixed-point non-convergence.
-All randomness flows from the config seed (overridable with --seed).
+Exit codes: 0 success, 2 config/usage error, 3 root-selection failure or a
+failed Riccati rest-point self-check, 4 simulation divergence, 5 fixed-point
+non-convergence.  All randomness flows from the config seed; --seed and --out
+override sim.seed and output and are parsed by the same rules.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .errors import (
     MFGLabError,
     NoAdmissibleRootError,
     NoRealRootError,
+    RestPointMismatchError,
     StepTooLargeError,
 )
 from .fixed_point import FixedPointConfig, solve_mfg
@@ -57,15 +59,6 @@ EXIT_CONFIG = 2
 EXIT_ROOTS = 3
 EXIT_DIVERGED = 4
 EXIT_NO_CONVERGENCE = 5
-
-
-def _load(args) -> RunConfig:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out is not None:
-        cfg.output = args.out
-    return cfg
 
 
 def cmd_check(cfg: RunConfig) -> int:
@@ -291,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", default=None)
         if name == "verify":
             p.add_argument("--checks", default=",".join(VERIFY_CHECKS),
                            help="comma-separated subset of: "
@@ -302,8 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    overrides = {"sim.seed": args.seed, "output": args.out}
     try:
-        cfg = _load(args)
+        cfg = load_config(args.config, {k: v for k, v in overrides.items() if v is not None})
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -320,7 +314,7 @@ def main(argv=None) -> int:
             which = [w for w in (s.strip() for s in args.checks.split(",")) if w]
             return cmd_verify(cfg, which)
     except (NoRealRootError, NoAdmissibleRootError, AmbiguousRootError,
-            DegenerateA3Error) as exc:
+            DegenerateA3Error, RestPointMismatchError) as exc:
         print(f"root selection failed: {exc}", file=sys.stderr)
         return EXIT_ROOTS
     except (DivergedError, StepTooLargeError) as exc:

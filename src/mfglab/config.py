@@ -1,23 +1,20 @@
 """Run configuration: flat ``section.key = value`` files, strictly parsed.
 
-Unknown keys are errors, never warnings; every numeric field must parse.
-The format is deliberately line-oriented and dependency-free so configs
-diff cleanly.
+Unknown keys are errors, never warnings.  Each key is stated once, in
+``_KEYS``; ``parse_value`` reads every value, from the file or the command
+line.  The format is line-oriented and dependency-free so configs diff cleanly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
-from .errors import ConfigError
+from .errors import ConfigError, ModelError
 from .model import LQModel
 from .simulate import InitialLaw, whole_steps
 
-_MODEL_KEYS = {"r", "b1", "b2", "b3", "b4", "A", "C"}
-_LAW_KEYS = {"kind", "x0", "mean", "sd"}
-_SIM_KEYS = {"T", "dt", "nPaths", "nParticles", "seed"}
-_FP_KEYS = {"damping", "tol", "maxIter", "xLo", "xHi", "dx"}
-_TOP_KEYS = {"output"}
+_LAWS = {"dirac": InitialLaw.dirac, "gaussian": InitialLaw.gaussian}
 
 
 @dataclass
@@ -36,7 +33,57 @@ class RunConfig:
     x_hi: float = 6.0
     dx: float = 0.05
     output: str = "out"
-    raw: dict = field(default_factory=dict)
+
+
+# key -> (target, name, type).  Target "model" is a required LQModel
+# coefficient, "dirac"/"gaussian" an argument of that law0.kind's InitialLaw
+# constructor, "run" a RunConfig field.  A type is float (finite), int, str,
+# a tuple of the allowed words, or "seed": an int in [0, 2**64), since rng
+# keys use a seed's low 64 bits and larger seeds would alias smaller ones.
+_KEYS = {
+    "model.r": ("model", "r", float),
+    "model.b1": ("model", "b1", float),
+    "model.b2": ("model", "b2", float),
+    "model.b3": ("model", "b3", float),
+    "model.b4": ("model", "b4", float),
+    "model.A": ("model", "A", float),
+    "model.C": ("model", "C", float),
+    "law0.kind": ("law", "kind", tuple(_LAWS)),
+    "law0.x0": ("dirac", "x0", float),
+    "law0.mean": ("gaussian", "mean", float),
+    "law0.sd": ("gaussian", "sd", float),
+    "sim.T": ("run", "T", float),
+    "sim.dt": ("run", "dt", float),
+    "sim.nPaths": ("run", "n_paths", int),
+    "sim.nParticles": ("run", "n_particles", int),
+    "sim.seed": ("run", "seed", "seed"),
+    "fixedPoint.damping": ("run", "damping", float),
+    "fixedPoint.tol": ("run", "tol", float),
+    "fixedPoint.maxIter": ("run", "max_iter", int),
+    "fixedPoint.xLo": ("run", "x_lo", float),
+    "fixedPoint.xHi": ("run", "x_hi", float),
+    "fixedPoint.dx": ("run", "dx", float),
+    "output": ("run", "output", str),
+}
+
+
+def parse_value(key: str, text: str, line: int | None = None):
+    """The value of the known ``key`` written as ``text``, by its type."""
+    kind = _KEYS[key][2]
+    if isinstance(kind, tuple) and text not in kind:
+        raise ConfigError(f"{key} must be {' or '.join(kind)}, got {text!r}", line=line)
+    if kind is str or isinstance(kind, tuple):
+        return text
+    try:
+        value = float(text) if kind is float else int(text, 0)
+    except ValueError:
+        noun = "a real number" if kind is float else "an integer"
+        raise ConfigError(f"{key}: cannot parse {text!r} as {noun}", line=line)
+    if not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {text!r}", line=line)
+    if kind == "seed" and not 0 <= value < 2**64:
+        raise ConfigError(f"{key} must lie in [0, 2**64), got {text!r}", line=line)
+    return value
 
 
 def _parse_lines(text: str) -> dict[str, tuple[str, int]]:
@@ -46,119 +93,65 @@ def _parse_lines(text: str) -> dict[str, tuple[str, int]]:
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
-        if "=" not in stripped:
+        key, sep, value = (part.strip() for part in stripped.partition("="))
+        if not (sep and key and value):
             raise ConfigError("expected 'key = value'", line=lineno)
-        key, _, value = stripped.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if not key or not value:
-            raise ConfigError("empty key or value", line=lineno)
         if key in out:
             raise ConfigError(f"duplicate key {key!r}", line=lineno)
         out[key] = (value, lineno)
     return out
 
 
-def _known(key: str) -> bool:
-    if key in _TOP_KEYS:
-        return True
-    section, _, name = key.partition(".")
-    return (
-        (section == "model" and name in _MODEL_KEYS)
-        or (section == "law0" and name in _LAW_KEYS)
-        or (section == "sim" and name in _SIM_KEYS)
-        or (section == "fixedPoint" and name in _FP_KEYS)
-    )
-
-
-def _as_float(entries, key: str, default: float | None = None) -> float | None:
-    if key not in entries:
-        return default
-    value, lineno = entries[key]
+def _steps(span_key: str, span: float, step_key: str, step: float) -> int:
     try:
-        return float(value)
+        return whole_steps(span, step)
     except ValueError:
-        raise ConfigError(f"{key}: cannot parse {value!r} as a real number", line=lineno)
+        raise ConfigError(f"{span_key} = {span!r} must be a whole number of steps "
+                          f"{step_key} = {step!r} > 0")
 
 
-def _as_int(entries, key: str, default: int | None = None) -> int | None:
-    if key not in entries:
-        return default
-    value, lineno = entries[key]
-    try:
-        return int(value, 0)
-    except ValueError:
-        raise ConfigError(f"{key}: cannot parse {value!r} as an integer", line=lineno)
-
-
-def parse_config(text: str) -> RunConfig:
+def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunConfig:
+    """The config in ``text``; ``overrides`` (key -> value text, e.g. from
+    the command line) replace the file's entries under the same rules."""
     entries = _parse_lines(text)
-    for key, (_, lineno) in entries.items():
-        if not _known(key):
+    entries.update((key, (value, None)) for key, value in (overrides or {}).items())
+    kind = parse_value("law0.kind", *entries.get("law0.kind", ("dirac", None)))
+    values = {target: {} for target, _, _ in _KEYS.values()}
+    for key, (value, lineno) in entries.items():
+        if key not in _KEYS:
             raise ConfigError(f"unknown key {key!r}", line=lineno)
+        target, name, _ = _KEYS[key]
+        if target in _LAWS and target != kind:
+            raise ConfigError(f"{key} belongs to law0.kind = {target}, not {kind}",
+                              line=lineno)
+        values[target][name] = parse_value(key, value, lineno)
 
-    model_vals = {}
-    for name in _MODEL_KEYS:
-        v = _as_float(entries, f"model.{name}")
-        if v is None:
-            raise ConfigError(f"missing required key model.{name}")
-        model_vals[name] = v
+    for key, (target, _, _) in _KEYS.items():
+        if target == "model" and key not in entries:
+            raise ConfigError(f"missing required key {key}")
     try:
-        model = LQModel(**model_vals)
-    except Exception as exc:
-        raise ConfigError(f"invalid model: {exc}")
-
-    kind_entry = entries.get("law0.kind", ("dirac", 0))
-    kind = kind_entry[0]
-    if kind == "dirac":
-        law0 = InitialLaw.dirac(_as_float(entries, "law0.x0", 0.0))
-    elif kind == "gaussian":
-        sd = _as_float(entries, "law0.sd", 1.0)
-        if sd < 0:
-            raise ConfigError("law0.sd must be nonnegative", line=entries["law0.sd"][1])
-        law0 = InitialLaw.gaussian(_as_float(entries, "law0.mean", 0.0), sd)
-    else:
-        raise ConfigError(f"law0.kind must be dirac or gaussian, got {kind!r}",
-                          line=kind_entry[1])
-
-    cfg = RunConfig(model=model, law0=law0, raw={k: v for k, (v, _) in entries.items()})
-    cfg.T = _as_float(entries, "sim.T", cfg.T)
-    cfg.dt = _as_float(entries, "sim.dt", cfg.dt)
-    cfg.n_paths = _as_int(entries, "sim.nPaths", cfg.n_paths)
-    cfg.n_particles = _as_int(entries, "sim.nParticles", cfg.n_particles)
-    cfg.seed = _as_int(entries, "sim.seed", cfg.seed)
-    cfg.damping = _as_float(entries, "fixedPoint.damping", cfg.damping)
-    cfg.tol = _as_float(entries, "fixedPoint.tol", cfg.tol)
-    cfg.max_iter = _as_int(entries, "fixedPoint.maxIter", cfg.max_iter)
-    cfg.x_lo = _as_float(entries, "fixedPoint.xLo", cfg.x_lo)
-    cfg.x_hi = _as_float(entries, "fixedPoint.xHi", cfg.x_hi)
-    cfg.dx = _as_float(entries, "fixedPoint.dx", cfg.dx)
-    if "output" in entries:
-        cfg.output = entries["output"][0]
-    if cfg.T <= 0 or cfg.dt <= 0 or cfg.n_paths < 1 or cfg.n_particles < 1:
-        raise ConfigError("sim.T, sim.dt, sim.nPaths, sim.nParticles must be positive")
-    if cfg.T < cfg.dt:
+        cfg = RunConfig(LQModel(**values["model"]), _LAWS[kind](**values[kind]),
+                        **values["run"])
+    except (ModelError, ValueError) as exc:
+        raise ConfigError(f"invalid model or law0: {exc}")
+    if _steps("sim.T", cfg.T, "sim.dt", cfg.dt) < 1:
         raise ConfigError("sim.T must be at least one step sim.dt")
-    try:
-        whole_steps(cfg.T, cfg.dt)
-    except ValueError:
-        raise ConfigError(f"sim.T = {cfg.T!r} is not a whole number of steps "
-                          f"sim.dt = {cfg.dt!r}")
-    if cfg.n_paths < 2:
-        raise ConfigError("sim.nPaths must be at least 2 (a standard error needs two paths)")
+    if cfg.n_paths < 2 or cfg.n_particles < 1:
+        raise ConfigError("sim.nPaths must be at least 2 and sim.nParticles at least 1")
     if not 0.0 < cfg.damping <= 1.0:
         raise ConfigError("fixedPoint.damping must lie in (0, 1]")
     if cfg.tol <= 0 or cfg.max_iter < 1:
         raise ConfigError("fixedPoint.tol must be positive and fixedPoint.maxIter at least 1")
-    if cfg.dx <= 0 or round((cfg.x_hi - cfg.x_lo) / cfg.dx) < 4:
-        raise ConfigError("fixedPoint.dx must be positive and xHi - xLo at least 4 dx")
+    if _steps("fixedPoint.xHi - fixedPoint.xLo", cfg.x_hi - cfg.x_lo,
+              "fixedPoint.dx", cfg.dx) < 4:
+        raise ConfigError("fixedPoint.xHi - fixedPoint.xLo must be at least 4 steps dx")
     return cfg
 
 
-def load_config(path: str) -> RunConfig:
+def load_config(path: str, overrides: dict[str, str] | None = None) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}")
-    return parse_config(text)
+    return parse_config(text, overrides)

@@ -42,6 +42,10 @@ class AmbiguousRootError(MFGLabError):
     """More than one candidate passes the stability selection."""
 
 
+class RestPointMismatchError(MFGLabError):
+    """An algebraic root is not a rest point of the finite-horizon ODE."""
+
+
 class BlowUpError(MFGLabError):
     """Backward ODE integration blew up before reaching t = 0."""
 

@@ -91,7 +91,7 @@ class FixedPointReport:
 
 
 def space_grid(x_lo: float, x_hi: float, dx: float) -> np.ndarray:
-    n = int(round((x_hi - x_lo) / dx))
+    n = whole_steps(x_hi - x_lo, dx)
     if n < 4:
         raise ValueError("space grid too coarse")
     return x_lo + dx * np.arange(n + 1)

@@ -37,8 +37,8 @@ class LQModel:
             raise ModelError(f"state cost weight must be positive, got A = {self.A!r}")
         if not self.C > 0:
             raise ModelError(f"control cost weight must be positive, got C = {self.C!r}")
-        if self.b3 == 0:
-            raise ModelError("b3 = 0: the control does not act on the state")
+        if not 0 < self.control_gain < math.inf:
+            raise ModelError(f"control gain b3**2/(2C) = {self.control_gain!r} is not in (0, inf)")
 
     @property
     def control_gain(self) -> float:

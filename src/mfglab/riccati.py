@@ -14,13 +14,15 @@ written source.  Integration is fixed-step RK4 (deterministic, order 4).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowUpError
+from .errors import BlowUpError, RestPointMismatchError
 from .master import QuadraticValue, solve_root_system
 from .model import LQModel
+from .simulate import whole_steps
 
 _BLOWUP_LIMIT = 1e8
 _STATIONARITY_TOL = 1e-8
@@ -61,18 +63,22 @@ def _rhs(model: LQModel, p: float, q: float) -> tuple[float, float]:
 
 
 def stationarity_selfcheck(model: LQModel, tol: float = _STATIONARITY_TOL) -> None:
-    """Assert the rest points of the ODE field match the algebraic roots.
+    """Check that the rest points of the ODE field match the algebraic roots.
 
-    Raises AssertionError when any (a1, a2) root fails to annihilate the
-    field under (p, q) = (2 a1, a2).
+    Raises RestPointMismatchError unless every (a1, a2) root annihilates the
+    field under (p, q) = (2 a1, a2) to within ``tol`` times the summed size
+    of each component's terms (at least 1), and that size is finite.
     """
     for U in solve_root_system(model):
-        dp, dq = _rhs(model, 2.0 * U.a1, U.a2)
-        if abs(dp) > tol or abs(dq) > tol:
-            raise AssertionError(
-                f"ODE rest point mismatch at (a1, a2) = ({U.a1:g}, {U.a2:g}): "
-                f"field = ({dp:.3e}, {dq:.3e})"
-            )
+        p, q = 2.0 * U.a1, U.a2
+        dp, dq = _rhs(model, p, q)
+        size_p = abs((model.r - 2.0 * model.b1) * p) + model.control_gain * p * p + 2.0 * model.A
+        size_q = (abs((model.r - 2.0 * model.b1 - model.b2) * q) + abs(model.b4)
+                  + abs(model.b2 * p) + model.control_gain * abs(2.0 * p * q + q * q))
+        if not (abs(dp) <= tol * max(1.0, size_p) < math.inf
+                and abs(dq) <= tol * max(1.0, size_q) < math.inf):
+            raise RestPointMismatchError(f"ODE rest point mismatch at (a1, a2) = ({U.a1:g}, "
+                                         f"{U.a2:g}): field = ({dp:.3e}, {dq:.3e})")
 
 
 def riccati_backward(model: LQModel, T: float, dt: float) -> RiccatiPath:
@@ -80,7 +86,7 @@ def riccati_backward(model: LQModel, T: float, dt: float) -> RiccatiPath:
     if not (T > 0 and dt > 0 and dt <= T / 10.0):
         raise ValueError("need T > 0 and dt <= T/10")
     stationarity_selfcheck(model)
-    n_steps = int(round(T / dt))
+    n_steps = whole_steps(T, dt)
     times = dt * np.arange(n_steps + 1)
     p = np.empty(n_steps + 1)
     q = np.empty(n_steps + 1)

@@ -40,13 +40,13 @@ class InitialLaw:
     samples: np.ndarray | None = None
 
     @classmethod
-    def dirac(cls, x0: float) -> "InitialLaw":
+    def dirac(cls, x0: float = 0.0) -> "InitialLaw":
         return cls(kind="dirac", x0=float(x0))
 
     @classmethod
-    def gaussian(cls, mean: float, sd: float) -> "InitialLaw":
-        if sd < 0:
-            raise ValueError("standard deviation must be nonnegative")
+    def gaussian(cls, mean: float = 0.0, sd: float = 1.0) -> "InitialLaw":
+        if not sd >= 0:
+            raise ValueError(f"standard deviation sd must be nonnegative, got {sd!r}")
         return cls(kind="gaussian", mean_=float(mean), sd=float(sd))
 
     @classmethod
@@ -198,15 +198,15 @@ class CostEstimate:
     n_paths: int
 
 
-def whole_steps(T: float, dt: float) -> int:
-    """The number of steps ``dt`` in the horizon ``T``.
+def whole_steps(span: float, step: float) -> int:
+    """The number of steps ``step`` in ``span``, for every time and space grid.
 
-    Raises ValueError unless T/dt is finite and within a relative 1e-9 (the
-    floating-point noise of the division) of a whole number.
+    Raises ValueError unless ``step`` > 0 and span/step is finite and within
+    a relative 1e-9 (the floating-point noise of the division) of a whole number.
     """
-    ratio = T / dt
+    ratio = span / step if step > 0 else math.nan
     if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9 * abs(ratio):
-        raise ValueError(f"horizon {T!r} is not a whole number of steps {dt!r}")
+        raise ValueError(f"span {span!r} is not a whole number of steps {step!r}")
     return round(ratio)
 
 

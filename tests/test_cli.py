@@ -184,8 +184,32 @@ def test_missing_config_file_exit_code():
     ("simulate", {"model.b4": "-inf"}),
     ("simulate", {"sim.T": "inf"}),
     ("simulate", {"sim.dt": "nan"}),
+    ("fixed-point", {"fixedPoint.xLo": "nan"}),
+    ("fixed-point", {"fixedPoint.dx": "nan"}),
+    ("fixed-point", {"fixedPoint.xHi": "inf"}),
+    ("fixed-point", {"fixedPoint.xHi": "-inf"}),
+    ("check", {"fixedPoint.xLo": "nan"}),
+    ("solve", {"fixedPoint.xHi": "inf"}),
+    ("fixed-point", {"fixedPoint.tol": "nan"}),
+    ("fixed-point", {"law0.x0": "nan"}),
+    ("fixed-point", {"law0.kind": "gaussian", "law0.mean": "inf"}),
+    ("fixed-point", {"law0.kind": "gaussian", "law0.mean": "-inf"}),
+    ("simulate", {"law0.kind": "gaussian", "law0.sd": "nan"}),
+    ("simulate", {"law0.mean": "3", "law0.sd": "2"}),
+    ("simulate", {"law0.kind": "gaussian"}),
+    ("fixed-point", {"fixedPoint.xLo": "-4", "fixedPoint.xHi": "4.05", "fixedPoint.dx": "0.1"}),
+    ("verify", {"sim.seed": "-1"}),
+    ("verify", {"sim.seed": str(2**64)}),
+    ("solve", {"model.b3": "1e-300"}),
+    ("simulate", {"model.b3": "1e-300"}),
+    ("fixed-point", {"model.b3": "1e-300"}),
+    ("verify", {"model.b3": "1e-300"}),
 ], ids=["damping", "one-particle", "coarse-grid", "one-path", "T-below-dt", "negative-sd",
-        "T-not-whole-steps", "nan-b1", "inf-A", "minus-inf-b4", "inf-T", "nan-dt"])
+        "T-not-whole-steps", "nan-b1", "inf-A", "minus-inf-b4", "inf-T", "nan-dt",
+        "nan-xLo", "nan-dx", "inf-xHi", "minus-inf-xHi", "check-nan-xLo", "solve-inf-xHi",
+        "nan-tol", "nan-x0", "inf-mean", "minus-inf-mean", "nan-sd", "gaussian-keys-on-dirac",
+        "dirac-key-on-gaussian", "grid-not-whole-steps", "negative-seed", "seed-2**64",
+        "solve-tiny-b3", "simulate-tiny-b3", "fixed-point-tiny-b3", "verify-tiny-b3"])
 def test_invalid_values_exit_config_without_traceback(tmp_path, capsys, command, overrides):
     kept = [line for line in BASE.splitlines() if line.split(" =")[0] not in overrides]
     p = tmp_path / "run.cfg"
@@ -228,3 +252,41 @@ def test_verify_check_horizons_are_whole_steps(tmp_path, monkeypatch):
         steps = T / dt
         assert abs(steps - round(steps)) <= 1e-9 * steps, name
         assert lo - 1e-12 < T <= hi + 1e-12, name
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64), "nan", "1.5"])
+def test_seed_flag_obeys_the_sim_seed_rules(cfg_path, capsys, seed):
+    # --seed goes through the config's value parser: -1 used to escape as
+    # Philox's ValueError and 2**64 to alias seed 0
+    assert main(["verify", "--config", cfg_path, "--checks", "lipschitz",
+                 "--seed", seed]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "sim.seed" in err and "Traceback" not in err
+
+
+def test_flags_accept_what_the_file_accepts(cfg_path, tmp_path, capsys):
+    alt = tmp_path / "alt"
+    assert main(["solve", "--config", cfg_path, "--out", str(alt), "--seed", "0x10"]) == EXIT_OK
+    assert (alt / "roots.csv").exists()
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name, value, expected", [
+    ("model.r", "1e18", {EXIT_OK, EXIT_CONFIG}),
+    ("model.b2", "1e18", {EXIT_OK, EXIT_CONFIG}),
+    ("model.C", "1e18", {EXIT_OK, EXIT_CONFIG}),
+    ("model.r", "1e300", {EXIT_ROOTS}),
+], ids=["huge-r", "huge-b2", "huge-C", "overflowing-r"])
+def test_riccati_selfcheck_exits_without_traceback(tmp_path, capsys, name, value, expected):
+    # the rest-point self-check runs in the representation check: rounding in
+    # terms of size 1e35 is no mismatch, while r = 1e300 overflows the a1
+    # quadratic into a genuine one, which is a root-selection failure
+    overrides = {name: value, "sim.nParticles": "20"}
+    kept = [line for line in BASE.splitlines() if line.split(" =")[0] not in overrides]
+    p = tmp_path / "run.cfg"
+    p.write_text("\n".join(kept + [f"{k} = {v}" for k, v in overrides.items()])
+                 + f"\noutput = {tmp_path / 'out'}\n")
+    code = main(["verify", "--config", str(p), "--checks", "representation"])
+    err = capsys.readouterr().err
+    assert code in expected, err
+    assert "Traceback" not in err

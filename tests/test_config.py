@@ -120,8 +120,19 @@ def test_law_zero_values_are_kept():
     "fixedPoint.xLo = 0\nfixedPoint.xHi = 0.1\n",
     "sim.nPaths = 1\n",
     "sim.T = 0.001\nsim.dt = 0.002\n",
+    "fixedPoint.xLo = nan\n",
+    "fixedPoint.xHi = inf\n",
+    "fixedPoint.tol = nan\n",
+    "law0.x0 = nan\n",
+    "law0.mean = 3\nlaw0.sd = 2\n",
+    "law0.kind = gaussian\nlaw0.x0 = 1\n",
+    "fixedPoint.xLo = -4\nfixedPoint.xHi = 4.05\nfixedPoint.dx = 0.1\n",
+    "sim.seed = -1\n",
+    f"sim.seed = {2**64}\n",
 ], ids=["negative-sd", "damping-above-1", "damping-0", "tol-0", "maxIter-0", "dx-0",
-        "coarse-grid", "one-path", "T-below-dt"])
+        "coarse-grid", "one-path", "T-below-dt", "nan-xLo", "inf-xHi", "nan-tol", "nan-x0",
+        "gaussian-keys-without-kind", "dirac-key-on-gaussian", "grid-not-whole-steps",
+        "negative-seed", "seed-2**64"])
 def test_out_of_range_values_rejected(extra):
     with pytest.raises(ConfigError):
         parse_config(BASE + extra)
@@ -134,3 +145,19 @@ def test_horizon_must_be_whole_steps():
     for T, dt in (("3", "0.004"), ("1", "0.002"), ("0.7", "0.1")):
         cfg = parse_config(BASE + f"sim.T = {T}\nsim.dt = {dt}\n")
         assert (cfg.T, cfg.dt) == (float(T), float(dt))
+
+
+def test_overrides_obey_the_file_rules():
+    cfg = parse_config(BASE + "sim.seed = 3\n", {"sim.seed": str(2**64 - 1), "output": "x"})
+    assert (cfg.seed, cfg.output) == (2**64 - 1, "x")
+    with pytest.raises(ConfigError, match="sim.seed") as exc:
+        parse_config(BASE, {"sim.seed": "-1"})
+    assert exc.value.line is None
+
+
+def test_law_keys_go_to_their_kind():
+    law = parse_config(BASE + "law0.kind = gaussian\nlaw0.mean = 3\nlaw0.sd = 2\n").law0
+    assert (law.kind, law.mean, law.sd) == ("gaussian", 3.0, 2.0)
+    with pytest.raises(ConfigError, match="law0.mean") as exc:
+        parse_config(BASE + "law0.mean = 3\n")
+    assert exc.value.line == BASE.count("\n") + 1

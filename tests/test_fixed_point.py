@@ -25,6 +25,15 @@ def test_space_grid_endpoints():
     assert np.allclose(g, [-1.0, -0.5, 0.0, 0.5, 1.0])
 
 
+def test_space_grid_must_be_whole_steps():
+    # 8.05 / 0.1 is not an integer: a rounded grid would end at 4.0, not 4.05
+    with pytest.raises(ValueError, match="whole number of steps"):
+        space_grid(-4.0, 4.05, 0.1)
+    assert space_grid(-4.0, 4.0, 0.05).size == 161
+    # floating-point noise in the division still counts as whole steps
+    assert (0.7 - 0.0) / 0.1 != 7.0 and space_grid(0.0, 0.7, 0.1).size == 8
+
+
 def test_backward_solve_preserves_stationary_solution(example_model, example_selected):
     # u(t,x) = 2 a1 x solves the backward equation with zero mean flow,
     # so the solver must hold it fixed up to scheme error

@@ -1,9 +1,11 @@
-"""Golden outputs: two full CLI runs must reproduce recorded bytes.
+"""Golden outputs: full CLI runs must reproduce recorded bytes.
 
 The configs are the benchmark's crn-verify and fixed-point workloads at
-seed 1.  Every written file and standard output are compared by the first
-12 hex digits of their SHA-256, so any change to noise, kernels, the PDE
-solve or CSV formatting that moves a single bit fails here.
+seed 1, and ``tests/test_cli.py``'s BASE config at seed 7 under check,
+solve, simulate and verify with all six checks.  Every written file and
+standard output are compared by the first 12 hex digits of their SHA-256,
+so any change to noise, kernels, the PDE solve, CSV formatting or a parsed
+value that moves a single bit fails here.
 """
 
 import hashlib
@@ -51,6 +53,24 @@ fixedPoint.dx = 0.05
 sim.seed = 1
 """
 
+# tests/test_cli.py's BASE
+CLI_BASE = """
+model.r = 2
+model.b1 = 0
+model.b2 = 0
+model.b3 = 2
+model.b4 = 0
+model.A = 2
+model.C = 1
+law0.kind = dirac
+law0.x0 = 1
+sim.T = 2
+sim.dt = 0.002
+sim.nPaths = 500
+sim.nParticles = 400
+sim.seed = 7
+"""
+
 CASES = {
     "crn-verify": (
         CRN_VERIFY,
@@ -75,6 +95,40 @@ CASES = {
             "flow_iterations.csv": "5a5ac279882f",
         },
     ),
+    "base-check": (CLI_BASE, ["check"], {"stdout": "9e2642bc0dab"}),
+    "base-solve": (
+        CLI_BASE,
+        ["solve"],
+        {
+            "stdout": "ec71b93a77d3",
+            "roots.csv": "8095efb262c3",
+            "selected.csv": "db68b93f1412",
+        },
+    ),
+    "base-simulate": (
+        CLI_BASE,
+        ["simulate"],
+        {
+            "stdout": "106177dd500e",
+            "flow.csv": "ed995ce21483",
+            "cost.csv": "7a6ec7023533",
+        },
+    ),
+    "base-verify": (
+        CLI_BASE,
+        ["verify", "--checks",
+         "nash,gateaux,consistency,representation,uniqueness,lipschitz"],
+        {
+            "stdout": "df735b7d0681",
+            "summary.txt": "df735b7d0681",
+            "consistency.csv": "a544ded31b55",
+            "gateaux.csv": "724503fb61d8",
+            "lipschitz.csv": "57079ba81ad7",
+            "nash.csv": "2a7028142102",
+            "representation.csv": "283590c1ac88",
+            "uniqueness.csv": "3b79cb1fb61f",
+        },
+    ),
 }
 
 
@@ -91,5 +145,5 @@ def test_cli_outputs_match_golden_digests(name, tmp_path, capsys):
     code = main([argv[0], "--config", str(cfg), "--out", str(out), *argv[1:]])
     assert code == EXIT_OK
     got = {"stdout": _digest(capsys.readouterr().out.encode())}
-    got.update({p.name: _digest(p.read_bytes()) for p in out.iterdir()})
+    got.update({p.name: _digest(p.read_bytes()) for p in out.glob("*")})
     assert got == expected

@@ -38,6 +38,15 @@ def test_validation_rejects_non_finite_coefficients(name, value):
         LQModel(**coeffs)
 
 
+@pytest.mark.parametrize("b3, C", [(1e-300, 1.0), (1e-160, 1e300), (1e200, 1.0),
+                                   (2.0, 1e-308)])
+def test_validation_rejects_degenerate_control_gain(b3, C):
+    # b3**2/(2C) underflows to 0 or overflows to inf: the root system would
+    # divide by zero or turn to nan
+    with pytest.raises(ModelError, match="control gain"):
+        LQModel(r=2.0, b1=0.0, b2=0.0, b3=b3, b4=0.0, A=2.0, C=C)
+
+
 def test_control_gain(example_model, instance_b):
     assert example_model.control_gain == 2.0
     assert instance_b.control_gain == 2.0

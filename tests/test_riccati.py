@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mfglab import LQModel, riccati_backward, solve_selected, stationary_match
-from mfglab.errors import BlowUpError
+from mfglab.errors import BlowUpError, RestPointMismatchError
 from mfglab.riccati import stationarity_selfcheck
 
 
@@ -73,6 +73,30 @@ def test_blow_up_detected():
 def test_dt_must_resolve_horizon(example_model):
     with pytest.raises(Exception):
         riccati_backward(example_model, T=1.0, dt=0.5)
+
+
+def test_horizon_must_be_whole_steps(example_model):
+    # 1.0 / 0.03 is not an integer: a rounded grid would end at t = 0.99
+    with pytest.raises(ValueError, match="whole number of steps"):
+        riccati_backward(example_model, T=1.0, dt=0.03)
+    assert riccati_backward(example_model, T=0.3, dt=0.01).times.size == 31
+
+
+@pytest.mark.parametrize("coefficient", ["r", "b2", "C"])
+def test_selfcheck_tolerance_scales_with_the_terms(coefficient):
+    # the field's terms are about 1e35 here, so an absolute 1e-8 would call
+    # their rounding a mismatch
+    coeffs = dict(r=2.0, b1=0.0, b2=0.0, b3=2.0, b4=0.0, A=2.0, C=1.0)
+    coeffs[coefficient] = 1e18
+    stationarity_selfcheck(LQModel(**coeffs))
+
+
+def test_selfcheck_mismatch_is_an_mfglab_error():
+    # b*b overflows in the a1 quadratic at r = 1e300, so a1 comes out 0,
+    # which is no rest point of the field
+    model = LQModel(r=1e300, b1=0.0, b2=0.0, b3=2.0, b4=0.0, A=2.0, C=1.0)
+    with pytest.raises(RestPointMismatchError, match="rest point mismatch"):
+        stationarity_selfcheck(model)
 
 
 def test_stationary_match(example_model, example_selected):
