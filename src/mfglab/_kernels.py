@@ -32,11 +32,17 @@ import numpy as np
 _DIVERGE_LIMIT = 1e12
 
 
-def _diverged(x, scratch, mask) -> bool:
-    """not all(|x| < limit), through preallocated buffers."""
+def _diverged(x, scratch) -> bool:
+    """not all(|x| < limit), through a preallocated buffer: max propagates
+    NaN, and NaN < limit is false."""
     np.abs(x, out=scratch)
-    np.less(scratch, _DIVERGE_LIMIT, out=mask)
-    return not mask.all()
+    return not scratch.max() < _DIVERGE_LIMIT
+
+
+def _mean(x) -> float:
+    """x.mean() without its per-call overhead: the same pairwise sum and the
+    same division."""
+    return float(np.add.reduce(x)) / x.shape[0]
 
 
 def population_kernel(states, noise, dt, sdt, b1, b2, b3, fx, fm, off):
@@ -46,11 +52,10 @@ def population_kernel(states, noise, dt, sdt, b1, b2, b3, fx, fm, off):
     means = np.empty(n_steps + 1)
     a = np.empty(n)
     t = np.empty(n)
-    mask = np.empty(n, dtype=bool)
     for k in range(n_steps):
         x = states[k]
         nxt = states[k + 1]
-        m = float(x.mean())
+        m = _mean(x)
         means[k] = m
         # a = fx*x + fm*m + off[k]
         np.multiply(x, fx, out=a)
@@ -65,9 +70,9 @@ def population_kernel(states, noise, dt, sdt, b1, b2, b3, fx, fm, off):
         nxt += x
         np.multiply(noise[:, k], sdt, out=t)
         nxt += t
-        if _diverged(nxt, t, mask):
+        if _diverged(nxt, t):
             return means, k
-    means[n_steps] = float(states[n_steps].mean())
+    means[n_steps] = _mean(states[n_steps])
     return means, -1
 
 
@@ -84,7 +89,6 @@ def representative_kernel(x0s, mflow, off, noise, dt, sdt, disc,
     a = np.empty(n_paths)
     t1 = np.empty(n_paths)
     t2 = np.empty(n_paths)
-    mask = np.empty(n_paths, dtype=bool)
     if keep:
         states[:, 0] = x
     for k in range(n_steps):
@@ -116,7 +120,7 @@ def representative_kernel(x0s, mflow, off, noise, dt, sdt, disc,
         x += t1
         if keep:
             states[:, k + 1] = x
-        if _diverged(x, t1, mask):
+        if _diverged(x, t1):
             return costs, x, k
     return costs, x, -1
 
@@ -126,8 +130,10 @@ def forward_field_kernel(x0, u, xgrid, noise, dt, sdt, b1, b2, gain):
     (means, terminal ensemble, diverged_step).
 
     u(t_k, x) is interpolated linearly on ``xgrid`` with edge-slope
-    extrapolation: idx = clip(floor((x - x_0)/dx), 0, nx - 2),
-    w = pos - idx, u = u_k[idx]*(1 - w) + u_k[idx + 1]*w.
+    extrapolation: with pos = (x - x_0)/dx and idx = clip(floor(pos), 0,
+    nx - 2), w = pos - idx and u = u_k[idx]*(1 - w) + u_k[idx + 1]*w.
+    The floor is clamped as a float and cast once; w subtracts that float,
+    which equals idx exactly, and u_k[idx + 1] is read as u_k[1:][idx].
     """
     n_particles, n_steps = noise.shape
     nx = xgrid.shape[0]
@@ -138,24 +144,25 @@ def forward_field_kernel(x0, u, xgrid, noise, dt, sdt, b1, b2, gain):
     idx = np.empty(n_particles, dtype=np.int64)
     uval = np.empty(n_particles)
     t = np.empty(n_particles)
-    mask = np.empty(n_particles, dtype=bool)
     for k in range(n_steps):
-        m = float(x.mean())
+        m = _mean(x)
         means[k] = m
         np.subtract(x, xgrid[0], out=pos)
         pos /= dx
         np.floor(pos, out=t)
+        # maximum(-0.0, 0.0) is +0.0, so w = pos - t keeps the sign of
+        # pos - idx
+        np.maximum(t, 0.0, out=t)
+        np.minimum(t, nx - 2, out=t)
         np.copyto(idx, t, casting="unsafe")
-        np.clip(idx, 0, nx - 2, out=idx)
-        pos -= idx  # the weight w
+        pos -= t  # the weight w
         uk = u[k]
         # uk[idx]*(1 - w) + uk[idx + 1]*w; idx is in range, so "clip"
         # only spares np.take a buffered copy
         np.take(uk, idx, out=uval, mode="clip")
         np.subtract(1.0, pos, out=t)
         uval *= t
-        idx += 1
-        np.take(uk, idx, out=t, mode="clip")
+        np.take(uk[1:], idx, out=t, mode="clip")
         t *= pos
         uval += t
         # x = x + (b1*x + b2*m - gain*uval)*dt + sdt*noise[:, k]
@@ -167,7 +174,7 @@ def forward_field_kernel(x0, u, xgrid, noise, dt, sdt, b1, b2, gain):
         x += t
         np.multiply(noise[:, k], sdt, out=t)
         x += t
-        if _diverged(x, t, mask):
+        if _diverged(x, t):
             return means, x, k
-    means[n_steps] = float(x.mean())
+    means[n_steps] = _mean(x)
     return means, x, -1

@@ -136,10 +136,12 @@ def cmd_fixed_point(cfg: RunConfig) -> int:
     write_csv(os.path.join(cfg.output, "final_flow.csv"), ["t", "m"],
               list(zip(report.final_flow.times, report.final_flow.m)))
     field = report.final_field
-    rows = [(float(t), float(x), float(field.u[k, j]))
-            for k, t in enumerate(field.times)
-            for j, x in enumerate(field.x)]
-    write_csv(os.path.join(cfg.output, "field.csv"), ["t", "x", "u"], rows)
+    table = np.empty(field.u.shape + (3,))
+    table[..., 0] = field.times[:, None]
+    table[..., 1] = field.x
+    table[..., 2] = field.u
+    write_csv(os.path.join(cfg.output, "field.csv"), ["t", "x", "u"],
+              table.reshape(-1, 3))
     print(f"fixed point: {report.iterations} iterations, "
           f"sup delta {report.flow_delta:.3e}, "
           f"{'converged' if report.converged else 'NOT converged'}")

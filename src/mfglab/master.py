@@ -68,9 +68,24 @@ def _stable_quadratic_roots(a: float, b: float, c: float) -> list[float]:
     """Real roots of a*z^2 + b*z + c = 0, a != 0, in descending order.
 
     Uses the cancellation-free form: q = -(b + sign(b)*sqrt(disc))/2,
-    roots q/a and c/q.
+    roots q/a and c/q.  When the discriminant overflows, the coefficients
+    are first divided by the largest of them; NoRealRootError when one is
+    not finite or a vanishes against the largest.
     """
     disc = b * b - 4.0 * a * c
+    if disc == math.inf or math.isnan(disc):
+        # b*b or 4*a*c overflowed (-inf is a negative discriminant): the
+        # roots do not change when a, b and c are divided by the largest of
+        # them, and then the discriminant lies in [-4, 5]
+        scale = max(abs(a), abs(b), abs(c))
+        if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)
+                and a / scale != 0.0):
+            raise NoRealRootError(
+                "quadratic coefficients beyond the double range: "
+                f"(a, b, c) = ({a:g}, {b:g}, {c:g})"
+            )
+        a, b, c = a / scale, b / scale, c / scale
+        disc = b * b - 4.0 * a * c
     if disc < -DISC_CLAMP:
         return []
     if disc < 0.0:

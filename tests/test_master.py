@@ -9,6 +9,7 @@ from mfglab import (
     DegenerateA3Error,
     LQModel,
     NoAdmissibleRootError,
+    NoRealRootError,
     QuadraticValue,
     eval_jet,
     is_admissible,
@@ -47,6 +48,21 @@ def test_stable_quadratic_roots_double_root():
 
 def test_stable_quadratic_roots_complex_pair_is_empty():
     assert _stable_quadratic_roots(1.0, 0.0, 1.0) == []
+
+
+def test_stable_quadratic_roots_survive_an_overflowing_discriminant():
+    # b*b overflows to inf: 4 z^2 + 1e300 z - 2 has roots -2.5e299 and 2e-300
+    small_and_large = _stable_quadratic_roots(4.0, 1e300, -2.0)
+    assert small_and_large == pytest.approx([2e-300, -2.5e299], rel=1e-15)
+    # 4ac overflows to -inf: z^2 + 1e-300 z - 1 ~ z^2 - 1
+    assert _stable_quadratic_roots(1e300, 1.0, -1e300) == [1.0, -1.0]
+    # b*b and 4ac both overflow (inf - inf = nan): z^2 + z + 1, no real root
+    assert _stable_quadratic_roots(1e300, 1e300, 1e300) == []
+    # 4ac alone overflows to +inf: a genuinely negative discriminant
+    assert _stable_quadratic_roots(1e300, 1.0, 1e300) == []
+    # a coefficient that overflowed leaves nothing to scale
+    with pytest.raises(NoRealRootError, match="beyond the double range"):
+        _stable_quadratic_roots(4.0, math.inf, -2.0)
 
 
 def test_example_root_sets(example_roots):

@@ -92,8 +92,8 @@ def test_selfcheck_tolerance_scales_with_the_terms(coefficient):
 
 
 def test_selfcheck_mismatch_is_an_mfglab_error():
-    # b*b overflows in the a1 quadratic at r = 1e300, so a1 comes out 0,
-    # which is no rest point of the field
+    # at r = 1e300 the roots of size 1e299 have terms (p*p, q*q) beyond the
+    # double range, so their rest-point residual cannot be checked
     model = LQModel(r=1e300, b1=0.0, b2=0.0, b3=2.0, b4=0.0, A=2.0, C=1.0)
     with pytest.raises(RestPointMismatchError, match="rest point mismatch"):
         stationarity_selfcheck(model)
