@@ -61,7 +61,6 @@ from .simulate import (
     AffineFeedback,
     CostEstimate,
     InitialLaw,
-    ParticleEnsemble,
     PopulationPath,
     TrajectoryBatch,
     estimate_cost,

@@ -12,13 +12,17 @@ operation is elementwise across paths, so a path's trajectory and cost do
 not depend on which other paths share the call; single-path replay and
 batched replay both rely on this.
 
-Update rule (explicit Euler-Maruyama, unit diffusion):
+Update rule (explicit Euler-Maruyama, unit diffusion), stated once in
+``_euler_step`` and called by all three kernels:
 
-    a_k = fx*x + fm*m_k + off_k
-    x  <- x + (b1*x + b2*m_k + b3*a_k)*dt + sqrt(dt)*g_k
+    x  <- x + (b1*x + b2*m_k + ctrl)*dt + sqrt(dt)*g_k
 
-with m_k the (frozen or synchronously computed) population mean.  Costs use
-the left-endpoint rule with precomputed discount weights:
+with m_k the (frozen or synchronously computed) population mean.  The
+population and representative kernels play ctrl = b3*a_k with the affine
+feedback a_k = fx*x + fm*m_k + off_k; the forward-field kernel plays
+ctrl = (-gain)*u(t_k, x), which equals subtracting gain*u because negation
+is exact.  Costs use the left-endpoint rule with precomputed discount
+weights:
 
     cost += disc_k*(b4*x*m_k + A*x*x + C*a_k*a_k)*dt
 
@@ -45,6 +49,19 @@ def _mean(x) -> float:
     return float(np.add.reduce(x)) / x.shape[0]
 
 
+def _euler_step(x, m, ctrl, g, dt, sdt, b1, b2, out, tmp):
+    """out = x + (b1*x + b2*m + ctrl)*dt + sdt*g, evaluated into ``out``
+    (which may be ``x``) through the scratch buffer ``tmp``; arrays
+    broadcast elementwise."""
+    np.multiply(x, b1, out=tmp)
+    tmp += b2 * m
+    tmp += ctrl
+    tmp *= dt
+    np.add(x, tmp, out=out)
+    np.multiply(g, sdt, out=tmp)
+    out += tmp
+
+
 def population_kernel(states, noise, dt, sdt, b1, b2, b3, fx, fm, off):
     """Advance the coupled ensemble in place; returns (means, diverged_step)."""
     n_steps = noise.shape[1]
@@ -61,15 +78,8 @@ def population_kernel(states, noise, dt, sdt, b1, b2, b3, fx, fm, off):
         np.multiply(x, fx, out=a)
         a += fm * m
         a += off[k]
-        # x + (b1*x + b2*m + b3*a)*dt + sdt*noise[:, k]
-        np.multiply(x, b1, out=nxt)
-        nxt += b2 * m
-        np.multiply(a, b3, out=t)
-        nxt += t
-        nxt *= dt
-        nxt += x
-        np.multiply(noise[:, k], sdt, out=t)
-        nxt += t
+        a *= b3  # ctrl
+        _euler_step(x, m, a, noise[:, k], dt, sdt, b1, b2, nxt, t)
         if _diverged(nxt, t):
             return means, k
     means[n_steps] = _mean(states[n_steps])
@@ -109,15 +119,8 @@ def representative_kernel(x0s, mflow, off, noise, dt, sdt, disc,
         t1 *= disc[k]
         t1 *= dt
         costs += t1
-        # x = x + (b1*x + b2*m + b3*a)*dt + sdt*noise[:, k]
-        np.multiply(x, b1, out=t1)
-        t1 += b2 * m
-        np.multiply(a, b3, out=t2)
-        t1 += t2
-        t1 *= dt
-        x += t1
-        np.multiply(noise[:, k], sdt, out=t1)
-        x += t1
+        a *= b3  # ctrl
+        _euler_step(x, m, a, noise[:, k], dt, sdt, b1, b2, x, t1)
         if keep:
             states[:, k + 1] = x
         if _diverged(x, t1):
@@ -165,15 +168,8 @@ def forward_field_kernel(x0, u, xgrid, noise, dt, sdt, b1, b2, gain):
         np.take(uk[1:], idx, out=t, mode="clip")
         t *= pos
         uval += t
-        # x = x + (b1*x + b2*m - gain*uval)*dt + sdt*noise[:, k]
-        np.multiply(x, b1, out=t)
-        t += b2 * m
-        uval *= gain
-        t -= uval
-        t *= dt
-        x += t
-        np.multiply(noise[:, k], sdt, out=t)
-        x += t
+        uval *= -gain  # ctrl
+        _euler_step(x, m, uval, noise[:, k], dt, sdt, b1, b2, x, t)
         if _diverged(x, t):
             return means, x, k
     means[n_steps] = _mean(x)

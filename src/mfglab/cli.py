@@ -1,10 +1,13 @@
 """Command-line surface.
 
 Subcommands: check, solve, simulate, verify, fixed-point.
-Exit codes: 0 success, 2 config/usage error, 3 root-selection failure or a
-failed Riccati rest-point self-check, 4 simulation divergence, 5 fixed-point
-non-convergence.  All randomness flows from the config seed; --seed and --out
-override sim.seed and output and are parsed by the same rules.
+Exit codes: 0 success, 2 config/usage error (a horizon or space grid of
+2**53 or more steps is a config error, and a run that cannot allocate its
+arrays ends with a one-line "error:" message), 3 root-selection failure or
+a failed Riccati rest-point self-check, 4 simulation divergence, 5
+fixed-point non-convergence.  All randomness flows from the config seed;
+--seed and --out override sim.seed and output and are parsed by the same
+rules.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .admissibility import check_monotonicity_sampled, check_structural
 from .config import RunConfig, load_config
 from .errors import (
     AmbiguousRootError,
+    BlowUpError,
     ConfigError,
     DegenerateA3Error,
     DivergedError,
@@ -203,7 +207,10 @@ def _check_representation(cfg: RunConfig, U, mc: MCConfig) -> CheckResult:
     fb = AffineFeedback.equilibrium(cfg.model, U)
     pop = simulate_population(cfg.model, fb, cfg.law0, min(cfg.n_particles, 2000),
                               _horizon_at_least(cfg, 4.0), cfg.dt, cfg.seed)
-    gap = y_representation_check(cfg.model, U, pop.states, pop.means, pop.times)
+    try:
+        gap = y_representation_check(cfg.model, U, pop.states, pop.means, pop.times)
+    except BlowUpError as exc:  # the oracle failed, not the config
+        return CheckResult(False, f"max gap nan: {exc}", ["max_gap"], [(math.nan,)])
     return CheckResult(gap <= 1e-3, f"max gap {gap:.3e}", ["max_gap"], [(gap,)])
 
 
@@ -324,6 +331,9 @@ def main(argv=None) -> int:
         return EXIT_DIVERGED
     except MFGLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"error: not enough memory for this config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     raise AssertionError("unreachable")
 

@@ -107,7 +107,7 @@ def _steps(span_key: str, span: float, step_key: str, step: float) -> int:
         return whole_steps(span, step)
     except ValueError:
         raise ConfigError(f"{span_key} = {span!r} must be a whole number of steps "
-                          f"{step_key} = {step!r} > 0")
+                          f"{step_key} = {step!r} > 0, fewer than 2**53")
 
 
 def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunConfig:

@@ -24,11 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
-from . import _kernels, rng
+from . import _kernels
 from .errors import DivergedError, MFGLabError, StepTooLargeError
 from .master import select_admissible, solve_root_system
 from .model import LQModel
-from .simulate import InitialLaw, whole_steps
+from .simulate import InitialLaw, population_draws, time_grid, whole_steps
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,7 @@ class MeanFlow:
 
     @classmethod
     def constant(cls, T: float, dt: float, value: float) -> "MeanFlow":
-        times = dt * np.arange(whole_steps(T, dt) + 1)
+        times = time_grid(T, dt)
         return cls(times=times, m=np.full(times.shape, float(value)))
 
 
@@ -55,9 +55,6 @@ class DecouplingField:
     times: np.ndarray
     x: np.ndarray
     u: np.ndarray  # (nt, nx)
-
-    def at_time_index(self, k: int) -> np.ndarray:
-        return self.u[k]
 
 
 @dataclass(frozen=True)
@@ -148,7 +145,7 @@ def backward_field_solve(
         if cfl > 1.0:
             raise StepTooLargeError(
                 f"advection CFL violated at step {k}: max|g|*dt/dx = "
-                f"{cfl:.3f} > 1"
+                f"{cfl:.3g} > 1"
             )
         # upwind first derivative from the one-sided differences
         # diff[i] = (uk1[i+1] - uk1[i])/dx: node i takes diff[i - 1] where
@@ -189,15 +186,8 @@ def forward_flow_update(
     seed: int,
 ) -> MeanFlow:
     """Particle update of the mean flow under the field-induced drift."""
-    x0, noise = _population_draws(law0, N, seed, field.times.size - 1)
+    x0, noise = population_draws(law0, N, seed, field.times.size - 1)
     return _forward_flow(model, field, x0, noise)
-
-
-def _population_draws(law0: InitialLaw, N: int, seed: int, n_steps: int):
-    """Initial particles and their (N, n_steps) noise, both fixed by the seed."""
-    x0 = law0.sample(N, seed)
-    noise = rng.gaussian_block(seed, rng.STREAM_POPULATION, 0, N, n_steps)
-    return x0, noise
 
 
 def _forward_flow(model: LQModel, field: DecouplingField, x0, noise) -> MeanFlow:
@@ -234,7 +224,7 @@ def solve_mfg(
     """
     grid = space_grid(config.x_lo, config.x_hi, config.dx)
     flow = MeanFlow.constant(config.T, config.dt, law0.mean)
-    x0, noise = _population_draws(law0, config.N, config.seed, flow.times.size - 1)
+    x0, noise = population_draws(law0, config.N, config.seed, flow.times.size - 1)
     field = None
     deltas = []
     converged = False

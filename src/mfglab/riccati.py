@@ -22,7 +22,7 @@ import numpy as np
 from .errors import BlowUpError, RestPointMismatchError
 from .master import QuadraticValue, solve_root_system
 from .model import LQModel
-from .simulate import whole_steps
+from .simulate import time_grid
 
 _BLOWUP_LIMIT = 1e8
 _STATIONARITY_TOL = 1e-8
@@ -33,21 +33,6 @@ class RiccatiPath:
     times: np.ndarray
     p: np.ndarray
     q: np.ndarray
-
-    @property
-    def T(self) -> float:
-        return float(self.times[-1])
-
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
-
-    def at(self, t: float) -> tuple[float, float]:
-        """Linear interpolation of (p, q) at time t."""
-        return (
-            float(np.interp(t, self.times, self.p)),
-            float(np.interp(t, self.times, self.q)),
-        )
 
 
 def _rhs(model: LQModel, p: float, q: float) -> tuple[float, float]:
@@ -86,8 +71,8 @@ def riccati_backward(model: LQModel, T: float, dt: float) -> RiccatiPath:
     if not (T > 0 and dt > 0 and dt <= T / 10.0):
         raise ValueError("need T > 0 and dt <= T/10")
     stationarity_selfcheck(model)
-    n_steps = whole_steps(T, dt)
-    times = dt * np.arange(n_steps + 1)
+    times = time_grid(T, dt)
+    n_steps = times.size - 1
     p = np.empty(n_steps + 1)
     q = np.empty(n_steps + 1)
     p[n_steps] = 0.0

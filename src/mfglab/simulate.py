@@ -9,6 +9,11 @@ counter-based streams keyed by (seed, stream, path index) so that any single
 path can be replayed bit-exactly in isolation.  Common-random-number legs
 (several feedbacks against the same streams) share one noise draw per block
 of paths: ``simulate_legs`` steps every leg against that block.
+
+Each simulation rule is stated once: ``whole_steps`` counts the steps of
+every grid, ``time_grid`` builds every time grid, and ``population_draws``
+draws the population's initial particles and noise for both the particle
+system and the fixed-point solver.
 """
 
 from __future__ import annotations
@@ -126,28 +131,6 @@ class AffineFeedback:
 
 
 @dataclass(frozen=True)
-class ParticleEnsemble:
-    particles: np.ndarray
-
-    def __post_init__(self):
-        if self.particles.ndim != 1 or self.particles.size < 2:
-            raise ValueError("ensemble needs at least two particles")
-
-    @property
-    def n(self) -> int:
-        return self.particles.size
-
-    def mean(self) -> float:
-        return float(self.particles.mean())
-
-    def var(self) -> float:
-        return float(self.particles.var())
-
-    def second_moment(self) -> float:
-        return float(np.mean(self.particles**2))
-
-
-@dataclass(frozen=True)
 class PopulationPath:
     """Full ensemble history of the coupled particle system."""
 
@@ -159,9 +142,6 @@ class PopulationPath:
     @property
     def n_particles(self) -> int:
         return self.states.shape[1]
-
-    def ensemble(self, k: int) -> ParticleEnsemble:
-        return ParticleEnsemble(self.states[k])
 
     def variances(self) -> np.ndarray:
         return self.states.var(axis=1)
@@ -201,20 +181,35 @@ class CostEstimate:
 def whole_steps(span: float, step: float) -> int:
     """The number of steps ``step`` in ``span``, for every time and space grid.
 
-    Raises ValueError unless ``step`` > 0 and span/step is finite and within
-    a relative 1e-9 (the floating-point noise of the division) of a whole number.
+    Raises ValueError unless ``step`` > 0 and span/step is within a relative
+    1e-9 (the floating-point noise of the division) of a whole number of
+    magnitude below 2**53.  From 2**53 on every double is a whole number, so
+    the ratio can no longer tell whole steps from partial ones.
     """
     ratio = span / step if step > 0 else math.nan
-    if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9 * abs(ratio):
-        raise ValueError(f"span {span!r} is not a whole number of steps {step!r}")
+    if not abs(ratio) < 2.0**53 or abs(ratio - round(ratio)) > 1e-9 * abs(ratio):
+        raise ValueError(f"span {span!r} is not a whole number of steps {step!r} "
+                         f"(fewer than 2**53)")
     return round(ratio)
 
 
-def _time_grid(T: float, dt: float) -> np.ndarray:
+def time_grid(T: float, dt: float) -> np.ndarray:
+    """The times 0, dt, ..., T of every simulation, PDE and ODE grid."""
     n_steps = whole_steps(T, dt)
     if n_steps < 1:
         raise ValueError("horizon shorter than one step")
     return dt * np.arange(n_steps + 1)
+
+
+def population_draws(law0: InitialLaw, N: int, seed: int, n_steps: int):
+    """Initial particles and their (N, n_steps) noise, both fixed by the seed.
+
+    Particle i starts at ``law0.sample(N, seed)[i]`` and consumes the noise
+    stream (seed, STREAM_POPULATION, i).
+    """
+    x0 = law0.sample(N, seed)
+    noise = rng.gaussian_block(seed, rng.STREAM_POPULATION, 0, N, n_steps)
+    return x0, noise
 
 
 def simulate_population(
@@ -225,23 +220,18 @@ def simulate_population(
     T: float,
     dt: float,
     seed: int,
-    noise_scale: float = 1.0,
 ) -> PopulationPath:
     """Synchronous particle approximation of the self-interacting dynamics.
 
     The mean-field coupling is the same-ensemble empirical mean, recomputed
-    once per step.  Particle i consumes the counter-based noise stream
-    (seed, STREAM_POPULATION, i).
+    once per step.  The particles and their noise are ``population_draws``.
     """
     if N < 1:
         raise ValueError("population needs at least one particle")
-    times = _time_grid(T, dt)
+    times = time_grid(T, dt)
     n_steps = times.size - 1
     states = np.empty((n_steps + 1, N))
-    states[0] = law0.sample(N, seed)
-    noise = rng.gaussian_block(seed, rng.STREAM_POPULATION, 0, N, n_steps)
-    if noise_scale != 1.0:
-        noise *= noise_scale
+    states[0], noise = population_draws(law0, N, seed, n_steps)
     off = feedback.offsets_on(times[:-1])
     means, dstep = _kernels.population_kernel(
         states, noise, dt, math.sqrt(dt),
@@ -261,7 +251,6 @@ def simulate_legs(
     dt: float,
     seed: int,
     n_paths: int = 1,
-    noise_scale: float = 1.0,
     keep_states: bool = False,
     stream: int = rng.STREAM_PATHS,
     path_offset: int = 0,
@@ -275,7 +264,7 @@ def simulate_legs(
     every leg is stepped against it; a leg's result is bitwise the same as
     simulating it alone, since the kernel does not write to the noise.
     """
-    times = _time_grid(T, dt)
+    times = time_grid(T, dt)
     n_steps = times.size - 1
     if callable(mean_flow):
         mflow = np.asarray([mean_flow(t) for t in times], dtype=float)
@@ -297,8 +286,6 @@ def simulate_legs(
     for lo in range(0, n_paths, PATH_CHUNK):
         hi = min(lo + PATH_CHUNK, n_paths)
         noise = rng.gaussian_block(seed, stream, path_offset + lo, hi - lo, n_steps)
-        if noise_scale != 1.0:
-            noise *= noise_scale
         for j, fb in enumerate(feedbacks):
             chunk_states = states[j][lo:hi] if keep_states else dummy
             c, term, dstep = _kernels.representative_kernel(
@@ -329,7 +316,6 @@ def simulate_representative(
     dt: float,
     seed: int,
     n_paths: int = 1,
-    noise_scale: float = 1.0,
     keep_states: bool = False,
     stream: int = rng.STREAM_PATHS,
     path_offset: int = 0,
@@ -341,8 +327,8 @@ def simulate_representative(
     driven by common random numbers.
     """
     return simulate_legs(
-        model, [feedback], x0, mean_flow, T, dt, seed, n_paths, noise_scale,
-        keep_states, stream, path_offset,
+        model, [feedback], x0, mean_flow, T, dt, seed, n_paths, keep_states,
+        stream, path_offset,
     )[0]
 
 
@@ -388,11 +374,6 @@ def w2_empirical(samples_a, samples_b) -> float:
     qa = np.sort(a)
     qb = np.sort(b)
     return float(np.sqrt(np.mean((qa - qb) ** 2)))
-
-
-def default_horizon(model: LQModel, cx: float) -> float:
-    """Truncation horizon: max(6/r, 10/|cx|) for closed-loop rate cx < 0."""
-    return max(6.0 / model.r, 10.0 / max(abs(cx), 1e-3))
 
 
 def export_flow_csv(path: PopulationPath) -> list[tuple]:

@@ -3,8 +3,10 @@ import os
 
 import pytest
 
+from mfglab import cli
 from mfglab.cli import (
     EXIT_CONFIG,
+    EXIT_DIVERGED,
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
     EXIT_ROOTS,
@@ -39,6 +41,15 @@ def cfg_path(tmp_path):
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def write_cfg(tmp_path, overrides):
+    """BASE with ``overrides`` replacing or adding keys; returns the path."""
+    kept = [line for line in BASE.splitlines() if line.split(" =")[0] not in overrides]
+    p = tmp_path / "run.cfg"
+    p.write_text("\n".join(kept + [f"{k} = {v}" for k, v in overrides.items()])
+                 + f"\noutput = {tmp_path / 'out'}\n")
+    return str(p)
 
 
 def test_check_exits_zero(cfg_path, capsys):
@@ -237,11 +248,7 @@ def test_missing_config_file_exit_code():
         "dirac-key-on-gaussian", "grid-not-whole-steps", "negative-seed", "seed-2**64",
         "solve-tiny-b3", "simulate-tiny-b3", "fixed-point-tiny-b3", "verify-tiny-b3"])
 def test_invalid_values_exit_config_without_traceback(tmp_path, capsys, command, overrides):
-    kept = [line for line in BASE.splitlines() if line.split(" =")[0] not in overrides]
-    p = tmp_path / "run.cfg"
-    p.write_text("\n".join(kept + [f"{k} = {v}" for k, v in overrides.items()])
-                 + f"\noutput = {tmp_path / 'out'}\n")
-    assert main([command, "--config", str(p)]) == EXIT_CONFIG
+    assert main([command, "--config", write_cfg(tmp_path, overrides)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "error" in err
     assert "Traceback" not in err
@@ -266,11 +273,7 @@ def test_verify_check_horizons_are_whole_steps(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "simulate_population",
                         recording("representation", cli.simulate_population, 4))
     overrides = {"sim.T": "3", "sim.dt": "0.003", "sim.nParticles": "20"}
-    kept = [line for line in BASE.splitlines() if line.split(" =")[0] not in overrides]
-    p = tmp_path / "run.cfg"
-    p.write_text("\n".join(kept + [f"{k} = {v}" for k, v in overrides.items()])
-                 + f"\noutput = {tmp_path / 'out'}\n")
-    assert main(["verify", "--config", str(p),
+    assert main(["verify", "--config", write_cfg(tmp_path, overrides),
                  "--checks", "consistency,representation"]) == EXIT_OK
     for name, lo, hi in (("consistency", 2.0 - 0.003, 2.0),
                          ("representation", 4.0, 4.0 + 0.003)):
@@ -309,11 +312,61 @@ def test_riccati_selfcheck_exits_without_traceback(tmp_path, capsys, name, value
     # size 1e299 have terms beyond the double range, which cannot be checked
     # and is a root-selection failure
     overrides = {name: value, "sim.nParticles": "20"}
-    kept = [line for line in BASE.splitlines() if line.split(" =")[0] not in overrides]
-    p = tmp_path / "run.cfg"
-    p.write_text("\n".join(kept + [f"{k} = {v}" for k, v in overrides.items()])
-                 + f"\noutput = {tmp_path / 'out'}\n")
-    code = main(["verify", "--config", str(p), "--checks", "representation"])
+    code = main(["verify", "--config", write_cfg(tmp_path, overrides),
+                 "--checks", "representation"])
     err = capsys.readouterr().err
     assert code in expected, err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, key, keys", [
+    ("check", "sim.dt", ("sim.T", "sim.dt")),
+    ("simulate", "sim.dt", ("sim.T", "sim.dt")),
+    ("check", "fixedPoint.dx", ("fixedPoint.xLo", "fixedPoint.dx")),
+])
+def test_step_counts_of_2_53_or_more_are_config_errors(tmp_path, capsys, command, key, keys):
+    # 2/1e-300 steps is a whole number only because every double of that
+    # size is; check used to pass it and simulate to end in numpy's
+    # "Maximum allowed size exceeded"
+    assert main([command, "--config", write_cfg(tmp_path, {key: "1e-300"})]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert all(k in err for k in keys)
+
+
+def test_out_of_memory_exits_config_in_one_line(cfg_path, capsys, monkeypatch):
+    # raised by a stub: a real allocation of this size is 74.5 GiB
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array with shape "
+                          "(10000000001,) and data type float64")
+
+    monkeypatch.setattr(cli, "simulate_population", no_memory)
+    assert main(["simulate", "--config", cfg_path]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "74.5 GiB" in err
+
+
+def test_representation_oracle_blow_up_is_a_failed_check(tmp_path, capsys):
+    # at r = 1e18 the Riccati oracle blows up at the config's dt: that fails
+    # the representation check, and the other checks still run
+    path = write_cfg(tmp_path, {"model.r": "1e18", "sim.nParticles": "20"})
+    assert main(["verify", "--config", path,
+                 "--checks", "representation,lipschitz"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    lines = captured.out.splitlines()
+    assert lines[0].startswith("FAIL representation: max gap nan")
+    assert lines[1].startswith("PASS lipschitz")
+    assert (tmp_path / "out" / "summary.txt").read_text().splitlines() == lines
+    assert read_csv(tmp_path / "out" / "representation.csv")[1] == ["nan"]
+
+
+def test_cfl_message_prints_a_short_ratio(tmp_path, capsys):
+    # at r = 1e300 the ratio is about 1e279; in fixed-point notation it
+    # printed some 280 digits
+    path = write_cfg(tmp_path, {"model.r": "1e300"})
+    assert main(["fixed-point", "--config", path]) == EXIT_DIVERGED
+    err = capsys.readouterr().err
+    assert "CFL" in err and "e+" in err
+    assert len(err) < 120

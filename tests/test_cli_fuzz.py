@@ -6,13 +6,13 @@ the ``--seed`` flag) to a value drawn from nan, +-inf, 0, -1, 1e-300,
 +-1e300, 2**64, a non-number and a valid value, and runs one of ``check``,
 ``solve``, ``simulate``, ``fixed-point`` and ``verify`` with all six checks.
 
-A config may ask for more steps or particles than can be allocated (the
-allocation ``FOUND:`` line in CHANGES.md: ``sim.dt = 1e-300`` ends in
-numpy's "Maximum allowed size exceeded").  So a size key (sim.T, sim.dt,
-sim.nPaths, sim.nParticles, fixedPoint.maxIter and the grid's xLo, xHi and
-dx) set to a huge or tiny value runs only under ``check`` and ``solve``,
-which allocate nothing of that size, and no example allocates more than
-about 1 MB.
+A config may still ask for more particles times steps than can be
+allocated: a step count is bounded only by 2**53, and an allocation that
+large may succeed lazily and then exhaust the machine.  So a size key
+(sim.T, sim.dt, sim.nPaths, sim.nParticles, fixedPoint.maxIter and the
+grid's xLo, xHi and dx) set to a huge or tiny value runs only under
+``check`` and ``solve``, which allocate nothing of that size, and no
+example allocates more than about 1 MB.
 """
 
 import contextlib

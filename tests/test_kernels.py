@@ -213,3 +213,21 @@ def test_kernels_report_nan_noise_at_its_step():
     args[3][5, step] = np.nan
     _, _, div = _kernels.forward_field_kernel(*args)
     assert div == step
+
+
+def test_euler_step_broadcasts_over_stacked_legs():
+    # a (legs, paths) state with per-leg means against one noise column:
+    # each leg's row is the one-leg step
+    x = np.linspace(-1.0, 2.0, 10).reshape(2, 5)
+    m = np.array([[0.3], [-0.7]])
+    ctrl = np.cos(x)
+    g = _noise(5, 1, "F")[:, 0]
+    dt, sdt, b1, b2 = 0.01, 0.1, -0.3, 0.7
+    out, tmp = np.empty_like(x), np.empty_like(x)
+    _kernels._euler_step(x, m, ctrl, g, dt, sdt, b1, b2, out, tmp)
+    for j in range(2):
+        row, row_tmp = np.empty(5), np.empty(5)
+        _kernels._euler_step(x[j], float(m[j, 0]), ctrl[j], g, dt, sdt, b1, b2, row, row_tmp)
+        assert np.array_equal(out[j], row)
+        expected = x[j] + (b1 * x[j] + b2 * m[j, 0] + ctrl[j]) * dt + sdt * g
+        assert np.array_equal(out[j], expected)

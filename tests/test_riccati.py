@@ -4,6 +4,7 @@ import pytest
 from mfglab import LQModel, riccati_backward, solve_selected, stationary_match
 from mfglab.errors import BlowUpError, RestPointMismatchError
 from mfglab.riccati import stationarity_selfcheck
+from mfglab.simulate import time_grid
 
 
 def test_terminal_condition_is_zero(example_model):
@@ -49,11 +50,13 @@ def test_rk4_order(example_model):
 
 
 def test_at_interpolates(example_model):
+    # the path lies on the simulation time grid, and the representation
+    # check reads it between nodes with np.interp
     path = riccati_backward(example_model, T=5.0, dt=1e-3)
-    p0, q0 = path.at(0.0)
+    assert np.array_equal(path.times, time_grid(5.0, 1e-3))
+    p0, q0 = (float(np.interp(0.0, path.times, c)) for c in (path.p, path.q))
     assert p0 == path.p[0] and q0 == path.q[0]
-    p_mid, _ = path.at(2.0005)
-    lo, hi = path.at(2.0)[0], path.at(2.001)[0]
+    p_mid, lo, hi = np.interp([2.0005, 2.0, 2.001], path.times, path.p)
     assert min(lo, hi) <= p_mid <= max(lo, hi)
 
 

@@ -12,7 +12,7 @@ from mfglab import (
     w2_empirical,
 )
 from mfglab import _kernels, rng, simulate
-from mfglab.simulate import ParticleEnsemble, default_horizon, export_flow_csv
+from mfglab.simulate import export_flow_csv
 
 
 @pytest.fixture(scope="module")
@@ -65,11 +65,13 @@ def test_population_stationary_variance(example_model, eq_feedback):
     assert pop.variances()[-1] == pytest.approx(0.25, abs=0.02)
 
 
-def test_deterministic_ode_limit(example_model, eq_feedback):
+def test_deterministic_ode_limit(example_model, eq_feedback, monkeypatch):
     # with the noise switched off the path solves dx/dt = -2x exactly
+    monkeypatch.setattr(rng, "gaussian_block",
+                        lambda seed, stream, first, rows, cols: np.zeros((rows, cols)))
     batch = simulate_representative(
         example_model, eq_feedback, x0=1.0, mean_flow=0.0, T=2.0, dt=1e-4,
-        seed=0, n_paths=2, noise_scale=0.0, keep_states=True,
+        seed=0, n_paths=2, keep_states=True,
     )
     assert abs(batch.states[0, -1] - math.exp(-4.0)) <= 1e-3
 
@@ -159,20 +161,6 @@ def test_w2_examples():
     assert w2_empirical(a, a + 2.0) == pytest.approx(2.0)
 
 
-def test_particle_ensemble_moments():
-    ens = ParticleEnsemble(particles=np.array([1.0, 3.0]))
-    assert ens.n == 2
-    assert ens.mean() == 2.0
-    assert ens.var() == 1.0
-    assert ens.second_moment() == 5.0
-    with pytest.raises(ValueError):
-        ParticleEnsemble(particles=np.array([1.0]))
-
-
-def test_default_horizon_scales_with_gap(example_model):
-    assert default_horizon(example_model, -2.0) > 0.0
-
-
 def test_export_flow_rows(example_model, eq_feedback):
     pop = simulate_population(
         example_model, eq_feedback, InitialLaw.dirac(1.0), N=64, T=0.1,
@@ -194,12 +182,11 @@ def test_simulate_legs_match_per_leg_kernel_runs(instance_b, instance_b_selected
     model, U = instance_b, instance_b_selected
     eq = AffineFeedback.equilibrium(model, U)
     feedbacks = [eq, eq.with_offset(lambda t: 0.3 * np.cos(t)), eq.scaled(1.2)]
-    T, dt, seed, n_paths, scale, stream, offset = 0.5, 1e-2, 11, 17, 0.8, rng.STREAM_CHECKS, 5
+    T, dt, seed, n_paths, stream, offset = 0.5, 1e-2, 11, 17, rng.STREAM_CHECKS, 5
     x0 = np.linspace(-1.0, 1.0, n_paths)
     flow = lambda t: 0.4 * math.exp(-t)
     legs = simulate.simulate_legs(
-        model, feedbacks, x0, flow, T, dt, seed, n_paths=n_paths, noise_scale=scale,
-        keep_states=keep_states, stream=stream, path_offset=offset,
+        model, feedbacks, x0, flow, T, dt, seed, n_paths=n_paths, keep_states=keep_states, stream=stream, path_offset=offset,
     )
     n_steps = 50
     times = dt * np.arange(n_steps + 1)
@@ -209,7 +196,7 @@ def test_simulate_legs_match_per_leg_kernel_runs(instance_b, instance_b_selected
     for fb, leg in zip(feedbacks, legs):
         off = fb.offsets_on(times[:-1])
         for lo, hi in ((0, 7), (7, 14), (14, 17)):
-            noise = scale * rng.gaussian_block(seed, stream, offset + lo, hi - lo, n_steps)
+            noise = rng.gaussian_block(seed, stream, offset + lo, hi - lo, n_steps)
             states = np.empty((hi - lo, n_steps + 1)) if keep_states else np.empty((0, 0))
             c, term, dstep = _kernels.representative_kernel(
                 x0[lo:hi], mflow, off, noise, dt, math.sqrt(dt), disc,
@@ -245,3 +232,21 @@ def test_horizon_must_be_whole_steps(example_model, eq_feedback):
     batch = simulate_representative(example_model, eq_feedback, x0=0.0, mean_flow=0.0,
                                     T=0.3, dt=0.1, seed=0, n_paths=2)
     assert batch.times.size == 4
+
+
+def test_whole_steps_stop_below_2_53():
+    # from 2**53 on every double is a whole number, so no ratio there can
+    # read as a partial step
+    assert simulate.whole_steps(2.0**53 - 1.0, 1.0) == 2**53 - 1
+    for span, step in ((2.0**53, 1.0), (2.0, 1e-300), (-(2.0**60), 1.0)):
+        with pytest.raises(ValueError, match="whole number of steps"):
+            simulate.whole_steps(span, step)
+
+
+def test_population_draws_follow_the_particle_streams():
+    law, n, seed, n_steps = InitialLaw.gaussian(0.5, 2.0), 5, 3, 4
+    x0, noise = simulate.population_draws(law, n, seed, n_steps)
+    assert np.array_equal(x0, law.sample(n, seed))
+    for i in range(n):
+        row = rng.gaussian_block(seed, rng.STREAM_POPULATION, i, 1, n_steps)[0]
+        assert np.array_equal(noise[i], row)

@@ -1,10 +1,19 @@
 """The benchmark's tracer (mfgbench/tracing.py) wraps these functions and
 reads their arguments by name; renaming one fails every traced operation
-with a KeyError."""
+with a KeyError.  Its ``install()`` looks up every function of
+``tracing.LAYERS``, and ``workloads.after_run`` calls
+``simulate_representative`` by keyword."""
 
+import importlib
 import inspect
+import os
+import sys
 
-from mfglab import _kernels, fixed_point, io_csv, rng
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
+from mfgbench import tracing, workloads  # noqa: E402
+from mfglab import _kernels, fixed_point, io_csv, rng, simulate  # noqa: E402
+from mfglab.config import parse_config  # noqa: E402
 
 TRACED = [
     (rng.gaussian_block, ("seed", "stream", "first_index", "n_rows", "n_cols")),
@@ -21,3 +30,26 @@ TRACED = [
 def test_traced_functions_keep_their_parameter_names():
     for fn, names in TRACED:
         assert set(names) <= set(inspect.signature(fn).parameters), fn.__name__
+
+
+def test_every_traced_layer_function_exists():
+    for layer, (module_name, functions) in tracing.LAYERS.items():
+        module = importlib.import_module(module_name)
+        for name in functions:
+            assert callable(getattr(module, name, None)), f"{layer}: {module_name}.{name}"
+
+
+def test_after_run_binds_to_simulate_representative(monkeypatch):
+    real = simulate.simulate_representative
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(inspect.signature(real).bind(*args, **kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "simulate_representative", spy)
+    cfg = parse_config("\n".join(f"model.{k} = {v}" for k, v in workloads.EXAMPLE_MODEL.items())
+                       + "\nsim.T = 0.1\nsim.dt = 0.01\nsim.nPaths = 8\n")
+    values = workloads.after_run("crn-verify", cfg)
+    assert len(calls) == 1
+    assert set(values["base_cost"]) == {"mean", "se", "tail"}
