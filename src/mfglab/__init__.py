@@ -46,7 +46,6 @@ from .master import (
 )
 from .model import (
     LQModel,
-    StructuralConstants,
     alpha_hat,
     closed_loop_coeffs,
     cost_rate,
@@ -56,7 +55,7 @@ from .model import (
     hamiltonian_H_dx,
     hamiltonian_H_dy,
 )
-from .riccati import RiccatiPath, riccati_backward, stationary_match
+from .riccati import RiccatiPath, riccati_backward
 from .simulate import (
     AffineFeedback,
     CostEstimate,

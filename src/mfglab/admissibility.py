@@ -105,9 +105,7 @@ def _batch_lhs(model: LQModel, X, Xp, Y, Yp) -> float:
     return float(lhs), float(np.mean(xh * xh + yh * yh))
 
 
-def check_monotonicity_sampled(
-    model: LQModel, n: int, seed: int, tol: float = SAMPLED_TOL
-) -> MonotonicityReport:
+def check_monotonicity_sampled(model: LQModel, n: int, seed: int) -> MonotonicityReport:
     """Probe the monotonicity inequality with ``n`` Gaussian batches."""
     if n < 1:
         raise ValueError(f"number of batches must be >= 1, got {n}")
@@ -123,5 +121,5 @@ def check_monotonicity_sampled(
         kappa=kappa,
         worst_slack=float(worst),
         n_samples=n * BATCH_SIZE,
-        passed=worst <= tol,
+        passed=worst <= SAMPLED_TOL,
     )

@@ -1,6 +1,10 @@
-"""Command-line surface.
+"""Command-line surface: parses arguments, dispatches to the library and
+writes the results.
 
-Subcommands: check, solve, simulate, verify, fixed-point.
+Subcommands: check, solve, simulate, verify, fixed-point.  The checks of
+``verify``, their sizes and their verdicts are ``verify.CHECKS``; here the
+selected names are validated, run in table order, and each result written
+to ``<name>.csv`` and a line of ``summary.txt``.
 Exit codes: 0 success, 2 config/usage error (a horizon or space grid of
 2**53 or more steps is a config error, and a run that cannot allocate its
 arrays ends with a one-line "error:" message), 3 root-selection failure or
@@ -13,10 +17,8 @@ rules.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,7 +27,6 @@ from .admissibility import check_monotonicity_sampled, check_structural
 from .config import RunConfig, load_config
 from .errors import (
     AmbiguousRootError,
-    BlowUpError,
     ConfigError,
     DegenerateA3Error,
     DivergedError,
@@ -37,32 +38,25 @@ from .errors import (
 )
 from .fixed_point import FixedPointConfig, solve_mfg
 from .io_csv import write_csv, write_text
-from .master import is_admissible, select_admissible, solve_root_system
+from .master import is_admissible, select_admissible, solve_root_system, solve_selected
 from .model import closed_loop_coeffs
 from .simulate import (
     AffineFeedback,
-    InitialLaw,
     estimate_cost,
     export_flow_csv,
     simulate_population,
     simulate_representative,
 )
-from .verify import (
-    MCConfig,
-    flow_consistency,
-    gateaux_slope,
-    lipschitz_scan,
-    offset_perturbation,
-    verify_nash,
-    weak_uniqueness_check,
-    y_representation_check,
-)
+from .verify import CHECKS
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_ROOTS = 3
 EXIT_DIVERGED = 4
 EXIT_NO_CONVERGENCE = 5
+
+# the names --checks accepts, in the order the checks run
+VERIFY_CHECKS = tuple(CHECKS)
 
 
 def cmd_check(cfg: RunConfig) -> int:
@@ -81,14 +75,9 @@ def cmd_check(cfg: RunConfig) -> int:
     return EXIT_OK if (rep.passed and mono.passed) else EXIT_CONFIG
 
 
-def _solve_roots(cfg: RunConfig):
+def cmd_solve(cfg: RunConfig) -> int:
     candidates = solve_root_system(cfg.model)
     selected = select_admissible(cfg.model, candidates)
-    return candidates, selected
-
-
-def cmd_solve(cfg: RunConfig) -> int:
-    candidates, selected = _solve_roots(cfg)
     rows = []
     for U in candidates:
         cx, cm = closed_loop_coeffs(cfg.model, U)
@@ -105,7 +94,7 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
-    _, U = _solve_roots(cfg)
+    U = solve_selected(cfg.model)
     fb = AffineFeedback.equilibrium(cfg.model, U)
     pop = simulate_population(
         cfg.model, fb, cfg.law0, cfg.n_particles, cfg.T, cfg.dt, cfg.seed
@@ -152,108 +141,6 @@ def cmd_fixed_point(cfg: RunConfig) -> int:
     return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    """Outcome of one ``verify`` check: its summary line and its CSV."""
-
-    passed: bool
-    detail: str
-    header: list[str]
-    rows: list[tuple]
-
-
-def _check_nash(cfg: RunConfig, U, mc: MCConfig) -> CheckResult:
-    perts = [(f"offset_{eps:g}", offset_perturbation(cfg.model, U, eps))
-             for eps in (0.25, 0.5, 1.0)]
-    rep = verify_nash(cfg.model, U, perts, mc, m0=cfg.law0.mean)
-    return CheckResult(
-        rep.all_non_negative,
-        f"base {rep.base_cost.mean:.4f}, min delta CI "
-        f"{min(p.delta_ci[0] for p in rep.perturbed):.3e}",
-        ["label", "delta_mean", "ci_lo", "ci_hi", "stderr"],
-        [(p.label, p.delta_mean, p.delta_ci[0], p.delta_ci[1], p.delta_se)
-         for p in rep.perturbed],
-    )
-
-
-def _check_gateaux(cfg: RunConfig, U, mc: MCConfig) -> CheckResult:
-    slopes = gateaux_slope(cfg.model, U, 1.0, [1.0, 0.5, 0.25], mc, m0=cfg.law0.mean)
-    shrink = all(abs(s2) <= abs(s1) + 1e-9
-                 for (_, s1), (_, s2) in zip(slopes, slopes[1:]))
-    return CheckResult(shrink, "slopes " + ", ".join(f"{s:.4f}" for _, s in slopes),
-                       ["epsilon", "slope"], slopes)
-
-
-def _horizon_at_most(cfg: RunConfig, cap: float) -> float:
-    """min(T, cap), with the cap lowered to a whole number of steps (at least one)."""
-    n_steps = max(1, math.floor(cap / cfg.dt * (1.0 + 1e-9)))
-    return min(cfg.T, n_steps * cfg.dt)
-
-
-def _horizon_at_least(cfg: RunConfig, cap: float) -> float:
-    """max(T, cap), with the cap raised to a whole number of steps."""
-    n_steps = math.ceil(cap / cfg.dt * (1.0 - 1e-9))
-    return max(cfg.T, n_steps * cfg.dt)
-
-
-def _check_consistency(cfg: RunConfig, U, mc: MCConfig) -> CheckResult:
-    dev = flow_consistency(cfg.model, U, cfg.law0, min(cfg.n_particles, 200),
-                           cfg.seed, _horizon_at_most(cfg, 2.0), cfg.dt)
-    return CheckResult(dev <= 1e-9, f"max deviation {dev:.3e}",
-                       ["max_deviation"], [(dev,)])
-
-
-def _check_representation(cfg: RunConfig, U, mc: MCConfig) -> CheckResult:
-    fb = AffineFeedback.equilibrium(cfg.model, U)
-    pop = simulate_population(cfg.model, fb, cfg.law0, min(cfg.n_particles, 2000),
-                              _horizon_at_least(cfg, 4.0), cfg.dt, cfg.seed)
-    try:
-        gap = y_representation_check(cfg.model, U, pop.states, pop.means, pop.times)
-    except BlowUpError as exc:  # the oracle failed, not the config
-        return CheckResult(False, f"max gap nan: {exc}", ["max_gap"], [(math.nan,)])
-    return CheckResult(gap <= 1e-3, f"max gap {gap:.3e}", ["max_gap"], [(gap,)])
-
-
-def _check_uniqueness(cfg: RunConfig, U, mc: MCConfig) -> CheckResult:
-    law = cfg.law0 if cfg.law0.kind == "gaussian" else InitialLaw.gaussian(
-        cfg.law0.mean, 0.5)
-    rep = weak_uniqueness_check(
-        cfg.model, U, x=cfg.law0.mean, law=law,
-        seeds=(cfg.seed + 1, cfg.seed + 2),
-        mc=replace(mc, n_paths=min(mc.n_paths, 4000)),
-    )
-    return CheckResult(
-        rep.passed,
-        f"z {rep.overlap_z:.2f}, KS {rep.ks_statistic:.4f} "
-        f"(crit {rep.ks_critical_1pct:.4f})",
-        ["value_a", "se_a", "value_b", "se_b", "z", "ks", "ks_crit"],
-        [(rep.estimate_a[0], rep.estimate_a[1], rep.estimate_b[0],
-          rep.estimate_b[1], rep.overlap_z, rep.ks_statistic, rep.ks_critical_1pct)],
-    )
-
-
-def _check_lipschitz(cfg: RunConfig, U, mc: MCConfig) -> CheckResult:
-    gen = np.random.Generator(np.random.Philox(key=cfg.seed))
-    pts = gen.uniform(-3.0, 3.0, size=(64, 4))
-    probes = [((a, b), (c, d)) for a, b, c, d in pts]
-    ratio = lipschitz_scan(cfg.model, U, probes)
-    bound = max(2.0 * abs(U.a1), abs(U.a2)) + 1e-9
-    return CheckResult(ratio <= bound, f"max ratio {ratio:.4f} <= bound {bound:.4f}",
-                       ["max_ratio", "gradient_bound"], [(ratio, bound)])
-
-
-# name -> check; checks run in this order and each writes <name>.csv
-_CHECKS = {
-    "nash": _check_nash,
-    "gateaux": _check_gateaux,
-    "consistency": _check_consistency,
-    "representation": _check_representation,
-    "uniqueness": _check_uniqueness,
-    "lipschitz": _check_lipschitz,
-}
-VERIFY_CHECKS = tuple(_CHECKS)
-
-
 def cmd_verify(cfg: RunConfig, which: list[str]) -> int:
     if not which:
         print("error: no checks selected", file=sys.stderr)
@@ -263,15 +150,13 @@ def cmd_verify(cfg: RunConfig, which: list[str]) -> int:
             print(f"error: unknown check {name!r} "
                   f"(known: {', '.join(VERIFY_CHECKS)})", file=sys.stderr)
             return EXIT_CONFIG
-    _, U = _solve_roots(cfg)
-    mc = MCConfig(T=cfg.T, dt=cfg.dt, n_paths=cfg.n_paths, seed=cfg.seed,
-                  x0=cfg.law0.mean)
+    U = solve_selected(cfg.model)
     lines = []
     all_pass = True
-    for name, check in _CHECKS.items():
+    for name, check in CHECKS.items():
         if name not in which:
             continue
-        res = check(cfg, U, mc)
+        res = check(cfg, U)
         write_csv(os.path.join(cfg.output, f"{name}.csv"), res.header, res.rows)
         all_pass = all_pass and res.passed
         lines.append(f"{'PASS' if res.passed else 'FAIL'} {name}: {res.detail}")

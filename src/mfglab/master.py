@@ -68,32 +68,36 @@ def _stable_quadratic_roots(a: float, b: float, c: float) -> list[float]:
     """Real roots of a*z^2 + b*z + c = 0, a != 0, in descending order.
 
     Uses the cancellation-free form: q = -(b + sign(b)*sqrt(disc))/2,
-    roots q/a and c/q.  When the discriminant overflows, the coefficients
-    are first divided by the largest of them; NoRealRootError when one is
-    not finite or a vanishes against the largest.
+    roots q/a and c/q.  When the discriminant overflows, only its square
+    root is taken through the largest coefficient; NoRealRootError when a
+    coefficient or q is not finite.
     """
     disc = b * b - 4.0 * a * c
+    scale = 1.0
     if disc == math.inf or math.isnan(disc):
-        # b*b or 4*a*c overflowed (-inf is a negative discriminant): the
-        # roots do not change when a, b and c are divided by the largest of
-        # them, and then the discriminant lies in [-4, 5]
-        scale = max(abs(a), abs(b), abs(c))
-        if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)
-                and a / scale != 0.0):
+        # b*b or 4*a*c overflowed (-inf is a negative discriminant): divided
+        # by the largest coefficient it lies in [-4, 5], and its root is
+        # scaled back; q, q/a and c/q keep the coefficients as given, which
+        # a division by the largest could make subnormal
+        if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
             raise NoRealRootError(
                 "quadratic coefficients beyond the double range: "
                 f"(a, b, c) = ({a:g}, {b:g}, {c:g})"
             )
-        a, b, c = a / scale, b / scale, c / scale
-        disc = b * b - 4.0 * a * c
+        scale = max(abs(a), abs(b), abs(c))
+        disc = (b / scale) ** 2 - 4.0 * (a / scale) * (c / scale)
     if disc < -DISC_CLAMP:
         return []
     if disc < 0.0:
         disc = 0.0
     if disc == 0.0:
         return [-b / (2.0 * a)]
-    s = math.sqrt(disc)
+    s = scale * math.sqrt(disc)
     q = -(b + math.copysign(s, b)) / 2.0 if b != 0.0 else s / 2.0
+    if not math.isfinite(q):
+        raise NoRealRootError(
+            f"quadratic roots beyond the double range: (a, b, c) = ({a:g}, {b:g}, {c:g})"
+        )
     # + 0.0 normalizes -0.0 so reports never print a negative zero
     roots = sorted({q / a + 0.0, (c / q if q != 0.0 else -b / a) + 0.0}, reverse=True)
     return roots
@@ -119,12 +123,6 @@ def root_system_residuals(model: LQModel, U: QuadraticValue) -> tuple[float, flo
     return r1, r2, r3, r4
 
 
-def two_roots_flag(model: LQModel, a1: float) -> bool:
-    """Informational: the coefficient condition 2*b2*a1 + b4 > 0 under which
-    the a2 quadratic is guaranteed two distinct real roots."""
-    return 2.0 * model.b2 * a1 + model.b4 > 0.0
-
-
 def solve_root_system(model: LQModel) -> list[QuadraticValue]:
     """All real solutions of the algebraic system, (a1 desc, a2 desc)."""
     g = model.b3 * model.b3 / model.C
@@ -145,10 +143,10 @@ def solve_root_system(model: LQModel) -> list[QuadraticValue]:
         for a2 in a2_roots:
             # a3 * [r - 2*(b1 + b2 - g a1 - (g/2) a2)] = b2 a2 - (g/4) a2^2
             denom = model.r - 2.0 * (model.b1 + model.b2 - g * a1 - 0.5 * g * a2)
-            rhs = model.b2 * a2 - 0.25 * g * a2 * a2
             if denom == 0.0:
                 raise DegenerateA3Error(a1, a2)
-            a3 = rhs / denom + 0.0
+            # a2/denom first: a2*a2 overflows at roots of size 1e299
+            a3 = (model.b2 - 0.25 * g * a2) * (a2 / denom) + 0.0
             a4 = a1 / model.r
             out.append(QuadraticValue(a1, a2, a3, a4))
     out.sort(key=lambda U: (-U.a1, -U.a2))

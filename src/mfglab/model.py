@@ -46,22 +46,6 @@ class LQModel:
         return self.b3 * self.b3 / (2.0 * self.C)
 
 
-@dataclass(frozen=True)
-class StructuralConstants:
-    """Convexity/Lipschitz moduli of the control cost used by the checks."""
-
-    iota: float
-    eta: float
-    zeta: float
-    ell_x: float
-
-    @classmethod
-    def of(cls, model: LQModel) -> "StructuralConstants":
-        # For f1 = A x^2 + C a^2: x-convexity A, a-convexity C,
-        # d_a f1 is 2C-Lipschitz in a and constant in x.
-        return cls(iota=model.A, eta=model.C, zeta=2.0 * model.C, ell_x=0.0)
-
-
 def alpha_hat(model: LQModel, x: float, y: float) -> float:
     """Pointwise minimizer of the generalized Hamiltonian over the control.
 

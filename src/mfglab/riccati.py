@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowUpError, RestPointMismatchError
-from .master import QuadraticValue, solve_root_system
+from .master import solve_root_system
 from .model import LQModel
 from .simulate import time_grid
 
@@ -47,12 +47,13 @@ def _rhs(model: LQModel, p: float, q: float) -> tuple[float, float]:
     return dp, dq
 
 
-def stationarity_selfcheck(model: LQModel, tol: float = _STATIONARITY_TOL) -> None:
+def stationarity_selfcheck(model: LQModel) -> None:
     """Check that the rest points of the ODE field match the algebraic roots.
 
     Raises RestPointMismatchError unless every (a1, a2) root annihilates the
-    field under (p, q) = (2 a1, a2) to within ``tol`` times the summed size
-    of each component's terms (at least 1), and that size is finite.
+    field under (p, q) = (2 a1, a2) to within ``_STATIONARITY_TOL`` times the
+    summed size of each component's terms (at least 1), and that size is
+    finite.
     """
     for U in solve_root_system(model):
         p, q = 2.0 * U.a1, U.a2
@@ -60,8 +61,8 @@ def stationarity_selfcheck(model: LQModel, tol: float = _STATIONARITY_TOL) -> No
         size_p = abs((model.r - 2.0 * model.b1) * p) + model.control_gain * p * p + 2.0 * model.A
         size_q = (abs((model.r - 2.0 * model.b1 - model.b2) * q) + abs(model.b4)
                   + abs(model.b2 * p) + model.control_gain * abs(2.0 * p * q + q * q))
-        if not (abs(dp) <= tol * max(1.0, size_p) < math.inf
-                and abs(dq) <= tol * max(1.0, size_q) < math.inf):
+        if not (abs(dp) <= _STATIONARITY_TOL * max(1.0, size_p) < math.inf
+                and abs(dq) <= _STATIONARITY_TOL * max(1.0, size_q) < math.inf):
             raise RestPointMismatchError(f"ODE rest point mismatch at (a1, a2) = ({U.a1:g}, "
                                          f"{U.a2:g}): field = ({dp:.3e}, {dq:.3e})")
 
@@ -90,7 +91,3 @@ def riccati_backward(model: LQModel, T: float, dt: float) -> RiccatiPath:
             raise BlowUpError(times[k - 1])
     return RiccatiPath(times=times, p=p, q=q)
 
-
-def stationary_match(path: RiccatiPath, U: QuadraticValue, tol: float) -> bool:
-    """Did the backward integration settle on the candidate's coefficients?"""
-    return abs(path.p[0] - 2.0 * U.a1) <= tol and abs(path.q[0] - U.a2) <= tol

@@ -69,14 +69,6 @@ class InitialLaw:
             return self.mean_
         return float(self.samples.mean())
 
-    @property
-    def second_moment(self) -> float:
-        if self.kind == "dirac":
-            return self.x0 * self.x0
-        if self.kind == "gaussian":
-            return self.mean_ * self.mean_ + self.sd * self.sd
-        return float(np.mean(self.samples**2))
-
     def quantile(self, u: np.ndarray) -> np.ndarray:
         """Inverse CDF; the empirical kind uses the order statistics."""
         u = np.asarray(u, dtype=float)
@@ -137,11 +129,6 @@ class PopulationPath:
     times: np.ndarray
     states: np.ndarray  # (n_steps+1, N)
     means: np.ndarray  # (n_steps+1,)
-    seed: int
-
-    @property
-    def n_particles(self) -> int:
-        return self.states.shape[1]
 
     def variances(self) -> np.ndarray:
         return self.states.var(axis=1)
@@ -154,8 +141,6 @@ class TrajectoryBatch:
     times: np.ndarray
     costs: np.ndarray  # per-path discounted running cost
     terminal: np.ndarray
-    seed: int
-    model: LQModel
     feedback: AffineFeedback
     mean_flow: np.ndarray
     states: np.ndarray | None = None  # (n_paths, n_steps+1) when kept
@@ -239,7 +224,7 @@ def simulate_population(
     )
     if dstep >= 0:
         raise DivergedError(dstep)
-    return PopulationPath(times=times, states=states, means=means, seed=seed)
+    return PopulationPath(times=times, states=states, means=means)
 
 
 def simulate_legs(
@@ -300,8 +285,8 @@ def simulate_legs(
 
     return [
         TrajectoryBatch(
-            times=times, costs=costs[j], terminal=terminal[j], seed=seed, model=model,
-            feedback=fb, mean_flow=mflow, states=states[j],
+            times=times, costs=costs[j], terminal=terminal[j], feedback=fb,
+            mean_flow=mflow, states=states[j],
         )
         for j, fb in enumerate(feedbacks)
     ]

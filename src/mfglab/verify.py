@@ -5,17 +5,23 @@ continuity — each reduced to a seeded, tolerance-bearing numerical check.
 All paired cost comparisons run under common random numbers: the perturbed
 control is simulated against byte-identical noise streams, so the per-path
 cost differences carry orders of magnitude less variance than the costs.
+
+``CHECKS`` is the table of the ``verify`` command: each entry maps a run
+config and the selected root to a ``CheckResult`` (verdict, summary line and
+CSV table), with its sizes and its verdict threshold stated in that entry.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.stats import ks_2samp
 
 from . import rng
+from .config import RunConfig
+from .errors import BlowUpError
 from .master import QuadraticValue, is_admissible
 from .model import LQModel, closed_loop_coeffs, hamiltonian_H_dx
 from .riccati import riccati_backward
@@ -333,3 +339,119 @@ def lipschitz_scan(model: LQModel, U: QuadraticValue, probes) -> float:
         num = abs(U.dx(x, m) - U.dx(xp, mp))
         worst = max(worst, num / denom)
     return worst
+
+
+# ---------------------------------------------------------------------------
+# the checks of ``mfglab verify``
+# ---------------------------------------------------------------------------
+# Each check calls the functions above by their module-global names, so a
+# wrapper installed in this module's namespace sees every call.
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    """Outcome of one ``verify`` check: its summary line and its CSV."""
+
+    passed: bool
+    detail: str
+    header: list[str]
+    rows: list[tuple]
+
+
+def _mc(cfg: RunConfig) -> MCConfig:
+    """The Monte Carlo sizes of a run: its horizon, step, paths, seed and start."""
+    return MCConfig(T=cfg.T, dt=cfg.dt, n_paths=cfg.n_paths, seed=cfg.seed,
+                    x0=cfg.law0.mean)
+
+
+def _horizon_at_most(cfg: RunConfig, cap: float) -> float:
+    """min(T, cap), with the cap lowered to a whole number of steps (at least one)."""
+    n_steps = max(1, math.floor(cap / cfg.dt * (1.0 + 1e-9)))
+    return min(cfg.T, n_steps * cfg.dt)
+
+
+def _horizon_at_least(cfg: RunConfig, cap: float) -> float:
+    """max(T, cap), with the cap raised to a whole number of steps."""
+    n_steps = math.ceil(cap / cfg.dt * (1.0 - 1e-9))
+    return max(cfg.T, n_steps * cfg.dt)
+
+
+def _check_nash(cfg: RunConfig, U: QuadraticValue) -> CheckResult:
+    perts = [(f"offset_{eps:g}", offset_perturbation(cfg.model, U, eps))
+             for eps in (0.25, 0.5, 1.0)]
+    rep = verify_nash(cfg.model, U, perts, _mc(cfg), m0=cfg.law0.mean)
+    return CheckResult(
+        rep.all_non_negative,
+        f"base {rep.base_cost.mean:.4f}, min delta CI "
+        f"{min(p.delta_ci[0] for p in rep.perturbed):.3e}",
+        ["label", "delta_mean", "ci_lo", "ci_hi", "stderr"],
+        [(p.label, p.delta_mean, p.delta_ci[0], p.delta_ci[1], p.delta_se)
+         for p in rep.perturbed],
+    )
+
+
+def _check_gateaux(cfg: RunConfig, U: QuadraticValue) -> CheckResult:
+    slopes = gateaux_slope(cfg.model, U, 1.0, [1.0, 0.5, 0.25], _mc(cfg), m0=cfg.law0.mean)
+    shrink = all(abs(s2) <= abs(s1) + 1e-9
+                 for (_, s1), (_, s2) in zip(slopes, slopes[1:]))
+    return CheckResult(shrink, "slopes " + ", ".join(f"{s:.4f}" for _, s in slopes),
+                       ["epsilon", "slope"], slopes)
+
+
+def _check_consistency(cfg: RunConfig, U: QuadraticValue) -> CheckResult:
+    dev = flow_consistency(cfg.model, U, cfg.law0, min(cfg.n_particles, 200),
+                           cfg.seed, _horizon_at_most(cfg, 2.0), cfg.dt)
+    return CheckResult(dev <= 1e-9, f"max deviation {dev:.3e}",
+                       ["max_deviation"], [(dev,)])
+
+
+def _check_representation(cfg: RunConfig, U: QuadraticValue) -> CheckResult:
+    fb = AffineFeedback.equilibrium(cfg.model, U)
+    pop = simulate_population(cfg.model, fb, cfg.law0, min(cfg.n_particles, 2000),
+                              _horizon_at_least(cfg, 4.0), cfg.dt, cfg.seed)
+    try:
+        gap = y_representation_check(cfg.model, U, pop.states, pop.means, pop.times)
+    except BlowUpError as exc:  # the oracle failed, not the config
+        return CheckResult(False, f"max gap nan: {exc}", ["max_gap"], [(math.nan,)])
+    return CheckResult(gap <= 1e-3, f"max gap {gap:.3e}", ["max_gap"], [(gap,)])
+
+
+def _check_uniqueness(cfg: RunConfig, U: QuadraticValue) -> CheckResult:
+    law = cfg.law0 if cfg.law0.kind == "gaussian" else InitialLaw.gaussian(
+        cfg.law0.mean, 0.5)
+    rep = weak_uniqueness_check(
+        cfg.model, U, x=cfg.law0.mean, law=law,
+        seeds=(cfg.seed + 1, cfg.seed + 2),
+        mc=replace(_mc(cfg), n_paths=min(cfg.n_paths, 4000)),
+    )
+    return CheckResult(
+        rep.passed,
+        f"z {rep.overlap_z:.2f}, KS {rep.ks_statistic:.4f} "
+        f"(crit {rep.ks_critical_1pct:.4f})",
+        ["value_a", "se_a", "value_b", "se_b", "z", "ks", "ks_crit"],
+        [(rep.estimate_a[0], rep.estimate_a[1], rep.estimate_b[0],
+          rep.estimate_b[1], rep.overlap_z, rep.ks_statistic, rep.ks_critical_1pct)],
+    )
+
+
+def _check_lipschitz(cfg: RunConfig, U: QuadraticValue) -> CheckResult:
+    gen = np.random.Generator(np.random.Philox(key=cfg.seed))
+    pts = gen.uniform(-3.0, 3.0, size=(64, 4))
+    probes = [((a, b), (c, d)) for a, b, c, d in pts]
+    ratio = lipschitz_scan(cfg.model, U, probes)
+    # relative slack for rounding: an absolute one would pass any ratio
+    # when the gradient coefficients are far below it
+    bound = max(2.0 * abs(U.a1), abs(U.a2)) * (1.0 + 1e-9)
+    return CheckResult(ratio <= bound, f"max ratio {ratio:.4f} <= bound {bound:.4f}",
+                       ["max_ratio", "gradient_bound"], [(ratio, bound)])
+
+
+# name -> check; checks run in this order and each writes <name>.csv
+CHECKS = {
+    "nash": _check_nash,
+    "gateaux": _check_gateaux,
+    "consistency": _check_consistency,
+    "representation": _check_representation,
+    "uniqueness": _check_uniqueness,
+    "lipschitz": _check_lipschitz,
+}

@@ -1,4 +1,5 @@
 import csv
+import math
 import os
 
 import pytest
@@ -258,7 +259,7 @@ def test_verify_check_horizons_are_whole_steps(tmp_path, monkeypatch):
     # at dt = 0.003 neither the consistency cap 2.0 nor the representation
     # floor 4.0 is a whole number of steps: the checks must run on the
     # nearest whole-step horizons inside those limits (1.998 and 4.002)
-    from mfglab import cli
+    from mfglab import verify
 
     seen = {}
 
@@ -268,10 +269,10 @@ def test_verify_check_horizons_are_whole_steps(tmp_path, monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(cli, "flow_consistency",
-                        recording("consistency", cli.flow_consistency, 5))
-    monkeypatch.setattr(cli, "simulate_population",
-                        recording("representation", cli.simulate_population, 4))
+    monkeypatch.setattr(verify, "flow_consistency",
+                        recording("consistency", verify.flow_consistency, 5))
+    monkeypatch.setattr(verify, "simulate_population",
+                        recording("representation", verify.simulate_population, 4))
     overrides = {"sim.T": "3", "sim.dt": "0.003", "sim.nParticles": "20"}
     assert main(["verify", "--config", write_cfg(tmp_path, overrides),
                  "--checks", "consistency,representation"]) == EXIT_OK
@@ -360,6 +361,32 @@ def test_representation_oracle_blow_up_is_a_failed_check(tmp_path, capsys):
     assert lines[1].startswith("PASS lipschitz")
     assert (tmp_path / "out" / "summary.txt").read_text().splitlines() == lines
     assert read_csv(tmp_path / "out" / "representation.csv")[1] == ["nan"]
+
+
+def test_lipschitz_bound_is_relative(tmp_path, capsys, monkeypatch):
+    # at r = 1e18 the gradient bound max(2|a1|, |a2|) is about 2e-18: a
+    # ratio of 1.5 times it must fail, which an absolute slack of 1e-9 hid
+    from mfglab import verify
+
+    def too_steep(model, U, probes):
+        return 1.5 * max(2.0 * abs(U.a1), abs(U.a2))
+
+    monkeypatch.setattr(verify, "lipschitz_scan", too_steep)
+    path = write_cfg(tmp_path, {"model.r": "1e18", "sim.nParticles": "20"})
+    assert main(["verify", "--config", path, "--checks", "lipschitz"]) == EXIT_CONFIG
+    assert capsys.readouterr().out.startswith("FAIL lipschitz")
+    ratio, bound = map(float, read_csv(tmp_path / "out" / "lipschitz.csv")[1])
+    assert 0.0 < bound < ratio
+
+
+@pytest.mark.parametrize("r", ["2", "1e300"])
+def test_solve_writes_finite_coefficients(tmp_path, r):
+    # at r = 1e300 the a3 equation's a2*a2 overflowed: two candidates had
+    # a3 = +-inf
+    assert main(["solve", "--config", write_cfg(tmp_path, {"model.r": r})]) == EXIT_OK
+    rows = read_csv(tmp_path / "out" / "roots.csv")
+    assert len(rows) == 5
+    assert all(math.isfinite(float(v)) for row in rows[1:] for v in row)
 
 
 def test_cfl_message_prints_a_short_ratio(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import decimal
 import math
 import time
 
@@ -21,7 +22,7 @@ from mfglab import (
     solve_selected,
     square_grid,
 )
-from mfglab.master import _stable_quadratic_roots, two_roots_flag
+from mfglab.master import _stable_quadratic_roots
 
 EXPECTED_EXAMPLE_ROOTS = [
     (0.5, 0.0, 0.0, 0.25),
@@ -54,6 +55,7 @@ def test_stable_quadratic_roots_survive_an_overflowing_discriminant():
     # b*b overflows to inf: 4 z^2 + 1e300 z - 2 has roots -2.5e299 and 2e-300
     small_and_large = _stable_quadratic_roots(4.0, 1e300, -2.0)
     assert small_and_large == pytest.approx([2e-300, -2.5e299], rel=1e-15)
+    assert small_and_large[0] == 2e-300
     # 4ac overflows to -inf: z^2 + 1e-300 z - 1 ~ z^2 - 1
     assert _stable_quadratic_roots(1e300, 1.0, -1e300) == [1.0, -1.0]
     # b*b and 4ac both overflow (inf - inf = nan): z^2 + z + 1, no real root
@@ -63,6 +65,28 @@ def test_stable_quadratic_roots_survive_an_overflowing_discriminant():
     # a coefficient that overflowed leaves nothing to scale
     with pytest.raises(NoRealRootError, match="beyond the double range"):
         _stable_quadratic_roots(4.0, math.inf, -2.0)
+    # q = a * 1.618 = -2.8e308 overflows: raised, not returned as (inf, -0.0)
+    with pytest.raises(NoRealRootError, match="beyond the double range"):
+        _stable_quadratic_roots(-1.7e308, 1.7e308, 1.7e308)
+
+
+def _decimal_roots(a, b, c):
+    """Both roots of a z^2 + b z + c at 120 digits, descending."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 120
+        a, b, c = (decimal.Decimal(v) for v in (a, b, c))
+        q = -(b + (b * b - 4 * a * c).sqrt().copy_sign(b)) / 2
+        return sorted((float(q / a), float(c / q)), reverse=True)
+
+
+@pytest.mark.parametrize("a, b, c", [
+    (6e307, -5e193, -3e-62),  # c over the largest is subnormal: small root was 0.0
+    (1e-30, 1e200, 1e300),  # a over the largest underflows: was NoRealRootError
+], ids=["subnormal-c", "vanishing-a"])
+def test_overflowing_discriminant_roots_match_decimal(a, b, c):
+    # b*b overflows in each; only the discriminant's square root is scaled
+    assert _stable_quadratic_roots(a, b, c) == pytest.approx(_decimal_roots(a, b, c),
+                                                             rel=1e-15)
 
 
 def test_example_root_sets(example_roots):
@@ -92,13 +116,6 @@ def test_a4_ties_to_a1(example_roots, instance_b):
         assert U.a4 == pytest.approx(U.a1 / 2.0, abs=1e-14)
     for U in solve_root_system(instance_b):
         assert U.a4 == pytest.approx(U.a1 / instance_b.r, abs=1e-14)
-
-
-def test_two_roots_flag(example_model, instance_b):
-    # flags when 2*b2*a1 + b4 > 0, i.e. the a2-quadratic genuinely branches
-    assert not two_roots_flag(example_model, 0.5)
-    U = solve_selected(instance_b)
-    assert two_roots_flag(instance_b, U.a1)
 
 
 def test_select_admissible_example(example_model, example_roots):

@@ -15,7 +15,6 @@ from mfglab import (
     hamiltonian_H_dx,
     hamiltonian_H_dy,
 )
-from mfglab.model import StructuralConstants
 
 
 def test_validation_rejects_bad_parameters():
@@ -50,11 +49,6 @@ def test_validation_rejects_degenerate_control_gain(b3, C):
 def test_control_gain(example_model, instance_b):
     assert example_model.control_gain == 2.0
     assert instance_b.control_gain == 2.0
-
-
-def test_structural_constants(example_model):
-    k = StructuralConstants.of(example_model)
-    assert (k.iota, k.eta, k.zeta, k.ell_x) == (2.0, 1.0, 2.0, 0.0)
 
 
 def test_alpha_hat_closed_form(example_model):

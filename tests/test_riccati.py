@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mfglab import LQModel, riccati_backward, solve_selected, stationary_match
+from mfglab import LQModel, riccati_backward
 from mfglab.errors import BlowUpError, RestPointMismatchError
 from mfglab.riccati import stationarity_selfcheck
 from mfglab.simulate import time_grid
@@ -100,10 +100,3 @@ def test_selfcheck_mismatch_is_an_mfglab_error():
     model = LQModel(r=1e300, b1=0.0, b2=0.0, b3=2.0, b4=0.0, A=2.0, C=1.0)
     with pytest.raises(RestPointMismatchError, match="rest point mismatch"):
         stationarity_selfcheck(model)
-
-
-def test_stationary_match(example_model, example_selected):
-    long = riccati_backward(example_model, T=10.0, dt=1e-3)
-    assert stationary_match(long, example_selected, tol=1e-6)
-    short = riccati_backward(example_model, T=0.5, dt=1e-3)
-    assert not stationary_match(short, example_selected, tol=1e-6)

@@ -53,3 +53,30 @@ def test_after_run_binds_to_simulate_representative(monkeypatch):
     values = workloads.after_run("crn-verify", cfg)
     assert len(calls) == 1
     assert set(values["base_cost"]) == {"mean", "se", "tail"}
+
+
+def test_traced_verify_sees_every_check_call(tmp_path):
+    # the tracer wraps functions in module namespaces only: a check that
+    # held a traced function object itself (in the check table, say) would
+    # run unseen, and these counts would drop
+    from mfglab.cli import main
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("\n".join(f"model.{k} = {v}" for k, v in workloads.EXAMPLE_MODEL.items())
+                   + "\nlaw0.kind = dirac\nlaw0.x0 = 1\nsim.T = 0.1\nsim.dt = 0.02\n"
+                   "sim.nPaths = 8\nsim.nParticles = 4\nsim.seed = 3\n")
+    names = [n for n in sys.modules if n == "mfglab" or n.startswith("mfglab.")]
+    saved = {n: dict(vars(sys.modules[n])) for n in names}
+    try:
+        tracer = tracing.install()
+        main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "--checks", "nash,gateaux,consistency,representation,lipschitz"])
+    finally:
+        for n, namespace in saved.items():
+            vars(sys.modules[n]).update(namespace)
+    # paths this few may fail the statistical checks; the counts still hold
+    assert len((tmp_path / "out" / "summary.txt").read_text().splitlines()) == 5
+    # verify: nash with its 3 offsets, gateaux, consistency, representation
+    # and lipschitz; simulate: the base cost, the replay's population and
+    # representative paths, and the representation's population
+    assert (tracer.calls["verify"], tracer.calls["simulate"], tracer.calls["riccati"]) == (8, 4, 1)
