@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import LQModel
-from .rng import make_generator
+from .rng import STREAM_CHECKS, make_generator
 
 # Per-batch sample count; large enough for the empirical-mean coupling terms.
 BATCH_SIZE = 256
@@ -112,7 +112,7 @@ def check_monotonicity_sampled(model: LQModel, n: int, seed: int) -> Monotonicit
     kappa = model.r / 2.0
     worst = -np.inf
     for i in range(n):
-        gen = make_generator(seed, stream=3, index=i)
+        gen = make_generator(seed, stream=STREAM_CHECKS, index=i)
         scale = SCALES[i % len(SCALES)]
         X, Xp, Y, Yp = scale * gen.standard_normal((4, BATCH_SIZE))
         lhs, quad = _batch_lhs(model, X, Xp, Y, Yp)

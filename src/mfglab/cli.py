@@ -9,7 +9,8 @@ Exit codes: 0 success, 2 config/usage error (a horizon or space grid of
 2**53 or more steps is a config error, and a run that cannot allocate its
 arrays ends with a one-line "error:" message), 3 root-selection failure or
 a failed Riccati rest-point self-check, 4 simulation divergence, 5
-fixed-point non-convergence.  All randomness flows from the config seed;
+fixed-point non-convergence, 6 a check of ``check`` or ``verify`` that ran
+and FAILed.  All randomness flows from the config seed;
 --seed and --out override sim.seed and output and are parsed by the same
 rules.
 """
@@ -54,6 +55,7 @@ EXIT_CONFIG = 2
 EXIT_ROOTS = 3
 EXIT_DIVERGED = 4
 EXIT_NO_CONVERGENCE = 5
+EXIT_CHECK_FAILED = 6
 
 # the names --checks accepts, in the order the checks run
 VERIFY_CHECKS = tuple(CHECKS)
@@ -72,7 +74,7 @@ def cmd_check(cfg: RunConfig) -> int:
     print(f"monotonicity kappa = {mono.kappa:.6g}, worst slack = "
           f"{mono.worst_slack:.3e} over {mono.n_samples} samples: "
           f"{'PASS' if mono.passed else 'FAIL'}")
-    return EXIT_OK if (rep.passed and mono.passed) else EXIT_CONFIG
+    return EXIT_OK if (rep.passed and mono.passed) else EXIT_CHECK_FAILED
 
 
 def cmd_solve(cfg: RunConfig) -> int:
@@ -164,7 +166,7 @@ def cmd_verify(cfg: RunConfig, which: list[str]) -> int:
     write_text(os.path.join(cfg.output, "summary.txt"), "\n".join(lines) + "\n")
     for line in lines:
         print(line)
-    return EXIT_OK if all_pass else EXIT_CONFIG
+    return EXIT_OK if all_pass else EXIT_CHECK_FAILED
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -69,8 +69,9 @@ def _stable_quadratic_roots(a: float, b: float, c: float) -> list[float]:
 
     Uses the cancellation-free form: q = -(b + sign(b)*sqrt(disc))/2,
     roots q/a and c/q.  When the discriminant overflows, only its square
-    root is taken through the largest coefficient; NoRealRootError when a
-    coefficient or q is not finite.
+    root is taken through the largest coefficient, and when q overflows too
+    it is formed from the coefficients divided by the largest;
+    NoRealRootError when a coefficient or such a root is not finite.
     """
     disc = b * b - 4.0 * a * c
     scale = 1.0
@@ -94,13 +95,21 @@ def _stable_quadratic_roots(a: float, b: float, c: float) -> list[float]:
         return [-b / (2.0 * a)]
     s = scale * math.sqrt(disc)
     q = -(b + math.copysign(s, b)) / 2.0 if b != 0.0 else s / 2.0
-    if not math.isfinite(q):
-        raise NoRealRootError(
-            f"quadratic roots beyond the double range: (a, b, c) = ({a:g}, {b:g}, {c:g})"
-        )
+    if math.isfinite(q):
+        roots = (q / a, c / q if q != 0.0 else -b / a)
+    else:
+        # only with a scaled discriminant: q near the double maximum, while
+        # the roots are ratios that the scaled coefficients keep
+        qs = -(b / scale + math.copysign(math.sqrt(disc), b)) / 2.0
+        a_scaled = a / scale  # underflows to 0.0 when the root qs/a overflows
+        roots = (qs / a_scaled if a_scaled != 0.0 else math.inf, (c / scale) / qs)
+        if not all(map(math.isfinite, roots)):
+            raise NoRealRootError(
+                "quadratic roots beyond the double range: "
+                f"(a, b, c) = ({a:g}, {b:g}, {c:g})"
+            )
     # + 0.0 normalizes -0.0 so reports never print a negative zero
-    roots = sorted({q / a + 0.0, (c / q if q != 0.0 else -b / a) + 0.0}, reverse=True)
-    return roots
+    return sorted({z + 0.0 for z in roots}, reverse=True)
 
 
 def root_system_residuals(model: LQModel, U: QuadraticValue) -> tuple[float, float, float, float]:

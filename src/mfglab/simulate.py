@@ -2,13 +2,15 @@
 player, discounted cost estimation with a reported tail bound, and the 1-D
 empirical quadratic Wasserstein distance.
 
-Feedback control laws are affine, a(x, m, t) = fx*x + fm*m + offset(t):
-every equilibrium and every in-scope perturbation has this shape, and it is
-what the kernels in ``_kernels`` consume.  All noise is drawn from
-counter-based streams keyed by (seed, stream, path index) so that any single
-path can be replayed bit-exactly in isolation.  Common-random-number legs
-(several feedbacks against the same streams) share one noise draw per block
-of paths: ``simulate_legs`` steps every leg against that block.
+Feedback control laws are affine with a constant offset,
+a(x, m) = fx*x + fm*m + offset: every equilibrium and every in-scope
+perturbation has this shape.  A feedback is a value of three numbers, so
+equal feedbacks compare equal; the kernels in ``_kernels`` take its offset
+as one array entry per step.  All noise is drawn from counter-based
+streams keyed by (seed, stream, path index) so that any single path can be
+replayed bit-exactly in isolation.  Common-random-number legs (several
+feedbacks against the same streams) share one noise draw per block of
+paths: ``simulate_legs`` steps every leg against that block.
 
 Each simulation rule is stated once: ``whole_steps`` counts the steps of
 every grid, ``time_grid`` builds every time grid, and ``population_draws``
@@ -20,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.special import ndtri
@@ -32,6 +33,9 @@ from .model import LQModel
 
 # Paths simulated per noise block; bounds peak memory of the noise buffer.
 PATH_CHUNK = 4096
+# Relative distance from a whole number within which span/step counts as
+# whole steps: the floating-point noise of the division.
+STEP_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -92,11 +96,11 @@ class InitialLaw:
 
 @dataclass(frozen=True)
 class AffineFeedback:
-    """Control a(x, m, t) = fx*x + fm*m + offset(t)."""
+    """Control a(x, m) = fx*x + fm*m + offset."""
 
     fx: float
     fm: float
-    offset: Callable[[np.ndarray], np.ndarray] | None = None
+    offset: float = 0.0
 
     @classmethod
     def equilibrium(cls, model: LQModel, U: QuadraticValue) -> "AffineFeedback":
@@ -106,20 +110,8 @@ class AffineFeedback:
             fm=-model.b3 * U.a2 / (2.0 * model.C),
         )
 
-    def with_offset(self, offset: Callable) -> "AffineFeedback":
-        return AffineFeedback(self.fx, self.fm, offset)
-
-    def scaled(self, gain: float) -> "AffineFeedback":
-        return AffineFeedback(gain * self.fx, gain * self.fm, self.offset)
-
-    def offsets_on(self, times: np.ndarray) -> np.ndarray:
-        if self.offset is None:
-            return np.zeros(times.shape[0])
-        return np.asarray(self.offset(times), dtype=float) * np.ones(times.shape[0])
-
-    def __call__(self, x, m, t=0.0):
-        off = 0.0 if self.offset is None else self.offset(t)
-        return self.fx * x + self.fm * m + off
+    def with_offset(self, value: float) -> "AffineFeedback":
+        return AffineFeedback(self.fx, self.fm, float(value))
 
 
 @dataclass(frozen=True)
@@ -167,12 +159,12 @@ def whole_steps(span: float, step: float) -> int:
     """The number of steps ``step`` in ``span``, for every time and space grid.
 
     Raises ValueError unless ``step`` > 0 and span/step is within a relative
-    1e-9 (the floating-point noise of the division) of a whole number of
-    magnitude below 2**53.  From 2**53 on every double is a whole number, so
-    the ratio can no longer tell whole steps from partial ones.
+    ``STEP_RTOL`` of a whole number of magnitude below 2**53.  From 2**53 on
+    every double is a whole number, so the ratio can no longer tell whole
+    steps from partial ones.
     """
     ratio = span / step if step > 0 else math.nan
-    if not abs(ratio) < 2.0**53 or abs(ratio - round(ratio)) > 1e-9 * abs(ratio):
+    if not abs(ratio) < 2.0**53 or abs(ratio - round(ratio)) > STEP_RTOL * abs(ratio):
         raise ValueError(f"span {span!r} is not a whole number of steps {step!r} "
                          f"(fewer than 2**53)")
     return round(ratio)
@@ -217,7 +209,7 @@ def simulate_population(
     n_steps = times.size - 1
     states = np.empty((n_steps + 1, N))
     states[0], noise = population_draws(law0, N, seed, n_steps)
-    off = feedback.offsets_on(times[:-1])
+    off = np.full(n_steps, feedback.offset)
     means, dstep = _kernels.population_kernel(
         states, noise, dt, math.sqrt(dt),
         model.b1, model.b2, model.b3, feedback.fx, feedback.fm, off,
@@ -259,7 +251,7 @@ def simulate_legs(
         raise ValueError("mean flow does not cover the time grid")
 
     x0s = np.broadcast_to(np.asarray(x0, dtype=float), (n_paths,)).copy()
-    offs = [fb.offsets_on(times[:-1]) for fb in feedbacks]
+    offs = [np.full(n_steps, fb.offset) for fb in feedbacks]
     disc = np.exp(-model.r * times[:-1])
     sdt = math.sqrt(dt)
 
@@ -331,10 +323,9 @@ def estimate_cost(model: LQModel, batch: TrajectoryBatch) -> CostEstimate:
     mean = float(batch.costs.mean())
     se = float(batch.costs.std(ddof=1) / math.sqrt(batch.n_paths))
     fb = batch.feedback
-    off_max = float(np.max(np.abs(fb.offsets_on(batch.times[:-1])))) if fb.offset else 0.0
     c1 = model.A + abs(model.b4) / 2.0 + 3.0 * model.C * fb.fx**2
     cm = abs(model.b4) / 2.0 + 3.0 * model.C * fb.fm**2
-    c0 = 3.0 * model.C * off_max**2
+    c0 = 3.0 * model.C * fb.offset**2
     m2_T = float(np.mean(batch.terminal**2))
     mbar_T2 = float(batch.mean_flow[-1] ** 2)
     tail = math.exp(-model.r * batch.horizon) * (c0 + c1 * m2_T + cm * mbar_T2) / model.r

@@ -5,6 +5,9 @@ continuity — each reduced to a seeded, tolerance-bearing numerical check.
 All paired cost comparisons run under common random numbers: the perturbed
 control is simulated against byte-identical noise streams, so the per-path
 cost differences carry orders of magnitude less variance than the costs.
+Every perturbation is the equilibrium feedback with a constant offset, an
+``AffineFeedback`` value: the Nash offsets and the Gateaux steps eps * 1.0
+that coincide are equal feedbacks.
 
 ``CHECKS`` is the table of the ``verify`` command: each entry maps a run
 config and the selected root to a ``CheckResult`` (verdict, summary line and
@@ -26,6 +29,7 @@ from .master import QuadraticValue, is_admissible
 from .model import LQModel, closed_loop_coeffs, hamiltonian_H_dx
 from .riccati import riccati_backward
 from .simulate import (
+    STEP_RTOL,
     AffineFeedback,
     CostEstimate,
     InitialLaw,
@@ -117,9 +121,9 @@ def verify_nash(
 ) -> NashReport:
     """Paired cost comparison of the equilibrium against each perturbation.
 
-    ``perturbations`` is a list of (label, feedback) pairs; build them with
-    ``offset_perturbation`` or ``gain_perturbation``.  The population stays
-    at equilibrium (a single player's deviation does not move the flow).
+    ``perturbations`` is a list of (label, feedback) pairs, such as those
+    of ``offset_perturbation``.  The population stays at equilibrium (a
+    single player's deviation does not move the flow).
     """
     perturbations = list(perturbations)
     base, legs = _paired_legs(model, U, [fb for _, fb in perturbations], mc, m0)
@@ -136,40 +140,28 @@ def verify_nash(
                       all_non_negative=ok)
 
 
-def offset_perturbation(model: LQModel, U: QuadraticValue, offset) -> AffineFeedback:
-    """Equilibrium feedback plus a deterministic time offset on the control."""
-    fb = AffineFeedback.equilibrium(model, U)
-    if not callable(offset):
-        value = float(offset)
-        return fb.with_offset(lambda t: value)
-    return fb.with_offset(offset)
-
-
-def gain_perturbation(model: LQModel, U: QuadraticValue, gain: float) -> AffineFeedback:
-    """Equilibrium feedback with both coefficients scaled."""
-    return AffineFeedback.equilibrium(model, U).scaled(gain)
+def offset_perturbation(model: LQModel, U: QuadraticValue, offset: float) -> AffineFeedback:
+    """Equilibrium feedback plus a constant offset on the control."""
+    return AffineFeedback.equilibrium(model, U).with_offset(offset)
 
 
 def gateaux_slope(
     model: LQModel,
     U: QuadraticValue,
-    direction,
+    direction: float,
     epsilons,
     mc: MCConfig,
     m0: float = 0.0,
 ) -> list[tuple[float, float]]:
     """Finite-difference directional derivatives of the cost at equilibrium.
 
-    ``direction`` is a bounded deterministic function of t (or a constant).
+    ``direction`` is a constant control offset, taken in steps ``eps``.
     Returns (epsilon, (J(eps) - J(0)) / eps) pairs; slopes of a quadratic
     cost are linear in epsilon and vanish at the minimum.
     """
-    if not callable(direction):
-        g = float(direction)
-        direction = lambda t: g * np.ones_like(np.asarray(t, dtype=float))
     epsilons = list(epsilons)
     base_fb = AffineFeedback.equilibrium(model, U)
-    feedbacks = [base_fb.with_offset(lambda t, e=eps: e * direction(t)) for eps in epsilons]
+    feedbacks = [base_fb.with_offset(eps * direction) for eps in epsilons]
     _, legs = _paired_legs(model, U, feedbacks, mc, m0)
     out = []
     for eps, (_, diff) in zip(epsilons, legs):
@@ -186,20 +178,18 @@ def flow_consistency(
     seed: int,
     T: float,
     dt: float,
-    flow_perturbation: float = 0.0,
 ) -> float:
     """Replay each population particle as a representative player.
 
     Each particle is restarted from its own draw, against the frozen
     population mean flow and its own noise stream (path i of one batch of
-    N paths); the identity says the two recursions coincide.  ``flow_perturbation`` deliberately biases the
-    frozen flow (sensitivity guard for tests).
+    N paths); the identity says the two recursions coincide.
     """
     _require_admissible(model, U)
     fb = AffineFeedback.equilibrium(model, U)
     pop = simulate_population(model, fb, law0, N, T, dt, seed)
     rep = simulate_representative(
-        model, fb, x0=pop.states[0], mean_flow=pop.means + flow_perturbation,
+        model, fb, x0=pop.states[0], mean_flow=pop.means,
         T=T, dt=dt, seed=seed, n_paths=N, keep_states=True,
         stream=rng.STREAM_POPULATION,
     )
@@ -245,12 +235,12 @@ def _value_estimate(
     dt: float,
     seed: int,
     n_paths: int,
-) -> tuple[float, float, np.ndarray]:
+) -> tuple[float, float]:
     """Monte Carlo estimate of the initial adjoint Y_0 at state x.
 
     Uses the discounted backward representation along equilibrium paths:
     Y_0 = E[ e^{-rT} Y_T + int_0^T e^{-rt} dH/dx(X_t, m_t, Y_t) dt ] with
-    Y_t read off the gradient field.  Returns (mean, std error, terminals).
+    Y_t read off the gradient field.  Returns (mean, std error).
     """
     fb = AffineFeedback.equilibrium(model, U)
     batch = simulate_representative(
@@ -266,7 +256,7 @@ def _value_estimate(
     functional = (disc[None, :-1] * dhx[:, :-1]).sum(axis=1) * dt + disc[-1] * Y[:, -1]
     mean = float(functional.mean())
     se = float(functional.std(ddof=1) / math.sqrt(n_paths))
-    return mean, se, batch.terminal
+    return mean, se
 
 
 def weak_uniqueness_check(
@@ -277,7 +267,6 @@ def weak_uniqueness_check(
     seeds: tuple[int, int],
     mc: MCConfig,
     n_particles: int = 4000,
-    law_b_shift: float = 0.0,
 ) -> UniquenessReport:
     """Statistical surrogate for weak uniqueness.
 
@@ -285,15 +274,14 @@ def weak_uniqueness_check(
     antithetic inverse-CDF sampling over a midpoint grid; the populations
     evolve under independent Brownian seeds.  The initial adjoint estimate
     at state x and the terminal state distributions must then agree up to
-    Monte Carlo noise.  ``law_b_shift`` deliberately breaks equality in law
-    (adversarial control for tests).
+    Monte Carlo noise.
     """
     _require_admissible(model, U)
     if law.kind == "empirical":
         raise ValueError("weak uniqueness check needs an invertible CDF law")
     u_grid = (np.arange(n_particles) + 0.5) / n_particles
     xi_a = law.quantile(u_grid)
-    xi_b = law.quantile(1.0 - u_grid) + law_b_shift
+    xi_b = law.quantile(1.0 - u_grid)
     fb = AffineFeedback.equilibrium(model, U)
     s_a, s_b = seeds
 
@@ -302,7 +290,7 @@ def weak_uniqueness_check(
         pop = simulate_population(
             model, fb, InitialLaw.empirical(xi), n_particles, mc.T, mc.dt, seed
         )
-        mean, se, _ = _value_estimate(
+        mean, se = _value_estimate(
             model, U, x, pop.means, mc.T, mc.dt, seed, mc.n_paths
         )
         results.append((mean, se, pop.states[-1]))
@@ -366,13 +354,13 @@ def _mc(cfg: RunConfig) -> MCConfig:
 
 def _horizon_at_most(cfg: RunConfig, cap: float) -> float:
     """min(T, cap), with the cap lowered to a whole number of steps (at least one)."""
-    n_steps = max(1, math.floor(cap / cfg.dt * (1.0 + 1e-9)))
+    n_steps = max(1, math.floor(cap / cfg.dt * (1.0 + STEP_RTOL)))
     return min(cfg.T, n_steps * cfg.dt)
 
 
 def _horizon_at_least(cfg: RunConfig, cap: float) -> float:
     """max(T, cap), with the cap raised to a whole number of steps."""
-    n_steps = math.ceil(cap / cfg.dt * (1.0 - 1e-9))
+    n_steps = math.ceil(cap / cfg.dt * (1.0 - STEP_RTOL))
     return max(cfg.T, n_steps * cfg.dt)
 
 

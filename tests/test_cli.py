@@ -6,6 +6,7 @@ import pytest
 
 from mfglab import cli
 from mfglab.cli import (
+    EXIT_CHECK_FAILED,
     EXIT_CONFIG,
     EXIT_DIVERGED,
     EXIT_NO_CONVERGENCE,
@@ -57,6 +58,16 @@ def test_check_exits_zero(cfg_path, capsys):
     assert main(["check", "--config", cfg_path]) == EXIT_OK
     out = capsys.readouterr().out
     assert "PASS" in out
+
+
+def test_failed_check_has_its_own_exit_code(tmp_path, capsys):
+    # A = 0.1 breaks the structural gap: a verdict on a valid config, not a
+    # config error
+    path = write_cfg(tmp_path, {"model.A": "0.1"})
+    assert main(["check", "--config", path]) == EXIT_CHECK_FAILED
+    captured = capsys.readouterr()
+    assert "structural check : FAIL" in captured.out
+    assert captured.err == ""
 
 
 def test_solve_writes_roots(cfg_path, tmp_path):
@@ -139,6 +150,25 @@ def test_verify_unknown_check_is_config_error(cfg_path):
 
 def test_verify_empty_checks_is_config_error(cfg_path):
     assert main(["verify", "--config", cfg_path, "--checks", ""]) == EXIT_CONFIG
+
+
+def test_nash_and_gateaux_legs_are_equal_feedbacks(cfg_path, monkeypatch):
+    # the Nash offsets 0.25, 0.5, 1 and the Gateaux steps eps * 1 are the
+    # same three legs, and feedbacks are values that say so
+    from mfglab import verify
+
+    real = verify._paired_legs
+    seen = []
+
+    def spy(model, U, feedbacks, mc, m0):
+        seen.append(list(feedbacks))
+        return real(model, U, feedbacks, mc, m0)
+
+    monkeypatch.setattr(verify, "_paired_legs", spy)
+    assert main(["verify", "--config", cfg_path, "--checks", "nash,gateaux"]) == EXIT_OK
+    nash, gateaux = seen
+    assert len(nash) == len(gateaux) == 3
+    assert set(nash) == set(gateaux)
 
 
 def test_unknown_key_exit_code(tmp_path, capsys):
@@ -302,9 +332,9 @@ def test_flags_accept_what_the_file_accepts(cfg_path, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("name, value, expected", [
-    ("model.r", "1e18", {EXIT_OK, EXIT_CONFIG}),
-    ("model.b2", "1e18", {EXIT_OK, EXIT_CONFIG}),
-    ("model.C", "1e18", {EXIT_OK, EXIT_CONFIG}),
+    ("model.r", "1e18", {EXIT_OK, EXIT_CHECK_FAILED}),
+    ("model.b2", "1e18", {EXIT_OK, EXIT_CHECK_FAILED}),
+    ("model.C", "1e18", {EXIT_OK, EXIT_CHECK_FAILED}),
     ("model.r", "1e300", {EXIT_ROOTS}),
 ], ids=["huge-r", "huge-b2", "huge-C", "overflowing-r"])
 def test_riccati_selfcheck_exits_without_traceback(tmp_path, capsys, name, value, expected):
@@ -353,7 +383,7 @@ def test_representation_oracle_blow_up_is_a_failed_check(tmp_path, capsys):
     # the representation check, and the other checks still run
     path = write_cfg(tmp_path, {"model.r": "1e18", "sim.nParticles": "20"})
     assert main(["verify", "--config", path,
-                 "--checks", "representation,lipschitz"]) == EXIT_CONFIG
+                 "--checks", "representation,lipschitz"]) == EXIT_CHECK_FAILED
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
     lines = captured.out.splitlines()
@@ -373,7 +403,7 @@ def test_lipschitz_bound_is_relative(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(verify, "lipschitz_scan", too_steep)
     path = write_cfg(tmp_path, {"model.r": "1e18", "sim.nParticles": "20"})
-    assert main(["verify", "--config", path, "--checks", "lipschitz"]) == EXIT_CONFIG
+    assert main(["verify", "--config", path, "--checks", "lipschitz"]) == EXIT_CHECK_FAILED
     assert capsys.readouterr().out.startswith("FAIL lipschitz")
     ratio, bound = map(float, read_csv(tmp_path / "out" / "lipschitz.csv")[1])
     assert 0.0 < bound < ratio

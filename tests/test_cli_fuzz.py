@@ -48,7 +48,7 @@ VALUES = ["nan", "inf", "-inf", "0", "-1", *HUGE, "two"]
 SIZE_KEYS = {"sim.T", "sim.dt", "sim.nPaths", "sim.nParticles", "fixedPoint.maxIter",
              "fixedPoint.xLo", "fixedPoint.xHi", "fixedPoint.dx"}
 COMMANDS = ["check", "solve", "simulate", "fixed-point", "verify"]
-DOCUMENTED_EXITS = {0, 2, 3, 4, 5}
+DOCUMENTED_EXITS = {0, 2, 3, 4, 5, 6}
 
 
 @st.composite

@@ -65,9 +65,6 @@ def test_stable_quadratic_roots_survive_an_overflowing_discriminant():
     # a coefficient that overflowed leaves nothing to scale
     with pytest.raises(NoRealRootError, match="beyond the double range"):
         _stable_quadratic_roots(4.0, math.inf, -2.0)
-    # q = a * 1.618 = -2.8e308 overflows: raised, not returned as (inf, -0.0)
-    with pytest.raises(NoRealRootError, match="beyond the double range"):
-        _stable_quadratic_roots(-1.7e308, 1.7e308, 1.7e308)
 
 
 def _decimal_roots(a, b, c):
@@ -82,9 +79,12 @@ def _decimal_roots(a, b, c):
 @pytest.mark.parametrize("a, b, c", [
     (6e307, -5e193, -3e-62),  # c over the largest is subnormal: small root was 0.0
     (1e-30, 1e200, 1e300),  # a over the largest underflows: was NoRealRootError
-], ids=["subnormal-c", "vanishing-a"])
+    # q overflows although the roots do not: both were NoRealRootError
+    (-1.7e308, 1.7e308, 1.7e308),  # q = a * 1.618 = -2.8e308, roots 1.618, -0.618
+    (1.7e308, 1.7e308, -1.0),  # q = -1.7e308 - 1.7e308, roots -1, 5.9e-309
+], ids=["subnormal-c", "vanishing-a", "overflowing-q", "overflowing-q-subnormal-root"])
 def test_overflowing_discriminant_roots_match_decimal(a, b, c):
-    # b*b overflows in each; only the discriminant's square root is scaled
+    # b*b overflows in each, and both roots are representable
     assert _stable_quadratic_roots(a, b, c) == pytest.approx(_decimal_roots(a, b, c),
                                                              rel=1e-15)
 

@@ -42,7 +42,6 @@ def test_equilibrium_feedback_coefficients(example_model, eq_feedback):
     # a = -b3/(2C) * dU/dx = -(2 a1 b3/(2C)) x - (a2 b3/(2C)) m
     assert eq_feedback.fx == pytest.approx(-1.0)
     assert eq_feedback.fm == pytest.approx(0.0)
-    assert eq_feedback(1.5, 7.0) == pytest.approx(-1.5)
 
 
 def test_population_mean_decay(example_model, eq_feedback):
@@ -180,7 +179,7 @@ def test_simulate_legs_match_per_leg_kernel_runs(instance_b, instance_b_selected
     monkeypatch.setattr(simulate, "PATH_CHUNK", 7)
     model, U = instance_b, instance_b_selected
     eq = AffineFeedback.equilibrium(model, U)
-    feedbacks = [eq, eq.with_offset(lambda t: 0.3 * np.cos(t)), eq.scaled(1.2)]
+    feedbacks = [eq, eq.with_offset(0.3), AffineFeedback(1.2 * eq.fx, 1.2 * eq.fm)]
     T, dt, seed, n_paths, stream, offset = 0.5, 1e-2, 11, 17, rng.STREAM_CHECKS, 5
     x0 = np.linspace(-1.0, 1.0, n_paths)
     flow = lambda t: 0.4 * math.exp(-t)
@@ -193,7 +192,7 @@ def test_simulate_legs_match_per_leg_kernel_runs(instance_b, instance_b_selected
     disc = np.exp(-model.r * times[:-1])
     assert len(legs) == len(feedbacks)
     for fb, leg in zip(feedbacks, legs):
-        off = fb.offsets_on(times[:-1])
+        off = np.full(n_steps, fb.offset)
         for lo, hi in ((0, 7), (7, 14), (14, 17)):
             noise = rng.gaussian_block(seed, stream, offset + lo, hi - lo, n_steps)
             states = np.empty((hi - lo, n_steps + 1)) if keep_states else np.empty((0, 0))

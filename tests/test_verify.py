@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from mfglab import rng
+from mfglab import rng, verify
 from mfglab import (
     InitialLaw,
     MCConfig,
@@ -14,14 +16,26 @@ from mfglab import (
     y_representation_check,
 )
 from mfglab.simulate import AffineFeedback, simulate_representative
-from mfglab.verify import (
-    _paired_legs,
-    equilibrium_mean_flow,
-    gain_perturbation,
-    offset_perturbation,
-)
+from mfglab.verify import _paired_legs, equilibrium_mean_flow, offset_perturbation
 
 MC_SMALL = MCConfig(T=6.0, dt=1e-3, n_paths=20_000, seed=0, x0=0.0)
+
+
+def gain_perturbation(model, U, gain):
+    """Equilibrium feedback with both coefficients scaled."""
+    eq = AffineFeedback.equilibrium(model, U)
+    return AffineFeedback(gain * eq.fx, gain * eq.fm)
+
+
+def bias_replayed_flow(monkeypatch, shift):
+    """Shift the population means that ``flow_consistency`` replays against."""
+    real = verify.simulate_population
+
+    def biased(*args):
+        pop = real(*args)
+        return replace(pop, means=pop.means + shift)
+
+    monkeypatch.setattr(verify, "simulate_population", biased)
 
 
 def test_equilibrium_mean_flow_decay(example_model, example_selected):
@@ -111,17 +125,20 @@ def test_flow_consistency_single_particle(example_model, example_selected):
     assert dev <= 1e-9
 
 
-def test_flow_consistency_sensitive_to_flow_bias(instance_b, instance_b_selected):
+def test_flow_consistency_sensitive_to_flow_bias(instance_b, instance_b_selected,
+                                                  monkeypatch):
     # the identity breaks as soon as the replayed flow is biased, so a
     # passing check cannot be vacuous
+    bias_replayed_flow(monkeypatch, 1e-3)
     dev = flow_consistency(
         instance_b, instance_b_selected, InitialLaw.dirac(1.0),
-        N=50, seed=3, T=2.0, dt=1e-3, flow_perturbation=1e-3,
+        N=50, seed=3, T=2.0, dt=1e-3,
     )
     assert dev > 1e-9
 
 
-def test_flow_consistency_matches_single_path_replays(instance_b, instance_b_selected):
+def test_flow_consistency_matches_single_path_replays(instance_b, instance_b_selected,
+                                                       monkeypatch):
     # reference: replay each particle alone, at its own stream offset; the
     # batched replay must give the same deviation bit for bit
     law = InitialLaw.gaussian(1.0, 0.5)
@@ -135,8 +152,9 @@ def test_flow_consistency_matches_single_path_replays(instance_b, instance_b_sel
             stream=rng.STREAM_POPULATION, path_offset=i,
         )
         ref = max(ref, float(np.max(np.abs(rep.states[0] - pop.states[:, i]))))
+    bias_replayed_flow(monkeypatch, 1e-3)
     dev = flow_consistency(instance_b, instance_b_selected, law, N=30, seed=3,
-                           T=1.0, dt=1e-2, flow_perturbation=1e-3)
+                           T=1.0, dt=1e-2)
     assert dev == ref > 0.0
 
 
@@ -186,11 +204,21 @@ def test_weak_uniqueness_dirac_same_seed_exact(example_model, example_selected):
     assert rep.ks_statistic == 0.0
 
 
-def test_weak_uniqueness_rejects_shifted_law(instance_b, instance_b_selected):
+def test_weak_uniqueness_rejects_shifted_law(instance_b, instance_b_selected,
+                                              monkeypatch):
+    # the ensemble of seed 22 is shifted by 1: no longer equal in law
+    real = verify.simulate_population
+
+    def shifted(model, fb, law0, N, T, dt, seed):
+        if seed == 22:
+            law0 = InitialLaw.empirical(law0.samples + 1.0)
+        return real(model, fb, law0, N, T, dt, seed)
+
+    monkeypatch.setattr(verify, "simulate_population", shifted)
     mc = MCConfig(T=6.0, dt=2e-3, n_paths=4_000, seed=1, x0=0.0)
     rep = weak_uniqueness_check(
         instance_b, instance_b_selected, 0.0, InitialLaw.gaussian(1.0, 0.5),
-        seeds=(21, 22), mc=mc, n_particles=8_000, law_b_shift=1.0,
+        seeds=(21, 22), mc=mc, n_particles=8_000,
     )
     assert not rep.passed
     assert rep.overlap_z > 5.0
