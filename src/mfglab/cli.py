@@ -7,12 +7,12 @@ selected names are validated, run in table order, and each result written
 to ``<name>.csv`` and a line of ``summary.txt``.
 Exit codes: 0 success, 2 config/usage error (a horizon or space grid of
 2**53 or more steps is a config error, and a run that cannot allocate its
-arrays ends with a one-line "error:" message), 3 root-selection failure or
-a failed Riccati rest-point self-check, 4 simulation divergence, 5
-fixed-point non-convergence, 6 a check of ``check`` or ``verify`` that ran
-and FAILed.  All randomness flows from the config seed;
---seed and --out override sim.seed and output and are parsed by the same
-rules.
+arrays or cannot write to its --out path, such as an existing file, ends
+with a one-line "error:" message), 3 root-selection failure or a failed
+Riccati rest-point self-check, 4 simulation divergence, 5 fixed-point
+non-convergence, 6 a check of ``check`` or ``verify`` that ran and FAILed.
+All randomness flows from the config seed; --seed and --out override
+sim.seed and output and are parsed by the same rules.
 """
 
 from __future__ import annotations
@@ -221,6 +221,10 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except MemoryError as exc:
         print(f"error: not enough memory for this config: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:  # the output path cannot be written
+        print(f"error: cannot write outputs to {cfg.output}: {exc.strerror or exc}",
+              file=sys.stderr)
         return EXIT_CONFIG
     raise AssertionError("unreachable")
 

@@ -1,6 +1,8 @@
 import csv
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -12,6 +14,7 @@ from mfglab.cli import (
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
     EXIT_ROOTS,
+    VERIFY_CHECKS,
     main,
 )
 
@@ -235,6 +238,30 @@ def test_out_override(tmp_path, cfg_path):
     assert (alt / "roots.csv").exists()
 
 
+@pytest.mark.parametrize("out, reason", [
+    ("taken", "File exists"),
+    ("taken/sub", "Not a directory"),
+])
+def test_unwritable_out_exits_config_in_one_line(tmp_path, cfg_path, capsys, out, reason):
+    (tmp_path / "taken").write_text("not a directory\n")
+    path = tmp_path / out
+    assert main(["simulate", "--config", cfg_path, "--out", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write outputs to {path}: {reason}\n"
+
+
+def test_unwritable_out_permission_error_exits_config(cfg_path, tmp_path, capsys,
+                                                      monkeypatch):
+    # raised by a stub: permission bits do not stop the root user
+    def denied(path, header, rows):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(cli, "write_csv", denied)
+    assert main(["verify", "--config", cfg_path, "--checks", "lipschitz"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write outputs to {tmp_path / 'out'}: Permission denied\n"
+
+
 def test_missing_config_file_exit_code():
     assert main(["solve", "--config", "/nonexistent.cfg"]) == EXIT_CONFIG
 
@@ -427,3 +454,25 @@ def test_cfl_message_prints_a_short_ratio(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "CFL" in err and "e+" in err
     assert len(err) < 120
+
+
+def test_cli_runs_without_importing_scipy_stats(tmp_path):
+    # scipy.stats took about half of the CLI's start-up; the KS statistic
+    # of the uniqueness check is computed without it
+    path = write_cfg(tmp_path, {"sim.T": "0.1", "sim.dt": "0.01", "sim.nPaths": "8",
+                                "sim.nParticles": "8"})
+    script = ("import sys\n"
+              "import mfglab.cli\n"
+              "assert 'scipy.stats' not in sys.modules\n"
+              "code = mfglab.cli.main(sys.argv[1:])\n"
+              "print(code, 'scipy.stats' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run(
+        [sys.executable, "-c", script, "verify", "--config", path,
+         "--checks", ",".join(VERIFY_CHECKS)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert run.stdout.splitlines()[-1] in (f"{EXIT_OK} False", f"{EXIT_CHECK_FAILED} False")
+    summary = (tmp_path / "out" / "summary.txt").read_text().splitlines()
+    assert [line.split()[1] for line in summary] == [f"{n}:" for n in VERIFY_CHECKS]

@@ -5,6 +5,9 @@ Each example starts from a valid tiny config, sets one to three keys (or
 the ``--seed`` flag) to a value drawn from nan, +-inf, 0, -1, 1e-300,
 +-1e300, 2**64, a non-number and a valid value, and runs one of ``check``,
 ``solve``, ``simulate``, ``fixed-point`` and ``verify`` with all six checks.
+Its ``--out`` is a fresh directory, an existing file or a path under a file;
+the last two cannot be written and must end in a config error, not a
+traceback.
 
 A config may still ask for more particles times steps than can be
 allocated: a step count is bounded only by 2**53, and an allocation that
@@ -48,6 +51,8 @@ VALUES = ["nan", "inf", "-inf", "0", "-1", *HUGE, "two"]
 SIZE_KEYS = {"sim.T", "sim.dt", "sim.nPaths", "sim.nParticles", "fixedPoint.maxIter",
              "fixedPoint.xLo", "fixedPoint.xHi", "fixedPoint.dx"}
 COMMANDS = ["check", "solve", "simulate", "fixed-point", "verify"]
+# --out: a fresh directory, an existing file, a path under that file
+OUTS = {"dir": "fresh", "file": "taken", "under-file": os.path.join("taken", "sub")}
 DOCUMENTED_EXITS = {0, 2, 3, 4, 5, 6}
 
 
@@ -55,6 +60,7 @@ DOCUMENTED_EXITS = {0, 2, 3, 4, 5, 6}
 def cases(draw):
     keys = draw(st.permutations(sorted(VALID)))[:draw(st.integers(1, 3))]
     values = {k: draw(st.sampled_from([*VALUES, VALID[k]])) for k in keys}
+    values["--out"] = draw(st.sampled_from(sorted(OUTS)))
     large = any(k in SIZE_KEYS and v in HUGE for k, v in values.items())
     return draw(st.sampled_from(COMMANDS[:2] if large else COMMANDS)), values
 
@@ -81,14 +87,19 @@ def cases(draw):
 @example(("verify", {"model.C": "1e18"}))
 @example(("verify", {"model.r": "1e300"}))
 @example(("solve", {"sim.dt": "1e-300"}))
+@example(("simulate", {"--out": "file"}))
+@example(("simulate", {"--out": "under-file"}))
 def test_main_exits_with_a_documented_code_and_no_traceback(case):
     command, values = case
-    settings_ = {**TINY, **{k: v for k, v in values.items() if k != "--seed"}}
+    settings_ = {**TINY, **{k: v for k, v in values.items() if not k.startswith("--")}}
     flags = ["--seed", values["--seed"]] if "--seed" in values else []
     if command == "verify":
         flags += ["--checks", ",".join(VERIFY_CHECKS)]
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
+        with open(os.path.join(tmp, "taken"), "w") as fh:
+            fh.write("not a directory\n")
+        flags += ["--out", os.path.join(tmp, OUTS[values.get("--out", "dir")])]
         path = os.path.join(tmp, "run.cfg")
         with open(path, "w") as fh:
             fh.write("".join(f"{k} = {v}\n" for k, v in settings_.items())

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from mfglab import rng, verify
 from mfglab import (
@@ -222,6 +223,38 @@ def test_weak_uniqueness_rejects_shifted_law(instance_b, instance_b_selected,
     )
     assert not rep.passed
     assert rep.overlap_z > 5.0
+
+
+def _ks_samples(kind, n_a, n_b, seed):
+    gen = np.random.default_rng(seed)
+    if kind == "continuous":
+        return gen.normal(size=n_a), gen.normal(0.05, 1.0, size=n_b)
+    if kind == "disjoint":  # statistic 1
+        return gen.normal(size=n_a), gen.normal(100.0, 1.0, size=n_b)
+    # few distinct values: most pooled points are ties within and across samples
+    return (gen.integers(0, 7, n_a).astype(float),
+            gen.integers(0, 7, n_b).astype(float))
+
+
+@pytest.mark.parametrize("kind", ["continuous", "tied", "disjoint"])
+@pytest.mark.parametrize("n_a, n_b", [
+    (1, 1), (1, 2), (1, 10_000), (3, 7), (40, 60), (397, 400), (4_000, 4_000),
+    (4_000, 6_000), (9_999, 10_000), (10_000, 10_000),
+])
+def test_ks_statistic_matches_scipy_bitwise(kind, n_a, n_b):
+    for seed in range(3):
+        a, b = _ks_samples(kind, n_a, n_b, seed)
+        assert verify._ks_statistic(a, b) == ks_2samp(a, b).statistic
+        assert verify._ks_statistic(b, a) == ks_2samp(b, a).statistic
+
+
+@pytest.mark.parametrize("n", [1, 2, 4_000, 10_000])
+def test_ks_statistic_of_identical_samples_is_zero(n):
+    a = np.random.default_rng(n).normal(size=n)
+    ties = np.ones(n)
+    assert verify._ks_statistic(a, a.copy()) == 0.0
+    assert verify._ks_statistic(a, a[::-1]) == 0.0
+    assert verify._ks_statistic(ties, ties) == 0.0
 
 
 def test_weak_uniqueness_rejects_empirical_law(example_model, example_selected):
