@@ -22,9 +22,9 @@ from .admissibility import (
     check_monotonicity_sampled,
     check_structural,
 )
+from .config import RunConfig
 from .fixed_point import (
     DecouplingField,
-    FixedPointConfig,
     FixedPointReport,
     MeanFlow,
     backward_field_solve,
@@ -68,7 +68,6 @@ from .simulate import (
     w2_empirical,
 )
 from .verify import (
-    MCConfig,
     NashReport,
     UniquenessReport,
     flow_consistency,

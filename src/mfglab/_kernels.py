@@ -27,6 +27,9 @@ weights:
     cost += disc_k*(b4*x*m_k + A*x*x + C*a_k*a_k)*dt
 
 A step diverges when some |x| is not below ``_DIVERGE_LIMIT`` (NaN included).
+Each kernel runs with numpy's floating-point warnings off
+(``np.errstate(all="ignore")``): a diverging step may overflow on its way to
+the divergence check, and that check, not a warning, reports it.
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ def _euler_step(x, m, ctrl, g, dt, sdt, b1, b2, out, tmp):
     out += tmp
 
 
+@np.errstate(all="ignore")
 def population_kernel(states, noise, dt, sdt, b1, b2, b3, fx, fm, off):
     """Advance the coupled ensemble in place; returns (means, diverged_step)."""
     n_steps = noise.shape[1]
@@ -86,6 +90,7 @@ def population_kernel(states, noise, dt, sdt, b1, b2, b3, fx, fm, off):
     return means, -1
 
 
+@np.errstate(all="ignore")
 def representative_kernel(x0s, mflow, off, noise, dt, sdt, disc,
                           b1, b2, b3, b4, A, C, fx, fm, states, keep):
     """Independent paths against a frozen mean flow.
@@ -128,6 +133,7 @@ def representative_kernel(x0s, mflow, off, noise, dt, sdt, disc,
     return costs, x, -1
 
 
+@np.errstate(all="ignore")
 def forward_field_kernel(x0, u, xgrid, noise, dt, sdt, b1, b2, gain):
     """Ensemble driven by a tabulated decoupling field; returns
     (means, terminal ensemble, diverged_step).

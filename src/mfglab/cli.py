@@ -8,9 +8,11 @@ to ``<name>.csv`` and a line of ``summary.txt``.
 Exit codes: 0 success, 2 config/usage error (a horizon or space grid of
 2**53 or more steps is a config error, and a run that cannot allocate its
 arrays or cannot write to its --out path, such as an existing file, ends
-with a one-line "error:" message), 3 root-selection failure or a failed
-Riccati rest-point self-check, 4 simulation divergence, 5 fixed-point
-non-convergence, 6 a check of ``check`` or ``verify`` that ran and FAILed.
+with a one-line "error:" message; every command but ``check``, which writes
+nothing, makes that path before it computes anything),
+3 root-selection failure or a failed Riccati rest-point self-check,
+4 simulation divergence, 5 fixed-point non-convergence, 6 a check of
+``check`` or ``verify`` that ran and FAILed.
 All randomness flows from the config seed; --seed and --out override
 sim.seed and output and are parsed by the same rules.
 """
@@ -37,7 +39,7 @@ from .errors import (
     RestPointMismatchError,
     StepTooLargeError,
 )
-from .fixed_point import FixedPointConfig, solve_mfg
+from .fixed_point import solve_mfg
 from .io_csv import write_csv, write_text
 from .master import is_admissible, select_admissible, solve_root_system, solve_selected
 from .model import closed_loop_coeffs
@@ -117,14 +119,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 
 def cmd_fixed_point(cfg: RunConfig) -> int:
-    if cfg.n_particles < 2:
-        raise ConfigError("fixed-point needs sim.nParticles >= 2")
-    fp_cfg = FixedPointConfig(
-        T=cfg.T, dt=cfg.dt, x_lo=cfg.x_lo, x_hi=cfg.x_hi, dx=cfg.dx,
-        N=cfg.n_particles, damping=cfg.damping, tol=cfg.tol,
-        max_iter=cfg.max_iter, seed=cfg.seed,
-    )
-    report = solve_mfg(cfg.model, cfg.law0, fp_cfg)
+    report = solve_mfg(cfg)
     write_csv(os.path.join(cfg.output, "flow_iterations.csv"),
               ["iter", "sup_delta"],
               [(i + 1, d) for i, d in enumerate(report.deltas)])
@@ -143,15 +138,19 @@ def cmd_fixed_point(cfg: RunConfig) -> int:
     return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
 
 
-def cmd_verify(cfg: RunConfig, which: list[str]) -> int:
+def selected_checks(text: str) -> list[str]:
+    """The check names of a ``--checks`` value; ConfigError unless each is
+    in ``VERIFY_CHECKS`` and there is at least one."""
+    which = [w for w in (s.strip() for s in text.split(",")) if w]
     if not which:
-        print("error: no checks selected", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("no checks selected")
     for name in which:
         if name not in VERIFY_CHECKS:
-            print(f"error: unknown check {name!r} "
-                  f"(known: {', '.join(VERIFY_CHECKS)})", file=sys.stderr)
-            return EXIT_CONFIG
+            raise ConfigError(f"unknown check {name!r} (known: {', '.join(VERIFY_CHECKS)})")
+    return which
+
+
+def cmd_verify(cfg: RunConfig, which: list[str]) -> int:
     U = solve_selected(cfg.model)
     lines = []
     all_pass = True
@@ -198,8 +197,11 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        if args.command == "check":
+        if args.command == "check":  # writes nothing
             return cmd_check(cfg)
+        which = selected_checks(args.checks) if args.command == "verify" else None
+        # an output path that cannot be made fails before any computation
+        os.makedirs(cfg.output, exist_ok=True)
         if args.command == "solve":
             return cmd_solve(cfg)
         if args.command == "simulate":
@@ -207,7 +209,6 @@ def main(argv=None) -> int:
         if args.command == "fixed-point":
             return cmd_fixed_point(cfg)
         if args.command == "verify":
-            which = [w for w in (s.strip() for s in args.checks.split(",")) if w]
             return cmd_verify(cfg, which)
     except (NoRealRootError, NoAdmissibleRootError, AmbiguousRootError,
             DegenerateA3Error, RestPointMismatchError) as exc:

@@ -1,5 +1,12 @@
 """Run configuration: flat ``section.key = value`` files, strictly parsed.
 
+``RunConfig`` is the one description of a run: the model, the initial law,
+the horizon and step, the path and particle counts, the seed, the
+fixed-point iteration and its space grid, and the output path.  Its rules
+(whole-step horizon and grid, counts, damping, tolerance and iteration
+budget) are checked in ``RunConfig.__post_init__``, so a config built in
+code is checked exactly like a parsed one.
+
 Unknown keys are errors, never warnings.  Each key is stated once, in
 ``_KEYS``; ``parse_value`` reads every value, from the file or the command
 line.  The format is line-oriented and dependency-free so configs diff cleanly.
@@ -17,7 +24,7 @@ from .simulate import InitialLaw, whole_steps
 _LAWS = {"dirac": InitialLaw.dirac, "gaussian": InitialLaw.gaussian}
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     model: LQModel
     law0: InitialLaw
@@ -33,6 +40,27 @@ class RunConfig:
     x_hi: float = 6.0
     dx: float = 0.05
     output: str = "out"
+
+    def __post_init__(self):
+        if _steps("sim.T", self.T, "sim.dt", self.dt) < 1:
+            raise ConfigError("sim.T must be at least one step sim.dt")
+        if self.n_paths < 2 or self.n_particles < 1:
+            raise ConfigError("sim.nPaths must be at least 2 and sim.nParticles at least 1")
+        if not 0.0 < self.damping <= 1.0:
+            raise ConfigError("fixedPoint.damping must lie in (0, 1]")
+        if not self.tol > 0 or self.max_iter < 1:
+            raise ConfigError("fixedPoint.tol must be positive and fixedPoint.maxIter at least 1")
+        if _steps("fixedPoint.xHi - fixedPoint.xLo", self.x_hi - self.x_lo,
+                  "fixedPoint.dx", self.dx) < 4:
+            raise ConfigError("fixedPoint.xHi - fixedPoint.xLo must be at least 4 steps dx")
+
+
+def _steps(span_key: str, span: float, step_key: str, step: float) -> int:
+    try:
+        return whole_steps(span, step)
+    except ValueError:
+        raise ConfigError(f"{span_key} = {span!r} must be a whole number of steps "
+                          f"{step_key} = {step!r} > 0, fewer than 2**53")
 
 
 # key -> (target, name, type).  Target "model" is a required LQModel
@@ -102,14 +130,6 @@ def _parse_lines(text: str) -> dict[str, tuple[str, int]]:
     return out
 
 
-def _steps(span_key: str, span: float, step_key: str, step: float) -> int:
-    try:
-        return whole_steps(span, step)
-    except ValueError:
-        raise ConfigError(f"{span_key} = {span!r} must be a whole number of steps "
-                          f"{step_key} = {step!r} > 0, fewer than 2**53")
-
-
 def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunConfig:
     """The config in ``text``; ``overrides`` (key -> value text, e.g. from
     the command line) replace the file's entries under the same rules."""
@@ -130,22 +150,10 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunConfi
         if target == "model" and key not in entries:
             raise ConfigError(f"missing required key {key}")
     try:
-        cfg = RunConfig(LQModel(**values["model"]), _LAWS[kind](**values[kind]),
-                        **values["run"])
+        model, law0 = LQModel(**values["model"]), _LAWS[kind](**values[kind])
     except (ModelError, ValueError) as exc:
         raise ConfigError(f"invalid model or law0: {exc}")
-    if _steps("sim.T", cfg.T, "sim.dt", cfg.dt) < 1:
-        raise ConfigError("sim.T must be at least one step sim.dt")
-    if cfg.n_paths < 2 or cfg.n_particles < 1:
-        raise ConfigError("sim.nPaths must be at least 2 and sim.nParticles at least 1")
-    if not 0.0 < cfg.damping <= 1.0:
-        raise ConfigError("fixedPoint.damping must lie in (0, 1]")
-    if cfg.tol <= 0 or cfg.max_iter < 1:
-        raise ConfigError("fixedPoint.tol must be positive and fixedPoint.maxIter at least 1")
-    if _steps("fixedPoint.xHi - fixedPoint.xLo", cfg.x_hi - cfg.x_lo,
-              "fixedPoint.dx", cfg.dx) < 4:
-        raise ConfigError("fixedPoint.xHi - fixedPoint.xLo must be at least 4 steps dx")
-    return cfg
+    return RunConfig(model, law0, **values["run"])
 
 
 def load_config(path: str, overrides: dict[str, str] | None = None) -> RunConfig:

@@ -4,7 +4,9 @@ One sweep of the map: freeze the population mean flow, solve the backward
 quasilinear PDE for the decoupling field u(t, x) (the adjoint given the
 state), then push particles forward under the induced drift and read off
 the new mean flow.  The outer loop damps the update until the flow is
-self-consistent.
+self-consistent.  ``solve_mfg`` takes the whole run from one
+``config.RunConfig``, whose own rules cover the damping, tolerance,
+iteration budget and space grid.
 
 The backward PDE is
 
@@ -25,7 +27,8 @@ import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from . import _kernels
-from .errors import DivergedError, MFGLabError, StepTooLargeError
+from .config import RunConfig
+from .errors import ConfigError, DivergedError, MFGLabError, StepTooLargeError
 from .master import select_admissible, solve_root_system
 from .model import LQModel
 from .simulate import InitialLaw, population_draws, time_grid, whole_steps
@@ -55,26 +58,6 @@ class DecouplingField:
     times: np.ndarray
     x: np.ndarray
     u: np.ndarray  # (nt, nx)
-
-
-@dataclass(frozen=True)
-class FixedPointConfig:
-    T: float
-    dt: float
-    x_lo: float
-    x_hi: float
-    dx: float
-    N: int
-    damping: float = 0.5
-    tol: float = 1e-2
-    max_iter: int = 30
-    seed: int = 0
-
-    def __post_init__(self):
-        if not (0.0 < self.damping <= 1.0):
-            raise ValueError("damping must lie in (0, 1]")
-        if self.tol <= 0 or self.max_iter < 1 or self.N < 2:
-            raise ValueError("invalid fixed-point configuration")
 
 
 @dataclass(frozen=True)
@@ -213,23 +196,26 @@ def stationary_terminal(model: LQModel, flow: MeanFlow):
     return lambda x: 2.0 * U.a1 * x + U.a2 * m_T
 
 
-def solve_mfg(
-    model: LQModel, law0: InitialLaw, config: FixedPointConfig
-) -> FixedPointReport:
+def solve_mfg(cfg: RunConfig) -> FixedPointReport:
     """Damped iteration of the consistency map from a constant initial flow.
 
-    The particle seed is held fixed across iterations, so the iterated map
-    is deterministic and its fixed point does not depend on the damping;
-    the initial particles and their noise are drawn once per solve.
+    Reads the model, the initial law, the horizon and step, the particle
+    count, the seed, the damping, tolerance and iteration budget and the
+    space grid from ``cfg``.  The particle seed is held fixed across
+    iterations, so the iterated map is deterministic and its fixed point
+    does not depend on the damping; the initial particles and their noise
+    are drawn once per solve.
     """
-    grid = space_grid(config.x_lo, config.x_hi, config.dx)
-    flow = MeanFlow.constant(config.T, config.dt, law0.mean)
-    x0, noise = population_draws(law0, config.N, config.seed, flow.times.size - 1)
-    field = None
+    if cfg.n_particles < 2:
+        raise ConfigError("fixed-point needs sim.nParticles >= 2")
+    model = cfg.model
+    grid = space_grid(cfg.x_lo, cfg.x_hi, cfg.dx)
+    flow = MeanFlow.constant(cfg.T, cfg.dt, cfg.law0.mean)
+    x0, noise = population_draws(cfg.law0, cfg.n_particles, cfg.seed, flow.times.size - 1)
     deltas = []
     converged = False
-    theta = config.damping
-    for it in range(1, config.max_iter + 1):
+    theta = cfg.damping
+    for _ in range(cfg.max_iter):
         field = backward_field_solve(model, flow, grid, stationary_terminal(model, flow))
         update = _forward_flow(model, field, x0, noise)
         # convergence is judged on the undamped residual of the consistency
@@ -239,7 +225,7 @@ def solve_mfg(
         new_m = (1.0 - theta) * flow.m + theta * update.m
         deltas.append(delta)
         flow = MeanFlow(times=flow.times, m=new_m)
-        if delta <= config.tol:
+        if delta <= cfg.tol:
             converged = True
             break
     del x0, noise  # N×steps floats, not needed past the loop

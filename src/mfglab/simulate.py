@@ -40,7 +40,8 @@ STEP_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class InitialLaw:
-    """Initial state distribution: dirac, gaussian or empirical."""
+    """Initial state distribution: dirac, gaussian or empirical (a fixed
+    ensemble)."""
 
     kind: str
     x0: float = 0.0
@@ -74,24 +75,26 @@ class InitialLaw:
         return float(self.samples.mean())
 
     def quantile(self, u: np.ndarray) -> np.ndarray:
-        """Inverse CDF; the empirical kind uses the order statistics."""
+        """Inverse CDF of a dirac or gaussian law."""
+        if self.kind == "empirical":
+            raise ValueError("an empirical law has no inverse CDF")
         u = np.asarray(u, dtype=float)
         if self.kind == "dirac":
             return np.full_like(u, self.x0)
-        if self.kind == "gaussian":
-            return self.mean_ + self.sd * ndtri(np.clip(u, 2.5e-17, 1 - 1e-16))
-        return np.quantile(self.samples, u)
+        return self.mean_ + self.sd * ndtri(np.clip(u, 2.5e-17, 1 - 1e-16))
 
     def sample(self, n: int, seed: int) -> np.ndarray:
+        """``n`` initial states; an empirical law is its own ensemble, in
+        order, so ``n`` must be its sample count."""
         if self.kind == "dirac":
             return np.full(n, self.x0)
-        if self.kind == "empirical" and n == self.samples.size:
-            # the ensemble itself, in order: exact pass-through
+        if self.kind == "empirical":
+            if n != self.samples.size:
+                raise ValueError(f"an empirical law of {self.samples.size} samples "
+                                 f"cannot start {n} particles")
             return self.samples.copy()
         gen = rng.make_generator(seed, rng.STREAM_INITIAL)
-        if self.kind == "gaussian":
-            return self.mean_ + self.sd * gen.standard_normal(n)
-        return gen.choice(self.samples, size=n, replace=True)
+        return self.mean_ + self.sd * gen.standard_normal(n)
 
 
 @dataclass(frozen=True)

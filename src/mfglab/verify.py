@@ -9,6 +9,11 @@ Every perturbation is the equilibrium feedback with a constant offset, an
 ``AffineFeedback`` value: the Nash offsets and the Gateaux steps eps * 1.0
 that coincide are equal feedbacks.
 
+The paired comparisons and the weak-uniqueness check take their run from
+one ``config.RunConfig``: the model, the initial law, the horizon and step,
+the path count and the seed.  The representative player starts at the
+initial law's mean, and the equilibrium mean flow starts there too.
+
 ``CHECKS`` is the table of the ``verify`` command: each entry maps a run
 config and the selected root to a ``CheckResult`` (verdict, summary line and
 CSV table), with its sizes and its verdict threshold stated in that entry.
@@ -38,15 +43,6 @@ from .simulate import (
     simulate_population,
     simulate_representative,
 )
-
-
-@dataclass(frozen=True)
-class MCConfig:
-    T: float = 6.0
-    dt: float = 1e-3
-    n_paths: int = 10_000
-    seed: int = 0
-    x0: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -87,37 +83,30 @@ def equilibrium_mean_flow(model: LQModel, U: QuadraticValue, m0: float):
 
 
 def _paired_legs(
-    model: LQModel,
+    cfg: RunConfig,
     U: QuadraticValue,
     feedbacks,
-    mc: MCConfig,
-    m0: float,
 ) -> tuple[TrajectoryBatch, list[tuple[TrajectoryBatch, np.ndarray]]]:
     """Common-random-number legs against the equilibrium.
 
     The base leg plays the equilibrium feedback; each perturbed leg plays
-    one of ``feedbacks``.  Every leg starts at ``mc.x0``, faces the
-    equilibrium mean flow from ``m0`` and consumes the same noise streams of
-    ``mc.seed``, drawn once per block for all legs.  Returns the base batch
-    and, per feedback, its batch with the per-path cost differences
-    (perturbed minus base).
+    one of ``feedbacks``.  Every leg starts at the initial law's mean, faces
+    the equilibrium mean flow from that same mean and consumes the same
+    noise streams of ``cfg.seed``, drawn once per block for all legs.
+    Returns the base batch and, per feedback, its batch with the per-path
+    cost differences (perturbed minus base).
     """
+    model, x0 = cfg.model, cfg.law0.mean
     _require_admissible(model, U)
     base, *legs = simulate_legs(
-        model, [AffineFeedback.equilibrium(model, U), *feedbacks], x0=mc.x0,
-        mean_flow=equilibrium_mean_flow(model, U, m0), T=mc.T, dt=mc.dt,
-        seed=mc.seed, n_paths=mc.n_paths,
+        model, [AffineFeedback.equilibrium(model, U), *feedbacks], x0=x0,
+        mean_flow=equilibrium_mean_flow(model, U, x0), T=cfg.T, dt=cfg.dt,
+        seed=cfg.seed, n_paths=cfg.n_paths,
     )
     return base, [(pert, pert.costs - base.costs) for pert in legs]
 
 
-def verify_nash(
-    model: LQModel,
-    U: QuadraticValue,
-    perturbations,
-    mc: MCConfig,
-    m0: float = 0.0,
-) -> NashReport:
+def verify_nash(cfg: RunConfig, U: QuadraticValue, perturbations) -> NashReport:
     """Paired cost comparison of the equilibrium against each perturbation.
 
     ``perturbations`` is a list of (label, feedback) pairs, such as those
@@ -125,7 +114,7 @@ def verify_nash(
     single player's deviation does not move the flow).
     """
     perturbations = list(perturbations)
-    base, legs = _paired_legs(model, U, [fb for _, fb in perturbations], mc, m0)
+    base, legs = _paired_legs(cfg, U, [fb for _, fb in perturbations])
     rows = []
     ok = True
     for (label, _), (_, diff) in zip(perturbations, legs):
@@ -135,7 +124,7 @@ def verify_nash(
         rows.append(PairedComparison(label=label, delta_mean=dm, delta_ci=ci, delta_se=dse))
         if ci[0] <= -3.0 * dse:
             ok = False
-    return NashReport(base_cost=estimate_cost(model, base), perturbed=tuple(rows),
+    return NashReport(base_cost=estimate_cost(cfg.model, base), perturbed=tuple(rows),
                       all_non_negative=ok)
 
 
@@ -145,12 +134,7 @@ def offset_perturbation(model: LQModel, U: QuadraticValue, offset: float) -> Aff
 
 
 def gateaux_slope(
-    model: LQModel,
-    U: QuadraticValue,
-    direction: float,
-    epsilons,
-    mc: MCConfig,
-    m0: float = 0.0,
+    cfg: RunConfig, U: QuadraticValue, direction: float, epsilons
 ) -> list[tuple[float, float]]:
     """Finite-difference directional derivatives of the cost at equilibrium.
 
@@ -159,9 +143,9 @@ def gateaux_slope(
     cost are linear in epsilon and vanish at the minimum.
     """
     epsilons = list(epsilons)
-    base_fb = AffineFeedback.equilibrium(model, U)
+    base_fb = AffineFeedback.equilibrium(cfg.model, U)
     feedbacks = [base_fb.with_offset(eps * direction) for eps in epsilons]
-    _, legs = _paired_legs(model, U, feedbacks, mc, m0)
+    _, legs = _paired_legs(cfg, U, feedbacks)
     out = []
     for eps, (_, diff) in zip(epsilons, legs):
         delta = float(diff.mean())
@@ -278,40 +262,39 @@ def _ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def weak_uniqueness_check(
-    model: LQModel,
+    cfg: RunConfig,
     U: QuadraticValue,
     x: float,
-    law: InitialLaw,
     seeds: tuple[int, int],
-    mc: MCConfig,
     n_particles: int = 4000,
 ) -> UniquenessReport:
     """Statistical surrogate for weak uniqueness.
 
     Two pathwise-different but equal-in-law initial ensembles are built by
-    antithetic inverse-CDF sampling over a midpoint grid; the populations
-    evolve under independent Brownian seeds.  The initial adjoint estimate
-    at state x and the terminal state distributions must then agree up to
-    Monte Carlo noise: the z-score of the two estimates is at most 3 and the
-    exact two-sample KS statistic of the terminal states, h / lcm(n, n) =
-    h / n for ``n_particles`` each, is below its 1% critical value.
+    antithetic inverse-CDF sampling of ``cfg.law0`` over a midpoint grid (an
+    empirical law has no inverse CDF: ValueError); the populations evolve
+    under independent Brownian seeds.  The initial adjoint estimate at state
+    x, over ``cfg.n_paths`` paths, and the terminal state distributions must
+    then agree up to Monte Carlo noise: the z-score of the two estimates is
+    at most 3 and the exact two-sample KS statistic of the terminal states,
+    h / lcm(n, n) = h / n for ``n_particles`` each, is below its 1% critical
+    value.
     """
+    model = cfg.model
     _require_admissible(model, U)
-    if law.kind == "empirical":
-        raise ValueError("weak uniqueness check needs an invertible CDF law")
     u_grid = (np.arange(n_particles) + 0.5) / n_particles
-    xi_a = law.quantile(u_grid)
-    xi_b = law.quantile(1.0 - u_grid)
+    xi_a = cfg.law0.quantile(u_grid)
+    xi_b = cfg.law0.quantile(1.0 - u_grid)
     fb = AffineFeedback.equilibrium(model, U)
     s_a, s_b = seeds
 
     results = []
     for xi, seed in ((xi_a, s_a), (xi_b, s_b)):
         pop = simulate_population(
-            model, fb, InitialLaw.empirical(xi), n_particles, mc.T, mc.dt, seed
+            model, fb, InitialLaw.empirical(xi), n_particles, cfg.T, cfg.dt, seed
         )
         mean, se = _value_estimate(
-            model, U, x, pop.means, mc.T, mc.dt, seed, mc.n_paths
+            model, U, x, pop.means, cfg.T, cfg.dt, seed, cfg.n_paths
         )
         results.append((mean, se, pop.states[-1]))
 
@@ -366,12 +349,6 @@ class CheckResult:
     rows: list[tuple]
 
 
-def _mc(cfg: RunConfig) -> MCConfig:
-    """The Monte Carlo sizes of a run: its horizon, step, paths, seed and start."""
-    return MCConfig(T=cfg.T, dt=cfg.dt, n_paths=cfg.n_paths, seed=cfg.seed,
-                    x0=cfg.law0.mean)
-
-
 def _horizon_at_most(cfg: RunConfig, cap: float) -> float:
     """min(T, cap), with the cap lowered to a whole number of steps (at least one)."""
     n_steps = max(1, math.floor(cap / cfg.dt * (1.0 + STEP_RTOL)))
@@ -387,7 +364,7 @@ def _horizon_at_least(cfg: RunConfig, cap: float) -> float:
 def _check_nash(cfg: RunConfig, U: QuadraticValue) -> CheckResult:
     perts = [(f"offset_{eps:g}", offset_perturbation(cfg.model, U, eps))
              for eps in (0.25, 0.5, 1.0)]
-    rep = verify_nash(cfg.model, U, perts, _mc(cfg), m0=cfg.law0.mean)
+    rep = verify_nash(cfg, U, perts)
     return CheckResult(
         rep.all_non_negative,
         f"base {rep.base_cost.mean:.4f}, min delta CI "
@@ -399,7 +376,7 @@ def _check_nash(cfg: RunConfig, U: QuadraticValue) -> CheckResult:
 
 
 def _check_gateaux(cfg: RunConfig, U: QuadraticValue) -> CheckResult:
-    slopes = gateaux_slope(cfg.model, U, 1.0, [1.0, 0.5, 0.25], _mc(cfg), m0=cfg.law0.mean)
+    slopes = gateaux_slope(cfg, U, 1.0, [1.0, 0.5, 0.25])
     shrink = all(abs(s2) <= abs(s1) + 1e-9
                  for (_, s1), (_, s2) in zip(slopes, slopes[1:]))
     return CheckResult(shrink, "slopes " + ", ".join(f"{s:.4f}" for _, s in slopes),
@@ -428,9 +405,8 @@ def _check_uniqueness(cfg: RunConfig, U: QuadraticValue) -> CheckResult:
     law = cfg.law0 if cfg.law0.kind == "gaussian" else InitialLaw.gaussian(
         cfg.law0.mean, 0.5)
     rep = weak_uniqueness_check(
-        cfg.model, U, x=cfg.law0.mean, law=law,
-        seeds=(cfg.seed + 1, cfg.seed + 2),
-        mc=replace(_mc(cfg), n_paths=min(cfg.n_paths, 4000)),
+        replace(cfg, law0=law, n_paths=min(cfg.n_paths, 4000)), U,
+        x=cfg.law0.mean, seeds=(cfg.seed + 1, cfg.seed + 2),
     )
     return CheckResult(
         rep.passed,

@@ -13,7 +13,7 @@ import pytest
 from mfglab import (
     AffineFeedback,
     InitialLaw,
-    MCConfig,
+    RunConfig,
     alpha_hat,
     check_monotonicity_sampled,
     drift,
@@ -32,10 +32,11 @@ from mfglab import (
     w2_empirical,
     weak_uniqueness_check,
 )
-from mfglab import EXAMPLE_MODEL, INSTANCE_B, FixedPointConfig, estimate_cost, solve_mfg
+from mfglab import EXAMPLE_MODEL, INSTANCE_B, estimate_cost, solve_mfg
 from mfglab.verify import offset_perturbation
 
-MC_BIG = MCConfig(T=6.0, dt=1e-3, n_paths=100_000, seed=0, x0=0.0)
+MC_BIG = RunConfig(EXAMPLE_MODEL, InitialLaw.dirac(0.0), T=6.0, dt=1e-3, n_paths=100_000,
+                   seed=0)
 
 EXPECTED_ROOTS = {
     (0.5, 0.0, 0.0, 0.25),
@@ -112,7 +113,7 @@ def test_criterion_4_nash_optimality():
     U = solve_selected(EXAMPLE_MODEL)
     perts = [(f"offset {eps:g}", offset_perturbation(EXAMPLE_MODEL, U, eps))
              for eps in (0.5, 1.0)]
-    rep = verify_nash(EXAMPLE_MODEL, U, perts, MC_BIG)
+    rep = verify_nash(MC_BIG, U, perts)
     elapsed = time.perf_counter() - t0
     ok = rep.all_non_negative
     details = []
@@ -147,11 +148,11 @@ def test_criterion_6_fixed_point_consistency():
     field0 = None
     ok = True
     for damping in (0.3, 0.5, 1.0):
-        cfg = FixedPointConfig(
-            T=3.0, dt=2e-3, x_lo=-4.0, x_hi=4.0, dx=0.05, N=10_000,
-            damping=damping, tol=tol, max_iter=100, seed=0,
+        cfg = RunConfig(
+            EXAMPLE_MODEL, InitialLaw.dirac(1.0), T=3.0, dt=2e-3, x_lo=-4.0, x_hi=4.0,
+            dx=0.05, n_particles=10_000, damping=damping, tol=tol, max_iter=100, seed=0,
         )
-        rep = solve_mfg(EXAMPLE_MODEL, InitialLaw.dirac(1.0), cfg)
+        rep = solve_mfg(cfg)
         ok = ok and rep.converged
         flows[damping] = rep.final_flow.m
         if damping == 1.0:
@@ -188,15 +189,13 @@ def test_criterion_7_flow_consistency_identity():
 
 def test_criterion_8_weak_uniqueness():
     t0 = time.perf_counter()
-    mc = MCConfig(T=6.0, dt=2e-3, n_paths=4_000, seed=1, x0=0.0)
     ok = True
     details = []
     for name, model in (("symmetric", EXAMPLE_MODEL), ("full", INSTANCE_B)):
         U = solve_selected(model)
-        rep = weak_uniqueness_check(
-            model, U, 0.0, InitialLaw.gaussian(1.0, 0.5),
-            seeds=(21, 22), mc=mc, n_particles=8_000,
-        )
+        cfg = RunConfig(model, InitialLaw.gaussian(1.0, 0.5), T=6.0, dt=2e-3,
+                        n_paths=4_000, seed=1)
+        rep = weak_uniqueness_check(cfg, U, 0.0, seeds=(21, 22), n_particles=8_000)
         ok = ok and rep.passed and rep.overlap_z <= 3.0
         ok = ok and rep.ks_statistic < rep.ks_critical_1pct
         details.append(f"{name}: z={rep.overlap_z:.2f}, KS={rep.ks_statistic:.4f}"

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -163,9 +164,9 @@ def test_nash_and_gateaux_legs_are_equal_feedbacks(cfg_path, monkeypatch):
     real = verify._paired_legs
     seen = []
 
-    def spy(model, U, feedbacks, mc, m0):
+    def spy(cfg, U, feedbacks):
         seen.append(list(feedbacks))
-        return real(model, U, feedbacks, mc, m0)
+        return real(cfg, U, feedbacks)
 
     monkeypatch.setattr(verify, "_paired_legs", spy)
     assert main(["verify", "--config", cfg_path, "--checks", "nash,gateaux"]) == EXIT_OK
@@ -260,6 +261,44 @@ def test_unwritable_out_permission_error_exits_config(cfg_path, tmp_path, capsys
     assert main(["verify", "--config", cfg_path, "--checks", "lipschitz"]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err == f"error: cannot write outputs to {tmp_path / 'out'}: Permission denied\n"
+
+
+@pytest.mark.parametrize("command", ["simulate", "fixed-point", "verify"])
+def test_unwritable_out_fails_before_any_computation(tmp_path, cfg_path, capsys,
+                                                     monkeypatch, command):
+    def computed(*args, **kwargs):
+        raise AssertionError("computed before the output path was checked")
+
+    monkeypatch.setattr(cli, "solve_selected", computed)
+    monkeypatch.setattr(cli, "solve_mfg", computed)
+    path = tmp_path / "taken"
+    path.write_text("not a directory\n")
+    assert main([command, "--config", cfg_path, "--out", str(path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: cannot write outputs to {path}: File exists\n"
+
+
+def test_verify_names_its_unknown_check_before_its_output_path(tmp_path, cfg_path, capsys):
+    path = tmp_path / "taken"
+    path.write_text("not a directory\n")
+    assert main(["verify", "--config", cfg_path, "--out", str(path),
+                 "--checks", "nope"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: unknown check 'nope'")
+
+
+def test_check_creates_no_output(tmp_path, cfg_path):
+    assert main(["check", "--config", cfg_path]) == EXIT_OK
+    assert not (tmp_path / "out").exists()
+
+
+def test_divergence_prints_one_line_and_no_warning(tmp_path, capsys):
+    # the nash legs overflow on their way to the divergence check
+    path = write_cfg(tmp_path, {"law0.x0": "1e300", "sim.T": "0.1", "sim.dt": "0.01",
+                                "sim.nPaths": "8", "sim.nParticles": "8"})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", "--config", path]) == EXIT_DIVERGED
+    err = capsys.readouterr().err
+    assert err.startswith("simulation failed:") and err.count("\n") == 1
 
 
 def test_missing_config_file_exit_code():

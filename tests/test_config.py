@@ -1,6 +1,8 @@
+import dataclasses
+
 import pytest
 
-from mfglab import ConfigError
+from mfglab import EXAMPLE_MODEL, ConfigError, InitialLaw, RunConfig
 from mfglab.config import load_config, parse_config
 
 BASE = """
@@ -161,3 +163,29 @@ def test_law_keys_go_to_their_kind():
     with pytest.raises(ConfigError, match="law0.mean") as exc:
         parse_config(BASE + "law0.mean = 3\n")
     assert exc.value.line == BASE.count("\n") + 1
+
+
+@pytest.mark.parametrize("fields, keys", [
+    ({"damping": 0.0}, "fixedPoint.damping = 0\n"),
+    ({"damping": 1.5}, "fixedPoint.damping = 1.5\n"),
+    ({"tol": 0.0}, "fixedPoint.tol = 0\n"),
+    ({"max_iter": 0}, "fixedPoint.maxIter = 0\n"),
+    ({"T": 0.5, "dt": 0.3}, "sim.T = 0.5\nsim.dt = 0.3\n"),
+    ({"T": 0.001, "dt": 0.002}, "sim.T = 0.001\nsim.dt = 0.002\n"),
+    ({"x_lo": -4.0, "x_hi": 4.05, "dx": 0.1},
+     "fixedPoint.xLo = -4\nfixedPoint.xHi = 4.05\nfixedPoint.dx = 0.1\n"),
+    ({"x_lo": 0.0, "x_hi": 0.1}, "fixedPoint.xLo = 0\nfixedPoint.xHi = 0.1\n"),
+], ids=["damping-0", "damping-above-1", "tol-0", "maxIter-0", "T-not-whole-steps",
+        "T-below-dt", "grid-not-whole-steps", "coarse-grid"])
+def test_run_config_built_in_code_is_checked_like_a_parsed_one(fields, keys):
+    with pytest.raises(ConfigError) as parsed:
+        parse_config(BASE + keys)
+    with pytest.raises(ConfigError) as built:
+        RunConfig(EXAMPLE_MODEL, InitialLaw.dirac(0.0), **fields)
+    assert str(built.value) == str(parsed.value)
+
+
+def test_run_config_is_frozen():
+    cfg = parse_config(BASE)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.seed = 1

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from mfglab import DecouplingField, FixedPointConfig, MeanFlow, backward_field_solve, solve_mfg
+from mfglab import DecouplingField, MeanFlow, RunConfig, backward_field_solve, solve_mfg
 from mfglab import fixed_point
-from mfglab.errors import DivergedError, NoRealRootError, StepTooLargeError
+from mfglab.errors import ConfigError, DivergedError, NoRealRootError, StepTooLargeError
 from mfglab.fixed_point import (
     forward_flow_update,
     space_grid,
@@ -192,11 +192,11 @@ def test_stationary_terminal_uses_selected_root(example_model, example_selected)
 
 def test_solve_mfg_dirac_zero_is_immediate(example_model):
     # m = 0 is already the fixed point of the symmetric model
-    cfg = FixedPointConfig(
-        T=2.0, dt=2e-3, x_lo=-4.0, x_hi=4.0, dx=0.05, N=20_000,
-        damping=1.0, tol=1e-2, max_iter=10, seed=0,
+    cfg = RunConfig(
+        example_model, InitialLaw.dirac(0.0), T=2.0, dt=2e-3, x_lo=-4.0, x_hi=4.0,
+        dx=0.05, n_particles=20_000, damping=1.0, tol=1e-2, max_iter=10, seed=0,
     )
-    rep = solve_mfg(example_model, InitialLaw.dirac(0.0), cfg)
+    rep = solve_mfg(cfg)
     assert rep.converged
     # the symmetric model's field does not depend on the flow, so the
     # fixed seed makes the iterated map constant: two sweeps at most
@@ -205,11 +205,11 @@ def test_solve_mfg_dirac_zero_is_immediate(example_model):
 
 
 def test_solve_mfg_example_decay(example_model):
-    cfg = FixedPointConfig(
-        T=3.0, dt=2e-3, x_lo=-4.0, x_hi=4.0, dx=0.05, N=10_000,
-        damping=0.5, tol=1e-3, max_iter=60, seed=0,
+    cfg = RunConfig(
+        example_model, InitialLaw.dirac(1.0), T=3.0, dt=2e-3, x_lo=-4.0, x_hi=4.0,
+        dx=0.05, n_particles=10_000, damping=0.5, tol=1e-3, max_iter=60, seed=0,
     )
-    rep = solve_mfg(example_model, InitialLaw.dirac(1.0), cfg)
+    rep = solve_mfg(cfg)
     assert rep.converged
     target = np.exp(-2.0 * rep.final_flow.times)
     assert np.max(np.abs(rep.final_flow.m - target)) <= 0.03
@@ -222,11 +222,11 @@ def test_solve_mfg_example_decay(example_model):
 def test_solve_mfg_damping_independent_fixed_point(example_model):
     flows = []
     for damping in (0.5, 1.0):
-        cfg = FixedPointConfig(
-            T=2.0, dt=2e-3, x_lo=-4.0, x_hi=4.0, dx=0.05, N=4_000,
-            damping=damping, tol=1e-4, max_iter=120, seed=0,
+        cfg = RunConfig(
+            example_model, InitialLaw.dirac(1.0), T=2.0, dt=2e-3, x_lo=-4.0, x_hi=4.0,
+            dx=0.05, n_particles=4_000, damping=damping, tol=1e-4, max_iter=120, seed=0,
         )
-        rep = solve_mfg(example_model, InitialLaw.dirac(1.0), cfg)
+        rep = solve_mfg(cfg)
         assert rep.converged
         flows.append(rep.final_flow.m)
     assert np.max(np.abs(flows[0] - flows[1])) <= 2e-4
@@ -236,11 +236,11 @@ def test_solve_mfg_matches_analytic_flow_instance_b(instance_b, instance_b_selec
     from mfglab import closed_loop_coeffs
 
     cx, cm = closed_loop_coeffs(instance_b, instance_b_selected)
-    cfg = FixedPointConfig(
-        T=2.0, dt=2e-3, x_lo=-6.0, x_hi=6.0, dx=0.05, N=10_000,
-        damping=0.5, tol=1e-3, max_iter=80, seed=1,
+    cfg = RunConfig(
+        instance_b, InitialLaw.dirac(1.0), T=2.0, dt=2e-3, x_lo=-6.0, x_hi=6.0,
+        dx=0.05, n_particles=10_000, damping=0.5, tol=1e-3, max_iter=80, seed=1,
     )
-    rep = solve_mfg(instance_b, InitialLaw.dirac(1.0), cfg)
+    rep = solve_mfg(cfg)
     assert rep.converged
     target = np.exp((cx + cm) * rep.final_flow.times)
     assert np.max(np.abs(rep.final_flow.m - target)) <= 2e-2
@@ -249,11 +249,11 @@ def test_solve_mfg_matches_analytic_flow_instance_b(instance_b, instance_b_selec
 def test_flow_deltas_recorded(example_model):
     # damping < 1 relaxes geometrically, so a tiny tolerance cannot be met
     # in three sweeps and every delta is recorded
-    cfg = FixedPointConfig(
-        T=1.0, dt=2e-3, x_lo=-4.0, x_hi=4.0, dx=0.05, N=1_000,
-        damping=0.5, tol=1e-12, max_iter=3, seed=0,
+    cfg = RunConfig(
+        example_model, InitialLaw.dirac(1.0), T=1.0, dt=2e-3, x_lo=-4.0, x_hi=4.0,
+        dx=0.05, n_particles=1_000, damping=0.5, tol=1e-12, max_iter=3, seed=0,
     )
-    rep = solve_mfg(example_model, InitialLaw.dirac(1.0), cfg)
+    rep = solve_mfg(cfg)
     assert not rep.converged
     assert rep.iterations == 3
     assert len(rep.deltas) == 3
@@ -284,19 +284,25 @@ def test_solve_mfg_deltas_match_per_iteration_updates(instance_b):
     # the solve draws its particles and noise once; a loop that redraws them
     # through forward_flow_update on every iteration gives the same deltas
     law0 = InitialLaw.gaussian(1.0, 0.3)
-    cfg = FixedPointConfig(
-        T=0.5, dt=1e-2, x_lo=-4.0, x_hi=4.0, dx=0.1, N=300,
-        damping=0.7, tol=1e-12, max_iter=4, seed=3,
+    cfg = RunConfig(
+        instance_b, law0, T=0.5, dt=1e-2, x_lo=-4.0, x_hi=4.0,
+        dx=0.1, n_particles=300, damping=0.7, tol=1e-12, max_iter=4, seed=3,
     )
-    rep = solve_mfg(instance_b, law0, cfg)
+    rep = solve_mfg(cfg)
     grid = space_grid(cfg.x_lo, cfg.x_hi, cfg.dx)
     flow = MeanFlow.constant(cfg.T, cfg.dt, law0.mean)
     deltas = []
     for _ in range(cfg.max_iter):
         terminal = stationary_terminal(instance_b, flow)
         field = backward_field_solve(instance_b, flow, grid, terminal)
-        update = forward_flow_update(instance_b, field, law0, cfg.N, cfg.seed)
+        update = forward_flow_update(instance_b, field, law0, cfg.n_particles, cfg.seed)
         deltas.append(float(np.max(np.abs(update.m - flow.m))))
         flow = MeanFlow(times=flow.times, m=(1.0 - 0.7) * flow.m + 0.7 * update.m)
     assert rep.deltas == tuple(deltas)
     assert np.array_equal(rep.final_flow.m, flow.m)
+
+
+def test_solve_mfg_needs_two_particles(example_model):
+    cfg = RunConfig(example_model, InitialLaw.dirac(1.0), T=0.1, dt=0.01, n_particles=1)
+    with pytest.raises(ConfigError, match=r"^fixed-point needs sim.nParticles >= 2$"):
+        solve_mfg(cfg)

@@ -30,6 +30,17 @@ def test_initial_laws():
     assert np.array_equal(e.sample(2, seed=0), [0.0, 2.0])
 
 
+def test_empirical_law_has_no_inverse_cdf():
+    with pytest.raises(ValueError, match="no inverse CDF"):
+        InitialLaw.empirical([0.0, 2.0]).quantile([0.5])
+
+
+def test_empirical_law_starts_only_its_own_ensemble():
+    # an empirical law is a fixed ensemble: it is not resampled
+    with pytest.raises(ValueError, match="2 samples"):
+        InitialLaw.empirical([0.0, 2.0]).sample(3, seed=0)
+
+
 def test_gaussian_quantile_symmetry():
     g = InitialLaw.gaussian(0.0, 1.0)
     u = np.array([0.1, 0.25, 0.5])

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from mfglab import rng, verify
+from mfglab import EXAMPLE_MODEL, rng, verify
 from mfglab import (
     InitialLaw,
-    MCConfig,
+    RunConfig,
     flow_consistency,
     gateaux_slope,
     lipschitz_scan,
@@ -19,7 +19,8 @@ from mfglab import (
 from mfglab.simulate import AffineFeedback, simulate_representative
 from mfglab.verify import _paired_legs, equilibrium_mean_flow, offset_perturbation
 
-MC_SMALL = MCConfig(T=6.0, dt=1e-3, n_paths=20_000, seed=0, x0=0.0)
+MC_SMALL = RunConfig(EXAMPLE_MODEL, InitialLaw.dirac(0.0), T=6.0, dt=1e-3, n_paths=20_000,
+                     seed=0)
 
 
 def gain_perturbation(model, U, gain):
@@ -50,7 +51,7 @@ def test_verify_nash_offsets(example_model, example_selected):
         ("offset 0.5", offset_perturbation(example_model, example_selected, 0.5)),
         ("offset 1.0", offset_perturbation(example_model, example_selected, 1.0)),
     ]
-    rep = verify_nash(example_model, example_selected, perts, MC_SMALL)
+    rep = verify_nash(MC_SMALL, example_selected, perts)
     assert rep.all_non_negative
     assert rep.base_cost.mean == pytest.approx(0.25, abs=0.01)
     # oracle: a constant offset eps costs an extra eps^2 / 2
@@ -62,8 +63,8 @@ def test_verify_nash_offsets(example_model, example_selected):
 def test_verify_nash_zero_offset_is_exact_zero(example_model, example_selected):
     # common random numbers make the eps = 0 comparison bitwise identical
     perts = [("null", offset_perturbation(example_model, example_selected, 0.0))]
-    mc = MCConfig(T=2.0, dt=1e-2, n_paths=256, seed=5, x0=0.0)
-    rep = verify_nash(example_model, example_selected, perts, mc)
+    cfg = RunConfig(example_model, InitialLaw.dirac(0.0), T=2.0, dt=1e-2, n_paths=256, seed=5)
+    rep = verify_nash(cfg, example_selected, perts)
     assert rep.perturbed[0].delta_mean == 0.0
     assert rep.perturbed[0].delta_se == 0.0
 
@@ -72,11 +73,11 @@ def test_paired_legs_match_independent_runs(instance_b, instance_b_selected):
     # each leg is an ordinary representative run on the same noise streams,
     # so the deltas are the bitwise differences of independent calls
     U = instance_b_selected
-    mc = MCConfig(T=1.0, dt=1e-2, n_paths=300, seed=4, x0=0.7)
+    cfg = RunConfig(instance_b, InitialLaw.dirac(0.7), T=1.0, dt=1e-2, n_paths=300, seed=4)
     feedbacks = [offset_perturbation(instance_b, U, 0.3),
                  gain_perturbation(instance_b, U, 1.2)]
-    base, legs = _paired_legs(instance_b, U, feedbacks, mc, m0=0.4)
-    common = dict(x0=0.7, mean_flow=equilibrium_mean_flow(instance_b, U, 0.4),
+    base, legs = _paired_legs(cfg, U, feedbacks)
+    common = dict(x0=0.7, mean_flow=equilibrium_mean_flow(instance_b, U, 0.7),
                   T=1.0, dt=1e-2, seed=4, n_paths=300)
     ref_base = simulate_representative(
         instance_b, AffineFeedback.equilibrium(instance_b, U), **common)
@@ -91,18 +92,17 @@ def test_paired_legs_match_independent_runs(instance_b, instance_b_selected):
 
 def test_gain_perturbation_costs_more(example_model, example_selected):
     perts = [("gain x1.5", gain_perturbation(example_model, example_selected, 1.5))]
-    mc = MCConfig(T=6.0, dt=1e-3, n_paths=10_000, seed=2, x0=1.0)
-    rep = verify_nash(example_model, example_selected, perts, mc)
+    cfg = RunConfig(example_model, InitialLaw.dirac(1.0), T=6.0, dt=1e-3, n_paths=10_000,
+                    seed=2)
+    rep = verify_nash(cfg, example_selected, perts)
     assert rep.perturbed[0].delta_mean > 0.0
     assert rep.all_non_negative
 
 
 def test_gateaux_slopes_linear_in_epsilon(example_model, example_selected):
-    mc = MCConfig(T=6.0, dt=1e-3, n_paths=10_000, seed=1, x0=0.0)
-    slopes = gateaux_slope(
-        example_model, example_selected, direction=1.0,
-        epsilons=(0.25, 0.5, 1.0), mc=mc,
-    )
+    cfg = RunConfig(example_model, InitialLaw.dirac(0.0), T=6.0, dt=1e-3, n_paths=10_000,
+                    seed=1)
+    slopes = gateaux_slope(cfg, example_selected, direction=1.0, epsilons=(0.25, 0.5, 1.0))
     # quadratic cost: (J(eps) - J(0))/eps = eps/2 for a unit direction
     for eps, slope in slopes:
         assert slope / eps == pytest.approx(0.5, rel=0.1)
@@ -184,11 +184,9 @@ def test_y_representation_instance_b(instance_b, instance_b_selected):
 
 
 def test_weak_uniqueness_gaussian(example_model, example_selected):
-    mc = MCConfig(T=6.0, dt=2e-3, n_paths=4_000, seed=1, x0=0.0)
-    rep = weak_uniqueness_check(
-        example_model, example_selected, 0.0, InitialLaw.gaussian(1.0, 0.5),
-        seeds=(21, 22), mc=mc, n_particles=8_000,
-    )
+    cfg = RunConfig(example_model, InitialLaw.gaussian(1.0, 0.5), T=6.0, dt=2e-3,
+                    n_paths=4_000, seed=1)
+    rep = weak_uniqueness_check(cfg, example_selected, 0.0, seeds=(21, 22), n_particles=8_000)
     assert rep.passed
     assert rep.overlap_z <= 3.0
     assert rep.ks_statistic < rep.ks_critical_1pct
@@ -196,11 +194,8 @@ def test_weak_uniqueness_gaussian(example_model, example_selected):
 
 def test_weak_uniqueness_dirac_same_seed_exact(example_model, example_selected):
     # a point mass with equal driving noise yields identical ensembles
-    mc = MCConfig(T=2.0, dt=1e-2, n_paths=512, seed=1, x0=0.0)
-    rep = weak_uniqueness_check(
-        example_model, example_selected, 0.0, InitialLaw.dirac(1.0),
-        seeds=(9, 9), mc=mc, n_particles=1_000,
-    )
+    cfg = RunConfig(example_model, InitialLaw.dirac(1.0), T=2.0, dt=1e-2, n_paths=512, seed=1)
+    rep = weak_uniqueness_check(cfg, example_selected, 0.0, seeds=(9, 9), n_particles=1_000)
     assert rep.overlap_z == 0.0
     assert rep.ks_statistic == 0.0
 
@@ -216,11 +211,10 @@ def test_weak_uniqueness_rejects_shifted_law(instance_b, instance_b_selected,
         return real(model, fb, law0, N, T, dt, seed)
 
     monkeypatch.setattr(verify, "simulate_population", shifted)
-    mc = MCConfig(T=6.0, dt=2e-3, n_paths=4_000, seed=1, x0=0.0)
-    rep = weak_uniqueness_check(
-        instance_b, instance_b_selected, 0.0, InitialLaw.gaussian(1.0, 0.5),
-        seeds=(21, 22), mc=mc, n_particles=8_000,
-    )
+    cfg = RunConfig(instance_b, InitialLaw.gaussian(1.0, 0.5), T=6.0, dt=2e-3,
+                    n_paths=4_000, seed=1)
+    rep = weak_uniqueness_check(cfg, instance_b_selected, 0.0, seeds=(21, 22),
+                                n_particles=8_000)
     assert not rep.passed
     assert rep.overlap_z > 5.0
 
@@ -258,12 +252,10 @@ def test_ks_statistic_of_identical_samples_is_zero(n):
 
 
 def test_weak_uniqueness_rejects_empirical_law(example_model, example_selected):
-    mc = MCConfig(T=1.0, dt=1e-2, n_paths=64, seed=0, x0=0.0)
+    cfg = RunConfig(example_model, InitialLaw.empirical([0.0, 1.0]), T=1.0, dt=1e-2,
+                    n_paths=64, seed=0)
     with pytest.raises(ValueError):
-        weak_uniqueness_check(
-            example_model, example_selected, 0.0,
-            InitialLaw.empirical([0.0, 1.0]), seeds=(1, 2), mc=mc,
-        )
+        weak_uniqueness_check(cfg, example_selected, 0.0, seeds=(1, 2))
 
 
 def test_lipschitz_scan_bounded_by_gradient_coefficients(example_model, example_selected):
