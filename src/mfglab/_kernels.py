@@ -5,9 +5,11 @@ Each kernel steps a whole ensemble, one time step per loop iteration.
 Fortran order, so step k's column ``noise[:, k]`` is contiguous (any order
 gives the same results, only slower).  Each step evaluates its update into
 work buffers allocated once per call (``np.multiply(..., out=)``, ``+=``,
-``np.take(..., out=)``), in exactly the operation order of the expressions
+``take(..., out=)``), in exactly the operation order of the expressions
 below, so every IEEE result is the same as evaluating them directly and
-runs are bitwise-reproducible.  In the representative kernel every
+runs are bitwise-reproducible.  Loop-invariant scalars are made 0-d float64
+arrays once per call: the same IEEE operand, without numpy's per-call
+promotion of a Python float.  In the representative kernel every
 operation is elementwise across paths, so a path's trajectory and cost do
 not depend on which other paths share the call; single-path replay and
 batched replay both rely on this.
@@ -43,7 +45,12 @@ def _diverged(x, scratch) -> bool:
     """not all(|x| < limit), through a preallocated buffer: max propagates
     NaN, and NaN < limit is false."""
     np.abs(x, out=scratch)
-    return not scratch.max() < _DIVERGE_LIMIT
+    return not np.maximum.reduce(scratch) < _DIVERGE_LIMIT
+
+
+def _f64(*values):
+    """Each value as a 0-d float64 array."""
+    return [np.array(v, dtype=np.float64) for v in values]
 
 
 def _mean(x) -> float:
@@ -70,6 +77,7 @@ def population_kernel(states, noise, dt, sdt, b1, b2, b3, fx, fm, off):
     """Advance the coupled ensemble in place; returns (means, diverged_step)."""
     n_steps = noise.shape[1]
     n = states.shape[1]
+    dt, sdt, b1, b3, fx = _f64(dt, sdt, b1, b3, fx)
     means = np.empty(n_steps + 1)
     a = np.empty(n)
     t = np.empty(n)
@@ -99,6 +107,7 @@ def representative_kernel(x0s, mflow, off, noise, dt, sdt, disc,
     ``keep`` is true, ``states`` (n_paths, n_steps+1) is filled.
     """
     n_paths, n_steps = noise.shape
+    dt, sdt, b1, b3, b4, A, C, fx = _f64(dt, sdt, b1, b3, b4, A, C, fx)
     x = x0s.copy()
     costs = np.zeros(n_paths)
     a = np.empty(n_paths)
@@ -146,7 +155,8 @@ def forward_field_kernel(x0, u, xgrid, noise, dt, sdt, b1, b2, gain):
     """
     n_particles, n_steps = noise.shape
     nx = xgrid.shape[0]
-    dx = xgrid[1] - xgrid[0]
+    dt, sdt, b1, neg_gain, x_lo, dx, top, zero, one = _f64(
+        dt, sdt, b1, -gain, xgrid[0], xgrid[1] - xgrid[0], nx - 2, 0.0, 1.0)
     means = np.empty(n_steps + 1)
     x = x0.copy()
     pos = np.empty(n_particles)
@@ -156,25 +166,25 @@ def forward_field_kernel(x0, u, xgrid, noise, dt, sdt, b1, b2, gain):
     for k in range(n_steps):
         m = _mean(x)
         means[k] = m
-        np.subtract(x, xgrid[0], out=pos)
+        np.subtract(x, x_lo, out=pos)
         pos /= dx
         np.floor(pos, out=t)
         # maximum(-0.0, 0.0) is +0.0, so w = pos - t keeps the sign of
         # pos - idx
-        np.maximum(t, 0.0, out=t)
-        np.minimum(t, nx - 2, out=t)
+        np.maximum(t, zero, out=t)
+        np.minimum(t, top, out=t)
         np.copyto(idx, t, casting="unsafe")
         pos -= t  # the weight w
         uk = u[k]
         # uk[idx]*(1 - w) + uk[idx + 1]*w; idx is in range, so "clip"
-        # only spares np.take a buffered copy
-        np.take(uk, idx, out=uval, mode="clip")
-        np.subtract(1.0, pos, out=t)
+        # only spares take a buffered copy
+        uk.take(idx, out=uval, mode="clip")
+        np.subtract(one, pos, out=t)
         uval *= t
-        np.take(uk[1:], idx, out=t, mode="clip")
+        uk[1:].take(idx, out=t, mode="clip")
         t *= pos
         uval += t
-        uval *= -gain  # ctrl
+        uval *= neg_gain  # ctrl
         _euler_step(x, m, uval, noise[:, k], dt, sdt, b1, b2, x, t)
         if _diverged(x, t):
             return means, x, k

@@ -3,8 +3,9 @@ writes the results.
 
 Subcommands: check, solve, simulate, verify, fixed-point.  The checks of
 ``verify``, their sizes and their verdicts are ``verify.CHECKS``; here the
-selected names are validated, run in table order, and each result written
-to ``<name>.csv`` and a line of ``summary.txt``.
+selected names are validated and run by ``verify.run_checks`` in table
+order, and each result written to ``<name>.csv`` and a line of
+``summary.txt``.
 Exit codes: 0 success, 2 config/usage error (a horizon or space grid of
 2**53 or more steps is a config error, and a run that cannot allocate its
 arrays or cannot write to its --out path, such as an existing file, ends
@@ -50,7 +51,7 @@ from .simulate import (
     simulate_population,
     simulate_representative,
 )
-from .verify import CHECKS
+from .verify import CHECKS, run_checks
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -154,10 +155,7 @@ def cmd_verify(cfg: RunConfig, which: list[str]) -> int:
     U = solve_selected(cfg.model)
     lines = []
     all_pass = True
-    for name, check in CHECKS.items():
-        if name not in which:
-            continue
-        res = check(cfg, U)
+    for name, res in run_checks(cfg, U, which):
         write_csv(os.path.join(cfg.output, f"{name}.csv"), res.header, res.rows)
         all_pass = all_pass and res.passed
         lines.append(f"{'PASS' if res.passed else 'FAIL'} {name}: {res.detail}")

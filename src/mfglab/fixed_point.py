@@ -71,9 +71,9 @@ class FixedPointReport:
 
 
 def space_grid(x_lo: float, x_hi: float, dx: float) -> np.ndarray:
+    """The points x_lo, x_lo + dx, ..., x_hi; ``RunConfig`` holds a run's
+    grid to at least 4 steps."""
     n = whole_steps(x_hi - x_lo, dx)
-    if n < 4:
-        raise ValueError("space grid too coarse")
     return x_lo + dx * np.arange(n + 1)
 
 

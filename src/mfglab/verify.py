@@ -17,6 +17,12 @@ initial law's mean, and the equilibrium mean flow starts there too.
 ``CHECKS`` is the table of the ``verify`` command: each entry maps a run
 config and the selected root to a ``CheckResult`` (verdict, summary line and
 CSV table), with its sizes and its verdict threshold stated in that entry.
+``run_checks`` runs the selected entries.  The paired checks, nash and
+gateaux, also take their legs: ``run_checks`` simulates the legs of all
+selected paired checks in one ``_paired_legs`` call before any check runs,
+so one ``verify`` run draws each block of paths once, and each check
+judges its legs without drawing.  ``verify_nash`` and ``gateaux_slope``
+are the same judges on a plan of their own legs.
 """
 
 from __future__ import annotations
@@ -85,25 +91,52 @@ def equilibrium_mean_flow(model: LQModel, U: QuadraticValue, m0: float):
 def _paired_legs(
     cfg: RunConfig,
     U: QuadraticValue,
-    feedbacks,
-) -> tuple[TrajectoryBatch, list[tuple[TrajectoryBatch, np.ndarray]]]:
-    """Common-random-number legs against the equilibrium.
+    groups,
+) -> list[tuple[TrajectoryBatch, list[tuple[TrajectoryBatch, np.ndarray]]]]:
+    """Common-random-number legs against the equilibrium, for each group of
+    feedbacks, in one ``simulate_legs`` call.
 
-    The base leg plays the equilibrium feedback; each perturbed leg plays
-    one of ``feedbacks``.  Every leg starts at the initial law's mean, faces
-    the equilibrium mean flow from that same mean and consumes the same
-    noise streams of ``cfg.seed``, drawn once per block for all legs.
-    Returns the base batch and, per feedback, its batch with the per-path
-    cost differences (perturbed minus base).
+    Each group gets its own base leg, which plays the equilibrium feedback,
+    and one perturbed leg per feedback of the group.  Every leg starts at
+    the initial law's mean, faces the equilibrium mean flow from that same
+    mean and consumes the same noise streams of ``cfg.seed``, drawn once per
+    block for all legs of all groups; a group's batches are therefore
+    bitwise those of simulating that group alone.  Returns, per group, the
+    base batch and, per feedback, its batch with the per-path cost
+    differences (perturbed minus base).
     """
     model, x0 = cfg.model, cfg.law0.mean
     _require_admissible(model, U)
-    base, *legs = simulate_legs(
-        model, [AffineFeedback.equilibrium(model, U), *feedbacks], x0=x0,
+    groups = [list(group) for group in groups]
+    base_fb = AffineFeedback.equilibrium(model, U)
+    batches = iter(simulate_legs(
+        model, [fb for group in groups for fb in (base_fb, *group)], x0=x0,
         mean_flow=equilibrium_mean_flow(model, U, x0), T=cfg.T, dt=cfg.dt,
         seed=cfg.seed, n_paths=cfg.n_paths,
-    )
-    return base, [(pert, pert.costs - base.costs) for pert in legs]
+    ))
+    out = []
+    for group in groups:
+        base = next(batches)
+        legs = [next(batches) for _ in group]
+        out.append((base, [(pert, pert.costs - base.costs) for pert in legs]))
+    return out
+
+
+def _nash_report(model: LQModel, labels, base: TrajectoryBatch, legs) -> NashReport:
+    """The Nash verdict on paired legs: the base cost, and per labelled leg
+    the mean cost difference with its 95% interval; a difference whose
+    interval reaches below -3 standard errors fails."""
+    rows = []
+    ok = True
+    for label, (_, diff) in zip(labels, legs):
+        dm = float(diff.mean())
+        dse = float(diff.std(ddof=1) / math.sqrt(diff.size))
+        ci = (dm - 1.96 * dse, dm + 1.96 * dse)
+        rows.append(PairedComparison(label=label, delta_mean=dm, delta_ci=ci, delta_se=dse))
+        if ci[0] <= -3.0 * dse:
+            ok = False
+    return NashReport(base_cost=estimate_cost(model, base), perturbed=tuple(rows),
+                      all_non_negative=ok)
 
 
 def verify_nash(cfg: RunConfig, U: QuadraticValue, perturbations) -> NashReport:
@@ -114,23 +147,28 @@ def verify_nash(cfg: RunConfig, U: QuadraticValue, perturbations) -> NashReport:
     single player's deviation does not move the flow).
     """
     perturbations = list(perturbations)
-    base, legs = _paired_legs(cfg, U, [fb for _, fb in perturbations])
-    rows = []
-    ok = True
-    for (label, _), (_, diff) in zip(perturbations, legs):
-        dm = float(diff.mean())
-        dse = float(diff.std(ddof=1) / math.sqrt(diff.size))
-        ci = (dm - 1.96 * dse, dm + 1.96 * dse)
-        rows.append(PairedComparison(label=label, delta_mean=dm, delta_ci=ci, delta_se=dse))
-        if ci[0] <= -3.0 * dse:
-            ok = False
-    return NashReport(base_cost=estimate_cost(cfg.model, base), perturbed=tuple(rows),
-                      all_non_negative=ok)
+    [(base, legs)] = _paired_legs(cfg, U, [[fb for _, fb in perturbations]])
+    return _nash_report(cfg.model, [label for label, _ in perturbations], base, legs)
 
 
 def offset_perturbation(model: LQModel, U: QuadraticValue, offset: float) -> AffineFeedback:
     """Equilibrium feedback plus a constant offset on the control."""
     return AffineFeedback.equilibrium(model, U).with_offset(offset)
+
+
+def _gateaux_feedbacks(model: LQModel, U: QuadraticValue, direction: float, epsilons):
+    """The equilibrium feedback offset by eps * direction, per epsilon."""
+    base_fb = AffineFeedback.equilibrium(model, U)
+    return [base_fb.with_offset(eps * direction) for eps in epsilons]
+
+
+def _slopes(epsilons, legs) -> list[tuple[float, float]]:
+    """(epsilon, mean cost difference / epsilon) per paired leg; 0 at eps = 0."""
+    out = []
+    for eps, (_, diff) in zip(epsilons, legs):
+        delta = float(diff.mean())
+        out.append((float(eps), delta / eps if eps != 0.0 else 0.0))
+    return out
 
 
 def gateaux_slope(
@@ -143,14 +181,9 @@ def gateaux_slope(
     cost are linear in epsilon and vanish at the minimum.
     """
     epsilons = list(epsilons)
-    base_fb = AffineFeedback.equilibrium(cfg.model, U)
-    feedbacks = [base_fb.with_offset(eps * direction) for eps in epsilons]
-    _, legs = _paired_legs(cfg, U, feedbacks)
-    out = []
-    for eps, (_, diff) in zip(epsilons, legs):
-        delta = float(diff.mean())
-        out.append((float(eps), delta / eps if eps != 0.0 else 0.0))
-    return out
+    [(_, legs)] = _paired_legs(
+        cfg, U, [_gateaux_feedbacks(cfg.model, U, direction, epsilons)])
+    return _slopes(epsilons, legs)
 
 
 def flow_consistency(
@@ -361,10 +394,21 @@ def _horizon_at_least(cfg: RunConfig, cap: float) -> float:
     return max(cfg.T, n_steps * cfg.dt)
 
 
-def _check_nash(cfg: RunConfig, U: QuadraticValue) -> CheckResult:
-    perts = [(f"offset_{eps:g}", offset_perturbation(cfg.model, U, eps))
-             for eps in (0.25, 0.5, 1.0)]
-    rep = verify_nash(cfg, U, perts)
+# the Nash offsets, and the Gateaux steps along the unit offset
+_NASH_OFFSETS = (0.25, 0.5, 1.0)
+_GATEAUX_STEPS = (1.0, 0.5, 0.25)
+
+
+def _nash_legs(cfg: RunConfig, U: QuadraticValue) -> list[AffineFeedback]:
+    return [offset_perturbation(cfg.model, U, eps) for eps in _NASH_OFFSETS]
+
+
+def _gateaux_legs(cfg: RunConfig, U: QuadraticValue) -> list[AffineFeedback]:
+    return _gateaux_feedbacks(cfg.model, U, 1.0, _GATEAUX_STEPS)
+
+
+def _check_nash(cfg: RunConfig, U: QuadraticValue, paired) -> CheckResult:
+    rep = _nash_report(cfg.model, [f"offset_{eps:g}" for eps in _NASH_OFFSETS], *paired)
     return CheckResult(
         rep.all_non_negative,
         f"base {rep.base_cost.mean:.4f}, min delta CI "
@@ -375,8 +419,9 @@ def _check_nash(cfg: RunConfig, U: QuadraticValue) -> CheckResult:
     )
 
 
-def _check_gateaux(cfg: RunConfig, U: QuadraticValue) -> CheckResult:
-    slopes = gateaux_slope(cfg, U, 1.0, [1.0, 0.5, 0.25])
+def _check_gateaux(cfg: RunConfig, U: QuadraticValue, paired) -> CheckResult:
+    _, legs = paired
+    slopes = _slopes(_GATEAUX_STEPS, legs)
     shrink = all(abs(s2) <= abs(s1) + 1e-9
                  for (_, s1), (_, s2) in zip(slopes, slopes[1:]))
     return CheckResult(shrink, "slopes " + ", ".join(f"{s:.4f}" for _, s in slopes),
@@ -439,3 +484,31 @@ CHECKS = {
     "uniqueness": _check_uniqueness,
     "lipschitz": _check_lipschitz,
 }
+
+# name -> the feedbacks of a paired check; its check also takes the legs
+_PAIRED = {
+    "nash": _nash_legs,
+    "gateaux": _gateaux_legs,
+}
+
+
+def run_checks(cfg: RunConfig, U: QuadraticValue, which):
+    """Yield (name, CheckResult) for each check in ``which``, in table order.
+
+    Before any check runs, the legs of every selected paired check are
+    simulated in one ``_paired_legs`` call, in table order, so each block
+    of paths is drawn once for all of them.  Nash's and Gateaux's legs are
+    equal feedbacks, yet both groups are stepped: mfgbench's traced
+    path-step check expects 8 legs, so dropping the duplicates waits for
+    its count to follow the legs actually computed (ROADMAP item 2).
+    """
+    paired = [name for name in _PAIRED if name in which]
+    planned = {}
+    if paired:  # an empty plan would still draw the noise
+        groups = _paired_legs(cfg, U, [_PAIRED[name](cfg, U) for name in paired])
+        planned = dict(zip(paired, groups))
+    for name, check in CHECKS.items():
+        if name in planned:
+            yield name, check(cfg, U, planned[name])
+        elif name in which:
+            yield name, check(cfg, U)

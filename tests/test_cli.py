@@ -164,15 +164,52 @@ def test_nash_and_gateaux_legs_are_equal_feedbacks(cfg_path, monkeypatch):
     real = verify._paired_legs
     seen = []
 
-    def spy(cfg, U, feedbacks):
-        seen.append(list(feedbacks))
-        return real(cfg, U, feedbacks)
+    def spy(cfg, U, groups):
+        seen.extend(list(group) for group in groups)
+        return real(cfg, U, groups)
 
     monkeypatch.setattr(verify, "_paired_legs", spy)
     assert main(["verify", "--config", cfg_path, "--checks", "nash,gateaux"]) == EXIT_OK
     nash, gateaux = seen
     assert len(nash) == len(gateaux) == 3
     assert set(nash) == set(gateaux)
+
+
+def test_verify_draws_each_path_block_once(tmp_path, monkeypatch):
+    # nash and gateaux step their legs over one shared draw per block of
+    # PATH_CHUNK paths: two blocks here, each drawn once
+    from mfglab import rng, simulate
+
+    real = simulate.rng.gaussian_block
+    streams = []
+
+    def spy(seed, stream, first_index, n_rows, n_cols):
+        streams.append(stream)
+        return real(seed, stream, first_index, n_rows, n_cols)
+
+    monkeypatch.setattr(simulate.rng, "gaussian_block", spy)
+    overrides = {"sim.nPaths": str(simulate.PATH_CHUNK + 1), "sim.T": "0.1",
+                 "sim.dt": "0.02"}
+    # paths this short may fail the statistical checks; the draws still count
+    assert main(["verify", "--config", write_cfg(tmp_path, overrides),
+                 "--checks", "nash,gateaux"]) in (EXIT_OK, EXIT_CHECK_FAILED)
+    assert streams.count(rng.STREAM_PATHS) == 2
+
+
+def test_paired_checks_alone_write_the_pair_run_bytes(tmp_path):
+    # sharing one plan changes no output: nash and gateaux run alone write
+    # the bytes they write when run together
+    cfg = write_cfg(tmp_path, {"sim.T": "0.5", "sim.dt": "0.01"})
+    out = {}
+    for checks in ("nash,gateaux", "nash", "gateaux"):
+        d = tmp_path / checks.replace(",", "-")
+        assert main(["verify", "--config", cfg, "--out", str(d),
+                     "--checks", checks]) in (EXIT_OK, EXIT_CHECK_FAILED)
+        out[checks] = d
+    for name in ("nash", "gateaux"):
+        csv_name = f"{name}.csv"
+        assert ((out[name] / csv_name).read_bytes()
+                == (out["nash,gateaux"] / csv_name).read_bytes()), name
 
 
 def test_unknown_key_exit_code(tmp_path, capsys):

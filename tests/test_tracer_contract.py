@@ -76,7 +76,8 @@ def test_traced_verify_sees_every_check_call(tmp_path):
             vars(sys.modules[n]).update(namespace)
     # paths this few may fail the statistical checks; the counts still hold
     assert len((tmp_path / "out" / "summary.txt").read_text().splitlines()) == 5
-    # verify: nash with its 3 offsets, gateaux, consistency, representation
-    # and lipschitz; simulate: the base cost, the replay's population and
-    # representative paths, and the representation's population
-    assert (tracer.calls["verify"], tracer.calls["simulate"], tracer.calls["riccati"]) == (8, 4, 1)
+    # verify: nash's 3 offsets, consistency, representation and lipschitz
+    # (the paired legs of nash and gateaux are simulated by run_checks);
+    # simulate: the base cost, the replay's population and representative
+    # paths, and the representation's population
+    assert (tracer.calls["verify"], tracer.calls["simulate"], tracer.calls["riccati"]) == (6, 4, 1)

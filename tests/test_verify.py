@@ -76,7 +76,7 @@ def test_paired_legs_match_independent_runs(instance_b, instance_b_selected):
     cfg = RunConfig(instance_b, InitialLaw.dirac(0.7), T=1.0, dt=1e-2, n_paths=300, seed=4)
     feedbacks = [offset_perturbation(instance_b, U, 0.3),
                  gain_perturbation(instance_b, U, 1.2)]
-    base, legs = _paired_legs(cfg, U, feedbacks)
+    [(base, legs)] = _paired_legs(cfg, U, [feedbacks])
     common = dict(x0=0.7, mean_flow=equilibrium_mean_flow(instance_b, U, 0.7),
                   T=1.0, dt=1e-2, seed=4, n_paths=300)
     ref_base = simulate_representative(
@@ -88,6 +88,25 @@ def test_paired_legs_match_independent_runs(instance_b, instance_b_selected):
         assert np.array_equal(pert.costs, ref.costs)
         assert np.array_equal(deltas, ref.costs - ref_base.costs)
         assert np.all(deltas != 0.0)
+
+
+def test_paired_groups_match_each_group_alone(instance_b, instance_b_selected):
+    # one plan over two groups draws each block once for both, yet each
+    # group's base and per-path differences are those of the group alone
+    U = instance_b_selected
+    cfg = RunConfig(instance_b, InitialLaw.dirac(0.7), T=1.0, dt=1e-2, n_paths=300, seed=4)
+    g1 = [offset_perturbation(instance_b, U, 0.3), gain_perturbation(instance_b, U, 1.2)]
+    g2 = [gain_perturbation(instance_b, U, 0.8), offset_perturbation(instance_b, U, -0.5),
+          offset_perturbation(instance_b, U, 0.1)]
+    planned = _paired_legs(cfg, U, [g1, g2])
+    assert len(planned) == 2
+    for group, (base, legs) in zip((g1, g2), planned):
+        [(ref_base, ref_legs)] = _paired_legs(cfg, U, [group])
+        assert np.array_equal(base.costs, ref_base.costs)
+        assert len(legs) == len(ref_legs) == len(group)
+        for (pert, diff), (ref_pert, ref_diff) in zip(legs, ref_legs):
+            assert pert.feedback == ref_pert.feedback
+            assert np.array_equal(diff, ref_diff)
 
 
 def test_gain_perturbation_costs_more(example_model, example_selected):
