@@ -13,10 +13,12 @@ once from the parent's root and once from this checkout's root (each with
 its own ``src`` and ``mfgbench``), the parent first in even pairs and
 second in odd ones.  It writes ``BENCH_<LABEL>.json`` holding mfgbench's
 ``machine`` line of each side (its ``source_sha256`` names the source each
-side ran, committed or not), every run's end-to-end metrics and
-``fail_share``, the per-pair change/parent ratios, each side's median and
-quartiles, and how many pairs the change wins on each metric (ties count
-for neither side).
+side ran, committed or not), with ``git_revision`` set to PARENT_REV's
+commit on the parent side and to HEAD on the change side, suffixed
+``+uncommitted`` when ``git status --porcelain -- src`` lists changes;
+every run's end-to-end metrics and ``fail_share``, the per-pair
+change/parent ratios, each side's median and quartiles, and how many pairs
+the change wins on each metric (ties count for neither side).
 """
 
 from __future__ import annotations
@@ -92,6 +94,11 @@ def main(argv: list[str]) -> int:
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     workloads = [w["name"] for w in spec["workloads"]]
     parent_sha = git("rev-parse", "--verify", f"{parent_rev}^{{commit}}")
+    # the parent's export has no .git, and the change side may run from an
+    # uncommitted checkout: mfgbench's own git_revision tells neither
+    change_rev = git("rev-parse", "HEAD")
+    if git("status", "--porcelain", "--", "src"):
+        change_rev += "+uncommitted"
 
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent_root:
         archive = subprocess.run(["git", "archive", parent_sha], cwd=ROOT, check=True,
@@ -114,8 +121,8 @@ def main(argv: list[str]) -> int:
         "label": label,
         "parent_rev": parent_sha,
         "command": f"mfgbench/run.py --workload W --seed S --seconds {SECONDS} --trace 0",
-        "machine": {"parent": first["parent"]["machine"],
-                    "change": first["change"]["machine"]},
+        "machine": {"parent": {**first["parent"]["machine"], "git_revision": parent_sha},
+                    "change": {**first["change"]["machine"], "git_revision": change_rev}},
         "workloads": {},
     }
     for w in workloads:

@@ -1,13 +1,16 @@
 """Hot inner loops: particle and path time-stepping.
 
 Each kernel steps a whole ensemble, one time step per loop iteration.
-``noise`` has shape (paths, steps); ``rng.gaussian_block`` returns it in
-Fortran order, so step k's column ``noise[:, k]`` is contiguous (any order
-gives the same results, only slower).  Each step evaluates its update into
-work buffers allocated once per call (``np.multiply(..., out=)``, ``+=``,
-``take(..., out=)``), in exactly the operation order of the expressions
-below, so every IEEE result is the same as evaluating them directly and
-runs are bitwise-reproducible.  Loop-invariant scalars are made 0-d float64
+``noise`` has shape (paths, steps) and holds sqrt(dt)-scaled increments
+sqrt(dt)*g_k: the function that draws an ``rng.gaussian_block`` scales it
+by sqrt(dt) once, in place, and every kernel call over that block reads
+those increments.  The block is in Fortran order, so step k's column
+``noise[:, k]`` is contiguous (any order gives the same results, only
+slower).  Each step evaluates its update into work buffers allocated once
+per call (``np.multiply(..., out=)``, ``+=``, ``take(..., out=)``), in
+exactly the operation order of the expressions below, so every IEEE
+result is the same as evaluating them directly and runs are
+bitwise-reproducible.  Loop-invariant scalars are made 0-d float64
 arrays once per call: the same IEEE operand, without numpy's per-call
 promotion of a Python float.  In the representative kernel every
 operation is elementwise across paths, so a path's trajectory and cost do
@@ -17,7 +20,7 @@ batched replay both rely on this.
 Update rule (explicit Euler-Maruyama, unit diffusion), stated once in
 ``_euler_step`` and called by all three kernels:
 
-    x  <- x + (b1*x + b2*m_k + ctrl)*dt + sqrt(dt)*g_k
+    x  <- x + (b1*x + b2*m_k + ctrl)*dt + dw_k,   dw_k = sqrt(dt)*g_k
 
 with m_k the (frozen or synchronously computed) population mean.  The
 population and representative kernels play ctrl = b3*a_k with the affine
@@ -59,25 +62,24 @@ def _mean(x) -> float:
     return float(np.add.reduce(x)) / x.shape[0]
 
 
-def _euler_step(x, m, ctrl, g, dt, sdt, b1, b2, out, tmp):
-    """out = x + (b1*x + b2*m + ctrl)*dt + sdt*g, evaluated into ``out``
-    (which may be ``x``) through the scratch buffer ``tmp``; arrays
-    broadcast elementwise."""
+def _euler_step(x, m, ctrl, dw, dt, b1, b2, out, tmp):
+    """out = x + (b1*x + b2*m + ctrl)*dt + dw, evaluated into ``out`` (which
+    may be ``x``) through the scratch buffer ``tmp``; arrays broadcast
+    elementwise."""
     np.multiply(x, b1, out=tmp)
     tmp += b2 * m
     tmp += ctrl
     tmp *= dt
     np.add(x, tmp, out=out)
-    np.multiply(g, sdt, out=tmp)
-    out += tmp
+    out += dw
 
 
 @np.errstate(all="ignore")
-def population_kernel(states, noise, dt, sdt, b1, b2, b3, fx, fm, off):
+def population_kernel(states, noise, dt, b1, b2, b3, fx, fm, off):
     """Advance the coupled ensemble in place; returns (means, diverged_step)."""
     n_steps = noise.shape[1]
     n = states.shape[1]
-    dt, sdt, b1, b3, fx = _f64(dt, sdt, b1, b3, fx)
+    dt, b1, b3, fx = _f64(dt, b1, b3, fx)
     means = np.empty(n_steps + 1)
     a = np.empty(n)
     t = np.empty(n)
@@ -91,7 +93,7 @@ def population_kernel(states, noise, dt, sdt, b1, b2, b3, fx, fm, off):
         a += fm * m
         a += off[k]
         a *= b3  # ctrl
-        _euler_step(x, m, a, noise[:, k], dt, sdt, b1, b2, nxt, t)
+        _euler_step(x, m, a, noise[:, k], dt, b1, b2, nxt, t)
         if _diverged(nxt, t):
             return means, k
     means[n_steps] = _mean(states[n_steps])
@@ -99,7 +101,7 @@ def population_kernel(states, noise, dt, sdt, b1, b2, b3, fx, fm, off):
 
 
 @np.errstate(all="ignore")
-def representative_kernel(x0s, mflow, off, noise, dt, sdt, disc,
+def representative_kernel(x0s, mflow, off, noise, dt, disc,
                           b1, b2, b3, b4, A, C, fx, fm, states, keep):
     """Independent paths against a frozen mean flow.
 
@@ -107,7 +109,7 @@ def representative_kernel(x0s, mflow, off, noise, dt, sdt, disc,
     ``keep`` is true, ``states`` (n_paths, n_steps+1) is filled.
     """
     n_paths, n_steps = noise.shape
-    dt, sdt, b1, b3, b4, A, C, fx = _f64(dt, sdt, b1, b3, b4, A, C, fx)
+    dt, b1, b3, b4, A, C, fx = _f64(dt, b1, b3, b4, A, C, fx)
     x = x0s.copy()
     costs = np.zeros(n_paths)
     a = np.empty(n_paths)
@@ -134,7 +136,7 @@ def representative_kernel(x0s, mflow, off, noise, dt, sdt, disc,
         t1 *= dt
         costs += t1
         a *= b3  # ctrl
-        _euler_step(x, m, a, noise[:, k], dt, sdt, b1, b2, x, t1)
+        _euler_step(x, m, a, noise[:, k], dt, b1, b2, x, t1)
         if keep:
             states[:, k + 1] = x
         if _diverged(x, t1):
@@ -143,7 +145,7 @@ def representative_kernel(x0s, mflow, off, noise, dt, sdt, disc,
 
 
 @np.errstate(all="ignore")
-def forward_field_kernel(x0, u, xgrid, noise, dt, sdt, b1, b2, gain):
+def forward_field_kernel(x0, u, xgrid, noise, dt, b1, b2, gain):
     """Ensemble driven by a tabulated decoupling field; returns
     (means, terminal ensemble, diverged_step).
 
@@ -155,8 +157,8 @@ def forward_field_kernel(x0, u, xgrid, noise, dt, sdt, b1, b2, gain):
     """
     n_particles, n_steps = noise.shape
     nx = xgrid.shape[0]
-    dt, sdt, b1, neg_gain, x_lo, dx, top, zero, one = _f64(
-        dt, sdt, b1, -gain, xgrid[0], xgrid[1] - xgrid[0], nx - 2, 0.0, 1.0)
+    dt, b1, neg_gain, x_lo, dx, top, zero, one = _f64(
+        dt, b1, -gain, xgrid[0], xgrid[1] - xgrid[0], nx - 2, 0.0, 1.0)
     means = np.empty(n_steps + 1)
     x = x0.copy()
     pos = np.empty(n_particles)
@@ -185,7 +187,7 @@ def forward_field_kernel(x0, u, xgrid, noise, dt, sdt, b1, b2, gain):
         t *= pos
         uval += t
         uval *= neg_gain  # ctrl
-        _euler_step(x, m, uval, noise[:, k], dt, sdt, b1, b2, x, t)
+        _euler_step(x, m, uval, noise[:, k], dt, b1, b2, x, t)
         if _diverged(x, t):
             return means, x, k
     means[n_steps] = _mean(x)

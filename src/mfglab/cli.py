@@ -24,8 +24,6 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .admissibility import check_monotonicity_sampled, check_structural
 from .config import RunConfig, load_config
@@ -41,7 +39,7 @@ from .errors import (
     StepTooLargeError,
 )
 from .fixed_point import solve_mfg
-from .io_csv import write_csv, write_text
+from .io_csv import Grid, write_csv, write_text
 from .master import is_admissible, select_admissible, solve_root_system, solve_selected
 from .model import closed_loop_coeffs
 from .simulate import (
@@ -127,12 +125,8 @@ def cmd_fixed_point(cfg: RunConfig) -> int:
     write_csv(os.path.join(cfg.output, "final_flow.csv"), ["t", "m"],
               list(zip(report.final_flow.times, report.final_flow.m)))
     field = report.final_field
-    table = np.empty(field.u.shape + (3,))
-    table[..., 0] = field.times[:, None]
-    table[..., 1] = field.x
-    table[..., 2] = field.u
     write_csv(os.path.join(cfg.output, "field.csv"), ["t", "x", "u"],
-              table.reshape(-1, 3))
+              Grid(field.times, field.x, field.u))
     print(f"fixed point: {report.iterations} iterations, "
           f"sup delta {report.flow_delta:.3e}, "
           f"{'converged' if report.converged else 'NOT converged'}")

@@ -156,7 +156,7 @@ def backward_field_solve(
         rhs[0] += lam * row[0]
         rhs[-1] += lam * row[-1]
         row[1:-1], info = dgttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=1)
-        if info != 0 or not np.all(np.isfinite(row)):
+        if info != 0 or not np.isfinite(row).all():
             raise DivergedError(k)
     return DecouplingField(times=flow.times, x=x, u=u)
 
@@ -169,15 +169,19 @@ def forward_flow_update(
     seed: int,
 ) -> MeanFlow:
     """Particle update of the mean flow under the field-induced drift."""
-    x0, noise = population_draws(law0, N, seed, field.times.size - 1)
+    times = field.times
+    x0, noise = population_draws(law0, N, seed, times.size - 1,
+                                 float(times[1] - times[0]))
     return _forward_flow(model, field, x0, noise)
 
 
 def _forward_flow(model: LQModel, field: DecouplingField, x0, noise) -> MeanFlow:
+    """The particles ``x0`` driven by ``field`` over the sqrt(dt)-scaled
+    increments ``noise``."""
     times = field.times
     dt = float(times[1] - times[0])
     means, _terminal, dstep = _kernels.forward_field_kernel(
-        x0, field.u, field.x, noise, dt, np.sqrt(dt),
+        x0, field.u, field.x, noise, dt,
         model.b1, model.b2, model.control_gain,
     )
     if dstep >= 0:
@@ -204,14 +208,15 @@ def solve_mfg(cfg: RunConfig) -> FixedPointReport:
     space grid from ``cfg``.  The particle seed is held fixed across
     iterations, so the iterated map is deterministic and its fixed point
     does not depend on the damping; the initial particles and their noise
-    are drawn once per solve.
+    are drawn, and the noise scaled by sqrt(dt), once per solve.
     """
     if cfg.n_particles < 2:
         raise ConfigError("fixed-point needs sim.nParticles >= 2")
     model = cfg.model
     grid = space_grid(cfg.x_lo, cfg.x_hi, cfg.dx)
     flow = MeanFlow.constant(cfg.T, cfg.dt, cfg.law0.mean)
-    x0, noise = population_draws(cfg.law0, cfg.n_particles, cfg.seed, flow.times.size - 1)
+    x0, noise = population_draws(cfg.law0, cfg.n_particles, cfg.seed,
+                                 flow.times.size - 1, flow.dt)
     deltas = []
     converged = False
     theta = cfg.damping

@@ -1,14 +1,17 @@
 """Deterministic CSV output: 17-significant-digit doubles, atomic writes.
 
-A table is either rows of values, each formatted by ``fmt``, or a 2-D float
-array, formatted as a whole by one ``%`` operation with a ``%.17g`` field
-per cell; both give the same bytes for the same floats.
+A table is either rows of values, each formatted by ``fmt``, or a ``Grid``
+of values v[i, j] on a tensor grid s x y, written as the rows
+(s_i, y_j, v[i, j]): each s and each y is formatted once, and the values of
+one s by one ``%`` operation with a ``%.17g`` field per value.  Both give
+the same bytes for the same floats.
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,18 +40,33 @@ def _write_atomic(path: str, write) -> None:
         raise
 
 
+@dataclass(frozen=True)
+class Grid:
+    """The rows (s[i], y[j], v[i, j]) of a table on the tensor grid s x y, s
+    outermost; its length is its row count."""
+
+    s: np.ndarray  # (ns,)
+    y: np.ndarray  # (ny,)
+    v: np.ndarray  # (ns, ny)
+
+    def __len__(self) -> int:
+        return self.v.size
+
+
 def write_csv(path: str, header: list[str], rows) -> None:
     """Write rows atomically (temp file + rename), '\\n' newlines.
 
-    ``rows`` is an iterable of tuples or a 2-D float array.
+    ``rows`` is an iterable of tuples or a ``Grid``.
     """
 
     def write(fh):
         fh.write(",".join(header) + "\n")
-        if isinstance(rows, np.ndarray):
-            n_rows, n_cols = rows.shape
-            line = ",".join(["%.17g"] * n_cols) + "\n"
-            fh.write(line * n_rows % tuple(rows.ravel().tolist()))
+        if isinstance(rows, Grid):
+            # ",y_j,%.17g\n" for every j; formatted numbers hold no '%'
+            tails = ["," + format(y, ".17g") + ",%.17g\n" for y in rows.y.tolist()]
+            for s, v in zip(rows.s.tolist(), rows.v.tolist()):
+                head = format(s, ".17g")
+                fh.write("".join([head + tail for tail in tails]) % tuple(v))
             return
         for row in rows:
             fh.write(",".join(fmt(v) for v in row) + "\n")

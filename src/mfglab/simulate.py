@@ -10,7 +10,10 @@ as one array entry per step.  All noise is drawn from counter-based
 streams keyed by (seed, stream, path index) so that any single path can be
 replayed bit-exactly in isolation.  Common-random-number legs (several
 feedbacks against the same streams) share one noise draw per block of
-paths: ``simulate_legs`` steps every leg against that block.
+paths: ``simulate_legs`` steps every leg against that block and releases it
+before drawing the next.  Every noise block handed to a kernel holds
+sqrt(dt)-scaled increments, scaled once, in place, by the function that
+draws it.
 
 Each simulation rule is stated once: ``whole_steps`` counts the steps of
 every grid, ``time_grid`` builds every time grid, and ``population_draws``
@@ -181,14 +184,16 @@ def time_grid(T: float, dt: float) -> np.ndarray:
     return dt * np.arange(n_steps + 1)
 
 
-def population_draws(law0: InitialLaw, N: int, seed: int, n_steps: int):
-    """Initial particles and their (N, n_steps) noise, both fixed by the seed.
+def population_draws(law0: InitialLaw, N: int, seed: int, n_steps: int, dt: float):
+    """Initial particles and their (N, n_steps) sqrt(dt)-scaled noise
+    increments, both fixed by the seed.
 
-    Particle i starts at ``law0.sample(N, seed)[i]`` and consumes the noise
-    stream (seed, STREAM_POPULATION, i).
+    Particle i starts at ``law0.sample(N, seed)[i]`` and its increments are
+    sqrt(dt) times the noise stream (seed, STREAM_POPULATION, i).
     """
     x0 = law0.sample(N, seed)
     noise = rng.gaussian_block(seed, rng.STREAM_POPULATION, 0, N, n_steps)
+    noise *= math.sqrt(dt)
     return x0, noise
 
 
@@ -211,11 +216,10 @@ def simulate_population(
     times = time_grid(T, dt)
     n_steps = times.size - 1
     states = np.empty((n_steps + 1, N))
-    states[0], noise = population_draws(law0, N, seed, n_steps)
+    states[0], noise = population_draws(law0, N, seed, n_steps, dt)
     off = np.full(n_steps, feedback.offset)
     means, dstep = _kernels.population_kernel(
-        states, noise, dt, math.sqrt(dt),
-        model.b1, model.b2, model.b3, feedback.fx, feedback.fm, off,
+        states, noise, dt, model.b1, model.b2, model.b3, feedback.fx, feedback.fm, off,
     )
     if dstep >= 0:
         raise DivergedError(dstep)
@@ -240,9 +244,12 @@ def simulate_legs(
 
     ``mean_flow`` is a callable of t, a scalar, or an array on the time grid.
     Path j of every leg consumes the noise stream (seed, stream,
-    path_offset + j).  Each block of ``PATH_CHUNK`` paths is drawn once and
-    every leg is stepped against it; a leg's result is bitwise the same as
-    simulating it alone, since the kernel does not write to the noise.
+    path_offset + j).  Each block of ``PATH_CHUNK`` paths is drawn and
+    scaled by sqrt(dt) once, every leg is stepped against it, and it is
+    released before the next block is drawn, so one block of
+    min(n_paths, PATH_CHUNK) x n_steps increments is held at a time.  A
+    leg's result is bitwise the same as simulating it alone, since the
+    kernel does not write to the noise.
     """
     times = time_grid(T, dt)
     n_steps = times.size - 1
@@ -266,10 +273,11 @@ def simulate_legs(
     for lo in range(0, n_paths, PATH_CHUNK):
         hi = min(lo + PATH_CHUNK, n_paths)
         noise = rng.gaussian_block(seed, stream, path_offset + lo, hi - lo, n_steps)
+        noise *= sdt
         for j, fb in enumerate(feedbacks):
             chunk_states = states[j][lo:hi] if keep_states else dummy
             c, term, dstep = _kernels.representative_kernel(
-                x0s[lo:hi], mflow, offs[j], noise, dt, sdt, disc,
+                x0s[lo:hi], mflow, offs[j], noise, dt, disc,
                 model.b1, model.b2, model.b3, model.b4, model.A, model.C,
                 fb.fx, fb.fm, chunk_states, keep_states,
             )
@@ -277,6 +285,8 @@ def simulate_legs(
                 raise DivergedError(dstep)
             costs[j][lo:hi] = c
             terminal[j][lo:hi] = term
+        # release this block before the next one is drawn: one block is live
+        del noise
 
     return [
         TrajectoryBatch(

@@ -16,7 +16,7 @@ def test_backends_agree_population():
     # numpy is the only backend left
     states, noise, offsets = _population_inputs()
     means, div = _kernels.population_kernel(
-        states, noise, 0.01, 0.1, 0.0, 0.0, 2.0, -1.0, 0.0, offsets
+        states, 0.1 * noise, 0.01, 0.0, 0.0, 2.0, -1.0, 0.0, offsets
     )
     assert div == -1
     assert means.shape == (51,)
@@ -28,16 +28,19 @@ def test_backends_agree_population():
 def test_divergence_reported():
     states, noise, offsets = _population_inputs()
     states[0] += 1.0
-    # explosive closed loop: dt far too large for the drift scale
+    # explosive closed loop: dt far too large for the drift scale; at dt = 1
+    # the unscaled block is its own sqrt(dt)-scaled increments
     _, div = _kernels.population_kernel(
-        states, noise, 1.0, 1.0, 50.0, 0.0, 2.0, 0.0, 0.0, offsets
+        states, noise, 1.0, 50.0, 0.0, 2.0, 0.0, 0.0, offsets
     )
     assert div >= 0
 
 
 # ---------------------------------------------------------------------------
 # Expression-form references: the kernels as plain numpy expressions, one
-# fresh array per operation.  The in-place kernels must match them bitwise.
+# fresh array per operation, forming sdt*noise[:, k] at each step.  The
+# in-place kernels, given the block pre-scaled as sdt*noise, must match them
+# bitwise.
 # ---------------------------------------------------------------------------
 
 
@@ -97,6 +100,22 @@ def _ref_forward_field(x0, u, xgrid, noise, dt, sdt, b1, b2, gain):
     return means, x, -1
 
 
+def _population(states, noise, dt, sdt, *rest):
+    """population_kernel on the block pre-scaled to sdt*noise, called with
+    the reference's arguments."""
+    return _kernels.population_kernel(states, sdt * noise, dt, *rest)
+
+
+def _representative(x0s, mflow, off, noise, dt, sdt, *rest):
+    """representative_kernel on the block pre-scaled to sdt*noise."""
+    return _kernels.representative_kernel(x0s, mflow, off, sdt * noise, dt, *rest)
+
+
+def _forward_field(x0, u, xgrid, noise, dt, sdt, *rest):
+    """forward_field_kernel on the block pre-scaled to sdt*noise."""
+    return _kernels.forward_field_kernel(x0, u, xgrid, sdt * noise, dt, *rest)
+
+
 def _noise(n, steps, order, seed=11):
     block = rng.gaussian_block(seed, rng.STREAM_CHECKS, 0, n, steps)
     return np.asarray(block, order=order)
@@ -124,7 +143,7 @@ def _population_case(n, steps, order):
 def test_population_kernel_matches_reference(order):
     states, noise, args = _population_case(37, 60, order)
     ref_states = states.copy()
-    got = _kernels.population_kernel(states, noise, *args)
+    got = _population(states, noise, *args)
     ref = _ref_population(ref_states, noise.copy(), *args)
     _same(got, ref)
     assert np.array_equal(states, ref_states)
@@ -149,7 +168,7 @@ def test_representative_kernel_matches_reference(order, keep, n):
     args = _representative_case(n, 80, order, keep)
     ref_args = list(args)
     ref_args[15] = args[15].copy()
-    got = _kernels.representative_kernel(*args)
+    got = _representative(*args)
     ref = _ref_representative(*ref_args)
     _same(got, ref)
     assert np.array_equal(args[15], ref_args[15])
@@ -174,7 +193,7 @@ def test_forward_field_kernel_matches_reference(order):
     pos = (x0 - xgrid[0]) / (xgrid[1] - xgrid[0])
     idx = np.floor(pos)
     assert idx.min() < 0 and idx.max() > xgrid.size - 2
-    got = _kernels.forward_field_kernel(*args)
+    got = _forward_field(*args)
     ref = _ref_forward_field(*args)
     _same(got, ref)
 
@@ -188,7 +207,7 @@ def test_forward_field_interpolation_at_the_grid_edges():
     x0 = np.concatenate([xgrid, [-0.0, -1e-12, 2.0 + 1e-12, -0.35, 2.35, -40.0, 55.0]])
     for noise in (np.zeros((x0.size, 30)), _noise(x0.size, 30, "F")):
         args = [x0, u, xgrid, noise, 0.01, 0.1, -0.2, 0.5, 1.7]
-        got = _kernels.forward_field_kernel(*args)
+        got = _forward_field(*args)
         ref = _ref_forward_field(*args)
         assert got[2] == ref[2] == -1
         assert got[0].tobytes() == ref[0].tobytes()
@@ -201,17 +220,17 @@ def test_kernels_report_nan_noise_at_its_step():
     step = 23
     states, noise, args = _population_case(37, 60, "F")
     noise[5, step] = np.nan
-    _, div = _kernels.population_kernel(states, noise, *args)
+    _, div = _population(states, noise, *args)
     assert div == step
 
     args = _representative_case(37, 80, "F", True)
     args[3][5, step] = np.nan
-    _, _, div = _kernels.representative_kernel(*args)
+    _, _, div = _representative(*args)
     assert div == step
 
     args = _field_case(41, 70, "F")
     args[3][5, step] = np.nan
-    _, _, div = _kernels.forward_field_kernel(*args)
+    _, _, div = _forward_field(*args)
     assert div == step
 
 
@@ -224,10 +243,10 @@ def test_euler_step_broadcasts_over_stacked_legs():
     g = _noise(5, 1, "F")[:, 0]
     dt, sdt, b1, b2 = 0.01, 0.1, -0.3, 0.7
     out, tmp = np.empty_like(x), np.empty_like(x)
-    _kernels._euler_step(x, m, ctrl, g, dt, sdt, b1, b2, out, tmp)
+    _kernels._euler_step(x, m, ctrl, sdt * g, dt, b1, b2, out, tmp)
     for j in range(2):
         row, row_tmp = np.empty(5), np.empty(5)
-        _kernels._euler_step(x[j], float(m[j, 0]), ctrl[j], g, dt, sdt, b1, b2, row, row_tmp)
+        _kernels._euler_step(x[j], float(m[j, 0]), ctrl[j], sdt * g, dt, b1, b2, row, row_tmp)
         assert np.array_equal(out[j], row)
         expected = x[j] + (b1 * x[j] + b2 * m[j, 0] + ctrl[j]) * dt + sdt * g
         assert np.array_equal(out[j], expected)

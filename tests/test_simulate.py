@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -186,7 +187,7 @@ def test_export_flow_rows(example_model, eq_feedback):
 def test_simulate_legs_match_per_leg_kernel_runs(instance_b, instance_b_selected,
                                                   monkeypatch, keep_states):
     # reference: each leg stepped on its own by the kernel, chunk by chunk,
-    # on noise drawn for that leg alone
+    # on noise drawn for that leg alone and scaled by sqrt(dt)
     monkeypatch.setattr(simulate, "PATH_CHUNK", 7)
     model, U = instance_b, instance_b_selected
     eq = AffineFeedback.equilibrium(model, U)
@@ -205,10 +206,10 @@ def test_simulate_legs_match_per_leg_kernel_runs(instance_b, instance_b_selected
     for fb, leg in zip(feedbacks, legs):
         off = np.full(n_steps, fb.offset)
         for lo, hi in ((0, 7), (7, 14), (14, 17)):
-            noise = rng.gaussian_block(seed, stream, offset + lo, hi - lo, n_steps)
+            noise = math.sqrt(dt) * rng.gaussian_block(seed, stream, offset + lo, hi - lo, n_steps)
             states = np.empty((hi - lo, n_steps + 1)) if keep_states else np.empty((0, 0))
             c, term, dstep = _kernels.representative_kernel(
-                x0[lo:hi], mflow, off, noise, dt, math.sqrt(dt), disc,
+                x0[lo:hi], mflow, off, noise, dt, disc,
                 model.b1, model.b2, model.b3, model.b4, model.A, model.C,
                 fb.fx, fb.fm, states, keep_states,
             )
@@ -219,6 +220,25 @@ def test_simulate_legs_match_per_leg_kernel_runs(instance_b, instance_b_selected
                 assert np.array_equal(leg.states[lo:hi], states)
         assert leg.feedback is fb
         assert (leg.states is not None) == keep_states
+
+
+def test_simulate_legs_hold_one_noise_block_at_a_time(example_model, eq_feedback,
+                                                       monkeypatch):
+    # three blocks of 50 steps, two legs: the results and the kernels' work
+    # buffers are small beside one block, so a traced peak below 1.6 blocks
+    # shows that each block is released before the next one is drawn
+    monkeypatch.setattr(simulate, "PATH_CHUNK", 1000)
+    n_steps, dt = 50, 0.01
+    block_bytes = simulate.PATH_CHUNK * n_steps * 8
+    feedbacks = [eq_feedback, eq_feedback.with_offset(0.2)]
+    tracemalloc.start()
+    try:
+        simulate.simulate_legs(example_model, feedbacks, 0.5, 0.0, n_steps * dt, dt,
+                               seed=1, n_paths=3 * simulate.PATH_CHUNK)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * block_bytes, peak / block_bytes
 
 
 def test_whole_steps():
@@ -253,9 +273,9 @@ def test_whole_steps_stop_below_2_53():
 
 
 def test_population_draws_follow_the_particle_streams():
-    law, n, seed, n_steps = InitialLaw.gaussian(0.5, 2.0), 5, 3, 4
-    x0, noise = simulate.population_draws(law, n, seed, n_steps)
+    law, n, seed, n_steps, dt = InitialLaw.gaussian(0.5, 2.0), 5, 3, 4, 0.01
+    x0, noise = simulate.population_draws(law, n, seed, n_steps, dt)
     assert np.array_equal(x0, law.sample(n, seed))
     for i in range(n):
         row = rng.gaussian_block(seed, rng.STREAM_POPULATION, i, 1, n_steps)[0]
-        assert np.array_equal(noise[i], row)
+        assert np.array_equal(noise[i], math.sqrt(dt) * row)
