@@ -15,7 +15,10 @@ arrays once per call: the same IEEE operand, without numpy's per-call
 promotion of a Python float.  In the representative kernel every
 operation is elementwise across paths, so a path's trajectory and cost do
 not depend on which other paths share the call; single-path replay and
-batched replay both rely on this.
+batched replay both rely on this.  Nor do they depend on how the horizon
+is cut into time bands: the representative kernel steps one band per
+call, and its terminal states and its ``costs`` accumulator carry into
+the next band's call, so the same operations run in the same order.
 
 Update rule (explicit Euler-Maruyama, unit diffusion), stated once in
 ``_euler_step`` and called by all three kernels:
@@ -102,16 +105,21 @@ def population_kernel(states, noise, dt, b1, b2, b3, fx, fm, off):
 
 @np.errstate(all="ignore")
 def representative_kernel(x0s, mflow, off, noise, dt, disc,
-                          b1, b2, b3, b4, A, C, fx, fm, states, keep):
-    """Independent paths against a frozen mean flow.
+                          b1, b2, b3, b4, A, C, fx, fm, states, keep, costs):
+    """Independent paths against a frozen mean flow, over one band of steps.
 
-    Returns (discounted costs, terminal states, diverged_step).  When
-    ``keep`` is true, ``states`` (n_paths, n_steps+1) is filled.
+    Step k of the band reads ``mflow[k]``, ``off[k]``, ``disc[k]`` and
+    ``noise[:, k]``, so a caller passes the band's slices of the whole
+    horizon's arrays.  Each path's discounted cost over the band is added
+    to ``costs`` in place, step by step, so bands stepped in order
+    accumulate the same sums as one call over the whole horizon.  Returns
+    (terminal states, diverged_step), the step counted within the band.
+    When ``keep`` is true, ``states`` (n_paths, n_steps+1) is filled,
+    column 0 with ``x0s``.
     """
     n_paths, n_steps = noise.shape
     dt, b1, b3, b4, A, C, fx = _f64(dt, b1, b3, b4, A, C, fx)
     x = x0s.copy()
-    costs = np.zeros(n_paths)
     a = np.empty(n_paths)
     t1 = np.empty(n_paths)
     t2 = np.empty(n_paths)
@@ -140,8 +148,8 @@ def representative_kernel(x0s, mflow, off, noise, dt, disc,
         if keep:
             states[:, k + 1] = x
         if _diverged(x, t1):
-            return costs, x, k
-    return costs, x, -1
+            return x, k
+    return x, -1
 
 
 @np.errstate(all="ignore")

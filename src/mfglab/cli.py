@@ -104,8 +104,12 @@ def cmd_simulate(cfg: RunConfig) -> int:
     )
     write_csv(os.path.join(cfg.output, "flow.csv"),
               ["t", "mean", "var", "q05", "q95"], export_flow_csv(pop))
+    # only the mean flow is read from here on: release the population
+    # history before the representative paths draw their noise
+    means = pop.means
+    del pop
     batch = simulate_representative(
-        cfg.model, fb, x0=cfg.law0.mean, mean_flow=pop.means,
+        cfg.model, fb, x0=cfg.law0.mean, mean_flow=means,
         T=cfg.T, dt=cfg.dt, seed=cfg.seed, n_paths=cfg.n_paths,
     )
     est = estimate_cost(cfg.model, batch)

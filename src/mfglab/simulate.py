@@ -9,11 +9,11 @@ equal feedbacks compare equal; the kernels in ``_kernels`` take its offset
 as one array entry per step.  All noise is drawn from counter-based
 streams keyed by (seed, stream, path index) so that any single path can be
 replayed bit-exactly in isolation.  Common-random-number legs (several
-feedbacks against the same streams) share one noise draw per block of
-paths: ``simulate_legs`` steps every leg against that block and releases it
-before drawing the next.  Every noise block handed to a kernel holds
-sqrt(dt)-scaled increments, scaled once, in place, by the function that
-draws it.
+feedbacks against the same streams) share one noise draw per block:
+``simulate_legs`` draws a block of paths over one time band, steps every
+leg across it and releases it before drawing the next.  Every noise block
+handed to a kernel holds sqrt(dt)-scaled increments, scaled once, in place,
+by the function that draws it.
 
 Each simulation rule is stated once: ``whole_steps`` counts the steps of
 every grid, ``time_grid`` builds every time grid, and ``population_draws``
@@ -34,8 +34,11 @@ from .errors import DivergedError
 from .master import QuadraticValue
 from .model import LQModel
 
-# Paths simulated per noise block; bounds peak memory of the noise buffer.
-PATH_CHUNK = 4096
+# Paths per representative noise block: the width of each kernel call.
+PATH_CHUNK = 8192
+# Doubles per representative noise block (16 MiB): a block of
+# min(n_paths, PATH_CHUNK) paths covers a time band of as many steps as fit.
+BLOCK_DOUBLES = 2**21
 # Relative distance from a whole number within which span/step counts as
 # whole steps: the floating-point noise of the division.
 STEP_RTOL = 1e-9
@@ -244,12 +247,17 @@ def simulate_legs(
 
     ``mean_flow`` is a callable of t, a scalar, or an array on the time grid.
     Path j of every leg consumes the noise stream (seed, stream,
-    path_offset + j).  Each block of ``PATH_CHUNK`` paths is drawn and
-    scaled by sqrt(dt) once, every leg is stepped against it, and it is
-    released before the next block is drawn, so one block of
-    min(n_paths, PATH_CHUNK) x n_steps increments is held at a time.  A
-    leg's result is bitwise the same as simulating it alone, since the
-    kernel does not write to the noise.
+    path_offset + j).  The paths run in chunks of ``PATH_CHUNK``, and each
+    chunk's horizon in even time bands, the fewest whose blocks hold at most
+    ``BLOCK_DOUBLES`` doubles (one step per band at the least).  Each block
+    of min(n_paths, PATH_CHUNK) paths by one band is drawn and scaled by
+    sqrt(dt) once, every leg is stepped across it from the state and cost it
+    reached at the end of the previous band, and the block is released
+    before the next one is drawn.  A leg's result is bitwise the same as
+    simulating it alone in one block, since the kernel does not write to the
+    noise and carries each path's state and cost across bands.  A
+    divergence raises ``DivergedError`` at the first band in which a leg
+    diverged, naming the first such leg's step on the whole grid.
     """
     times = time_grid(T, dt)
     n_steps = times.size - 1
@@ -265,28 +273,34 @@ def simulate_legs(
     disc = np.exp(-model.r * times[:-1])
     sdt = math.sqrt(dt)
 
-    costs = [np.empty(n_paths) for _ in feedbacks]
+    costs = [np.zeros(n_paths) for _ in feedbacks]
     terminal = [np.empty(n_paths) for _ in feedbacks]
     states = [np.empty((n_paths, n_steps + 1)) if keep_states else None for _ in feedbacks]
     dummy = np.empty((0, 0))
 
     for lo in range(0, n_paths, PATH_CHUNK):
         hi = min(lo + PATH_CHUNK, n_paths)
-        noise = rng.gaussian_block(seed, stream, path_offset + lo, hi - lo, n_steps)
-        noise *= sdt
-        for j, fb in enumerate(feedbacks):
-            chunk_states = states[j][lo:hi] if keep_states else dummy
-            c, term, dstep = _kernels.representative_kernel(
-                x0s[lo:hi], mflow, offs[j], noise, dt, disc,
-                model.b1, model.b2, model.b3, model.b4, model.A, model.C,
-                fb.fx, fb.fm, chunk_states, keep_states,
-            )
-            if dstep >= 0:
-                raise DivergedError(dstep)
-            costs[j][lo:hi] = c
-            terminal[j][lo:hi] = term
-        # release this block before the next one is drawn: one block is live
-        del noise
+        # even bands of at most BLOCK_DOUBLES // rows steps
+        n_bands = -(-n_steps // max(1, BLOCK_DOUBLES // (hi - lo)))
+        band = -(-n_steps // n_bands)
+        x = [x0s[lo:hi]] * len(feedbacks)
+        for k0 in range(0, n_steps, band):
+            k1 = min(k0 + band, n_steps)
+            noise = rng.gaussian_block(seed, stream, path_offset + lo, hi - lo, k1 - k0, k0)
+            noise *= sdt
+            for j, fb in enumerate(feedbacks):
+                band_states = states[j][lo:hi, k0:k1 + 1] if keep_states else dummy
+                x[j], dstep = _kernels.representative_kernel(
+                    x[j], mflow[k0:k1], offs[j][k0:k1], noise, dt, disc[k0:k1],
+                    model.b1, model.b2, model.b3, model.b4, model.A, model.C,
+                    fb.fx, fb.fm, band_states, keep_states, costs[j][lo:hi],
+                )
+                if dstep >= 0:
+                    raise DivergedError(k0 + dstep)
+            # release this block before the next one is drawn: one block is live
+            del noise
+        for j in range(len(feedbacks)):
+            terminal[j][lo:hi] = x[j]
 
     return [
         TrajectoryBatch(

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import pytest
@@ -101,6 +102,43 @@ def test_simulate_writes_flow_and_cost(cfg_path, tmp_path):
     assert 0.5 < float(cost[1][0]) < 1.0
 
 
+def _traced_peak(fn, *args, **kwargs):
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_simulate_peak_is_its_larger_phase(tmp_path):
+    # the population history (401 x 500 doubles, 1.6 MB) is released once
+    # flow.csv is written, so the run peaks at its larger phase, the paths'
+    # 4000 x 400 noise block (12.8 MB), and not at the two phases' sum
+    from mfglab import master, simulate
+    from mfglab.config import load_config
+
+    cfg_file = write_cfg(tmp_path, {"sim.T": "0.8", "sim.nPaths": "4000",
+                                    "sim.nParticles": "500"})
+    cfg = load_config(cfg_file)
+    fb = simulate.AffineFeedback.equilibrium(cfg.model, master.solve_selected(cfg.model))
+
+    def population_phase():
+        pop = simulate.simulate_population(cfg.model, fb, cfg.law0, cfg.n_particles,
+                                           cfg.T, cfg.dt, cfg.seed)
+        simulate.export_flow_csv(pop)
+
+    population = _traced_peak(population_phase)
+    paths = _traced_peak(simulate.simulate_representative, cfg.model, fb, x0=1.0,
+                         mean_flow=0.0, T=cfg.T, dt=cfg.dt, seed=cfg.seed,
+                         n_paths=cfg.n_paths)
+    history = 401 * 500 * 8
+    assert paths > population + history
+    assert main(["simulate", "--config", cfg_file]) == EXIT_OK  # warm imports
+    peak = _traced_peak(main, ["simulate", "--config", cfg_file])
+    assert peak < paths + history / 2, (peak, paths, history)
+
+
 def test_fixed_point_writes_outputs(tmp_path):
     p = tmp_path / "run.cfg"
     p.write_text(
@@ -183,9 +221,9 @@ def test_verify_draws_each_path_block_once(tmp_path, monkeypatch):
     real = simulate.rng.gaussian_block
     streams = []
 
-    def spy(seed, stream, first_index, n_rows, n_cols):
+    def spy(seed, stream, first_index, n_rows, n_cols, first_col=0):
         streams.append(stream)
-        return real(seed, stream, first_index, n_rows, n_cols)
+        return real(seed, stream, first_index, n_rows, n_cols, first_col)
 
     monkeypatch.setattr(simulate.rng, "gaussian_block", spy)
     overrides = {"sim.nPaths": str(simulate.PATH_CHUNK + 1), "sim.T": "0.1",

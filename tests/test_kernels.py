@@ -107,8 +107,12 @@ def _population(states, noise, dt, sdt, *rest):
 
 
 def _representative(x0s, mflow, off, noise, dt, sdt, *rest):
-    """representative_kernel on the block pre-scaled to sdt*noise."""
-    return _kernels.representative_kernel(x0s, mflow, off, sdt * noise, dt, *rest)
+    """representative_kernel on the block pre-scaled to sdt*noise, adding to
+    zero costs; returns (costs, terminal, diverged_step) as the reference
+    does."""
+    costs = np.zeros(x0s.shape[0])
+    return (costs, *_kernels.representative_kernel(x0s, mflow, off, sdt * noise, dt,
+                                                   *rest, costs))
 
 
 def _forward_field(x0, u, xgrid, noise, dt, sdt, *rest):

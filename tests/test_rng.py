@@ -62,3 +62,14 @@ def test_gaussian_block_is_fortran_ordered_generator_rows(n_rows):
         gen = rng.make_generator(9, rng.STREAM_PATHS, 40 + i)
         ref = ndtri(np.clip(gen.random(5), 2.5e-17, None))
         assert np.array_equal(block[i], ref)
+
+
+@pytest.mark.parametrize("first_col", [1, 3, 333, 1000])
+def test_gaussian_block_bands_are_columns_of_the_full_block(first_col):
+    # a band starting at any column, a counter step boundary or not, is
+    # bitwise those columns of the block drawn from column 0
+    full = rng.gaussian_block(2**41 + 9, rng.STREAM_PATHS, 123, 37, 1001)
+    for n_cols in {1, (1002 - first_col) // 2, 1001 - first_col}:
+        band = rng.gaussian_block(2**41 + 9, rng.STREAM_PATHS, 123, 37, n_cols, first_col)
+        assert band.flags.f_contiguous
+        assert np.array_equal(band, full[:, first_col:first_col + n_cols])

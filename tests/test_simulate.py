@@ -13,6 +13,7 @@ from mfglab import (
     w2_empirical,
 )
 from mfglab import _kernels, rng, simulate
+from mfglab.errors import DivergedError
 from mfglab.simulate import export_flow_csv
 
 
@@ -78,7 +79,8 @@ def test_population_stationary_variance(example_model, eq_feedback):
 def test_deterministic_ode_limit(example_model, eq_feedback, monkeypatch):
     # with the noise switched off the path solves dx/dt = -2x exactly
     monkeypatch.setattr(rng, "gaussian_block",
-                        lambda seed, stream, first, rows, cols: np.zeros((rows, cols)))
+                        lambda seed, stream, first, rows, cols, first_col=0:
+                        np.zeros((rows, cols)))
     batch = simulate_representative(
         example_model, eq_feedback, x0=1.0, mean_flow=0.0, T=2.0, dt=1e-4,
         seed=0, n_paths=2, keep_states=True,
@@ -208,10 +210,11 @@ def test_simulate_legs_match_per_leg_kernel_runs(instance_b, instance_b_selected
         for lo, hi in ((0, 7), (7, 14), (14, 17)):
             noise = math.sqrt(dt) * rng.gaussian_block(seed, stream, offset + lo, hi - lo, n_steps)
             states = np.empty((hi - lo, n_steps + 1)) if keep_states else np.empty((0, 0))
-            c, term, dstep = _kernels.representative_kernel(
+            c = np.zeros(hi - lo)
+            term, dstep = _kernels.representative_kernel(
                 x0[lo:hi], mflow, off, noise, dt, disc,
                 model.b1, model.b2, model.b3, model.b4, model.A, model.C,
-                fb.fx, fb.fm, states, keep_states,
+                fb.fx, fb.fm, states, keep_states, c,
             )
             assert dstep == -1
             assert np.array_equal(leg.costs[lo:hi], c)
@@ -220,6 +223,55 @@ def test_simulate_legs_match_per_leg_kernel_runs(instance_b, instance_b_selected
                 assert np.array_equal(leg.states[lo:hi], states)
         assert leg.feedback is fb
         assert (leg.states is not None) == keep_states
+
+
+@pytest.mark.parametrize("keep_states", [False, True])
+def test_banded_chunks_equal_one_block(instance_b, instance_b_selected, monkeypatch,
+                                       keep_states):
+    # chunks of 7 paths in bands of 9 steps (17 steps in the last chunk of 3
+    # paths) give bitwise the legs of one 17-path block over the horizon
+    model = instance_b
+    eq = AffineFeedback.equilibrium(model, instance_b_selected)
+    feedbacks = [eq, eq.with_offset(0.3), AffineFeedback(1.2 * eq.fx, 1.2 * eq.fm)]
+    x0 = np.linspace(-1.0, 1.0, 17)
+    args = (model, feedbacks, x0, lambda t: 0.4 * math.exp(-t), 0.5, 1e-2, 11)
+    kwargs = dict(n_paths=17, keep_states=keep_states, stream=rng.STREAM_CHECKS,
+                  path_offset=5)
+    whole = simulate.simulate_legs(*args, **kwargs)
+    monkeypatch.setattr(simulate, "PATH_CHUNK", 7)
+    monkeypatch.setattr(simulate, "BLOCK_DOUBLES", 7 * 9)
+    bands = []
+    real = rng.gaussian_block
+
+    def spy(seed, stream, first_index, n_rows, n_cols, first_col=0):
+        bands.append((first_index, n_rows, first_col, n_cols))
+        return real(seed, stream, first_index, n_rows, n_cols, first_col)
+
+    monkeypatch.setattr(rng, "gaussian_block", spy)
+    banded = simulate.simulate_legs(*args, **kwargs)
+    assert bands[:2] == [(5, 7, 0, 9), (5, 7, 9, 9)]
+    assert bands[-1] == (19, 3, 34, 16) and len(bands) == 2 * 6 + 3
+    for a, b in zip(whole, banded):
+        assert np.array_equal(a.costs, b.costs)
+        assert np.array_equal(a.terminal, b.terminal)
+        assert (a.states is None) == (b.states is None) == (not keep_states)
+        if keep_states:
+            assert np.array_equal(a.states, b.states)
+
+
+def test_divergence_in_a_later_band_names_its_step(example_model, eq_feedback,
+                                                   monkeypatch):
+    # x' = 10x diverges after some 290 steps of 0.01, in the eighth band of
+    # 40 steps: the banded run names the step the one-block run names
+    feedbacks = [eq_feedback, AffineFeedback(5.0, 0.0)]
+    steps = []
+    for budget in (simulate.BLOCK_DOUBLES, 5 * 40):
+        monkeypatch.setattr(simulate, "BLOCK_DOUBLES", budget)
+        with pytest.raises(DivergedError) as info:
+            simulate.simulate_legs(example_model, feedbacks, 1.0, 0.0, 4.0, 0.01,
+                                   seed=2, n_paths=5)
+        steps.append(info.value.step)
+    assert steps[0] == steps[1] and 280 <= steps[0] < 320
 
 
 def test_simulate_legs_hold_one_noise_block_at_a_time(example_model, eq_feedback,
