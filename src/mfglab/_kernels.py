@@ -18,7 +18,9 @@ not depend on which other paths share the call; single-path replay and
 batched replay both rely on this.  Nor do they depend on how the horizon
 is cut into time bands: the representative kernel steps one band per
 call, and its terminal states and its ``costs`` accumulator carry into
-the next band's call, so the same operations run in the same order.
+the next band's call, so the same operations run in the same order.  The
+population kernel steps a band's slice of the history, whose first row
+the previous band wrote.
 
 Update rule (explicit Euler-Maruyama, unit diffusion), stated once in
 ``_euler_step`` and called by all three kernels:
@@ -79,7 +81,12 @@ def _euler_step(x, m, ctrl, dw, dt, b1, b2, out, tmp):
 
 @np.errstate(all="ignore")
 def population_kernel(states, noise, dt, b1, b2, b3, fx, fm, off):
-    """Advance the coupled ensemble in place; returns (means, diverged_step)."""
+    """Advance the coupled ensemble in place; returns (means, diverged_step).
+
+    Step k reads ``states[k]``, ``noise[:, k]`` and ``off[k]`` and writes
+    ``states[k + 1]``, so a caller passes a band's slices of the history
+    (one row more than the band's steps) and of the offsets.
+    """
     n_steps = noise.shape[1]
     n = states.shape[1]
     dt, b1, b3, fx = _f64(dt, b1, b3, fx)

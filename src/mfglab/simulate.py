@@ -11,9 +11,10 @@ streams keyed by (seed, stream, path index) so that any single path can be
 replayed bit-exactly in isolation.  Common-random-number legs (several
 feedbacks against the same streams) share one noise draw per block:
 ``simulate_legs`` draws a block of paths over one time band, steps every
-leg across it and releases it before drawing the next.  Every noise block
-handed to a kernel holds sqrt(dt)-scaled increments, scaled once, in place,
-by the function that draws it.
+leg across it and releases it before drawing the next;
+``simulate_population`` draws its particles' noise in time bands the same
+way.  Every noise block handed to a kernel holds sqrt(dt)-scaled
+increments, scaled once, in place, by the function that draws it.
 
 Each simulation rule is stated once: ``whole_steps`` counts the steps of
 every grid, ``time_grid`` builds every time grid, and ``population_draws``
@@ -36,9 +37,11 @@ from .model import LQModel
 
 # Paths per representative noise block: the width of each kernel call.
 PATH_CHUNK = 8192
-# Doubles per representative noise block (16 MiB): a block of
-# min(n_paths, PATH_CHUNK) paths covers a time band of as many steps as fit.
-BLOCK_DOUBLES = 2**21
+# Doubles per noise block (8 MiB): a block of min(n_paths, PATH_CHUNK)
+# representative paths, or of every particle of a population, covers a time
+# band of as many steps as fit.  The population history's statistics are
+# taken over row chunks of at most as many doubles.
+BLOCK_DOUBLES = 2**20
 # Relative distance from a whole number within which span/step counts as
 # whole steps: the floating-point noise of the division.
 STEP_RTOL = 1e-9
@@ -132,7 +135,7 @@ class PopulationPath:
     means: np.ndarray  # (n_steps+1,)
 
     def variances(self) -> np.ndarray:
-        return self.states.var(axis=1)
+        return _by_rows(lambda s: s.var(axis=1), self.states)
 
 
 @dataclass(frozen=True)
@@ -187,15 +190,35 @@ def time_grid(T: float, dt: float) -> np.ndarray:
     return dt * np.arange(n_steps + 1)
 
 
-def population_draws(law0: InitialLaw, N: int, seed: int, n_steps: int, dt: float):
-    """Initial particles and their (N, n_steps) sqrt(dt)-scaled noise
-    increments, both fixed by the seed.
+def _bands(n_rows: int, n_steps: int) -> list[tuple[int, int]]:
+    """The time bands (k0, k1) of a noise block of ``n_rows`` rows: the
+    fewest even bands whose blocks hold at most ``BLOCK_DOUBLES`` doubles,
+    one step per band at the least."""
+    n_bands = -(-n_steps // max(1, BLOCK_DOUBLES // n_rows))
+    band = -(-n_steps // n_bands)
+    return [(k0, min(k0 + band, n_steps)) for k0 in range(0, n_steps, band)]
+
+
+def _by_rows(f, a: np.ndarray) -> np.ndarray:
+    """``f`` (a row-wise reduction) of ``a``, taken over chunks of rows of
+    at most ``BLOCK_DOUBLES`` doubles: the values of ``f(a)``, without its
+    whole-size temporaries."""
+    rows = max(1, BLOCK_DOUBLES // a.shape[1])
+    return np.concatenate([f(a[i:i + rows]) for i in range(0, a.shape[0], rows)])
+
+
+def population_draws(law0: InitialLaw, N: int, seed: int, n_cols: int, dt: float,
+                     first_col: int = 0):
+    """Initial particles and their (N, n_cols) sqrt(dt)-scaled noise
+    increments of steps first_col, ..., first_col + n_cols - 1, both fixed
+    by the seed.
 
     Particle i starts at ``law0.sample(N, seed)[i]`` and its increments are
-    sqrt(dt) times the noise stream (seed, STREAM_POPULATION, i).
+    sqrt(dt) times the noise stream (seed, STREAM_POPULATION, i); a band of
+    steps is bitwise those columns of the whole horizon's block.
     """
     x0 = law0.sample(N, seed)
-    noise = rng.gaussian_block(seed, rng.STREAM_POPULATION, 0, N, n_steps)
+    noise = rng.gaussian_block(seed, rng.STREAM_POPULATION, 0, N, n_cols, first_col)
     noise *= math.sqrt(dt)
     return x0, noise
 
@@ -212,20 +235,29 @@ def simulate_population(
     """Synchronous particle approximation of the self-interacting dynamics.
 
     The mean-field coupling is the same-ensemble empirical mean, recomputed
-    once per step.  The particles and their noise are ``population_draws``.
+    once per step.  The particles and their noise are ``population_draws``,
+    drawn in the time bands of ``simulate_legs``'s blocks (N rows): the
+    kernel steps each band into the kept history from the band's first
+    row, so the history and the means are bitwise those of one block.
     """
     if N < 1:
         raise ValueError("population needs at least one particle")
     times = time_grid(T, dt)
     n_steps = times.size - 1
     states = np.empty((n_steps + 1, N))
-    states[0], noise = population_draws(law0, N, seed, n_steps, dt)
+    means = np.empty(n_steps + 1)
     off = np.full(n_steps, feedback.offset)
-    means, dstep = _kernels.population_kernel(
-        states, noise, dt, model.b1, model.b2, model.b3, feedback.fx, feedback.fm, off,
-    )
-    if dstep >= 0:
-        raise DivergedError(dstep)
+    for k0, k1 in _bands(N, n_steps):
+        x0, noise = population_draws(law0, N, seed, k1 - k0, dt, k0)
+        if k0 == 0:
+            states[0] = x0
+        means[k0:k1 + 1], dstep = _kernels.population_kernel(
+            states[k0:k1 + 1], noise, dt, model.b1, model.b2, model.b3,
+            feedback.fx, feedback.fm, off[k0:k1],
+        )
+        if dstep >= 0:
+            raise DivergedError(k0 + dstep)
+        del noise
     return PopulationPath(times=times, states=states, means=means)
 
 
@@ -246,6 +278,10 @@ def simulate_legs(
     one batch per feedback, all driven by the same noise.
 
     ``mean_flow`` is a callable of t, a scalar, or an array on the time grid.
+    ``x0`` broadcasts to (len(feedbacks), n_paths): a scalar starts every
+    path of every leg there, an (n_paths,) array gives each path its start
+    in every leg, and a (len(feedbacks), 1) or (len(feedbacks), n_paths)
+    array gives leg j the start points ``x0[j]``.
     Path j of every leg consumes the noise stream (seed, stream,
     path_offset + j).  The paths run in chunks of ``PATH_CHUNK``, and each
     chunk's horizon in even time bands, the fewest whose blocks hold at most
@@ -268,30 +304,27 @@ def simulate_legs(
     if mflow.size != times.size:
         raise ValueError("mean flow does not cover the time grid")
 
-    x0s = np.broadcast_to(np.asarray(x0, dtype=float), (n_paths,)).copy()
+    x0s = np.broadcast_to(np.asarray(x0, dtype=float), (len(feedbacks), n_paths))
     offs = [np.full(n_steps, fb.offset) for fb in feedbacks]
     disc = np.exp(-model.r * times[:-1])
     sdt = math.sqrt(dt)
 
     costs = [np.zeros(n_paths) for _ in feedbacks]
-    terminal = [np.empty(n_paths) for _ in feedbacks]
+    # each leg's states: its start points, carried from band to band
+    terminal = [start.copy() for start in x0s]
     states = [np.empty((n_paths, n_steps + 1)) if keep_states else None for _ in feedbacks]
     dummy = np.empty((0, 0))
 
     for lo in range(0, n_paths, PATH_CHUNK):
         hi = min(lo + PATH_CHUNK, n_paths)
-        # even bands of at most BLOCK_DOUBLES // rows steps
-        n_bands = -(-n_steps // max(1, BLOCK_DOUBLES // (hi - lo)))
-        band = -(-n_steps // n_bands)
-        x = [x0s[lo:hi]] * len(feedbacks)
-        for k0 in range(0, n_steps, band):
-            k1 = min(k0 + band, n_steps)
+        for k0, k1 in _bands(hi - lo, n_steps):
             noise = rng.gaussian_block(seed, stream, path_offset + lo, hi - lo, k1 - k0, k0)
             noise *= sdt
             for j, fb in enumerate(feedbacks):
                 band_states = states[j][lo:hi, k0:k1 + 1] if keep_states else dummy
-                x[j], dstep = _kernels.representative_kernel(
-                    x[j], mflow[k0:k1], offs[j][k0:k1], noise, dt, disc[k0:k1],
+                x = terminal[j][lo:hi]
+                x[:], dstep = _kernels.representative_kernel(
+                    x, mflow[k0:k1], offs[j][k0:k1], noise, dt, disc[k0:k1],
                     model.b1, model.b2, model.b3, model.b4, model.A, model.C,
                     fb.fx, fb.fm, band_states, keep_states, costs[j][lo:hi],
                 )
@@ -299,8 +332,6 @@ def simulate_legs(
                     raise DivergedError(k0 + dstep)
             # release this block before the next one is drawn: one block is live
             del noise
-        for j in range(len(feedbacks)):
-            terminal[j][lo:hi] = x[j]
 
     return [
         TrajectoryBatch(
@@ -380,10 +411,11 @@ def w2_empirical(samples_a, samples_b) -> float:
 
 
 def export_flow_csv(path: PopulationPath) -> list[tuple]:
-    """Rows (t, mean, var, q05, q95) for CSV export."""
+    """Rows (t, mean, var, q05, q95) for CSV export; the row-wise statistics
+    are taken over row chunks, like ``PopulationPath.variances``."""
     var = path.variances()
-    q05 = np.quantile(path.states, 0.05, axis=1)
-    q95 = np.quantile(path.states, 0.95, axis=1)
+    q05 = _by_rows(lambda s: np.quantile(s, 0.05, axis=1), path.states)
+    q95 = _by_rows(lambda s: np.quantile(s, 0.95, axis=1), path.states)
     return [
         (float(t), float(m), float(v), float(a), float(b))
         for t, m, v, a, b in zip(path.times, path.means, var, q05, q95)

@@ -24,7 +24,6 @@ from mfglab import (
     pa_master_residual,
     riccati_backward,
     select_admissible,
-    simulate_representative,
     solve_root_system,
     solve_selected,
     square_grid,
@@ -33,6 +32,7 @@ from mfglab import (
     weak_uniqueness_check,
 )
 from mfglab import EXAMPLE_MODEL, INSTANCE_B, estimate_cost, solve_mfg
+from mfglab.simulate import simulate_legs
 from mfglab.verify import offset_perturbation
 
 MC_BIG = RunConfig(EXAMPLE_MODEL, InitialLaw.dirac(0.0), T=6.0, dt=1e-3, n_paths=100_000,
@@ -94,13 +94,14 @@ def test_criterion_3_value_reproduction():
     t0 = time.perf_counter()
     U = solve_selected(EXAMPLE_MODEL)
     fb = AffineFeedback.equilibrium(EXAMPLE_MODEL, U)
-    means = {}
-    for x0 in (0.0, 1.0):
-        batch = simulate_representative(
-            EXAMPLE_MODEL, fb, x0=x0, mean_flow=0.0, T=MC_BIG.T, dt=MC_BIG.dt,
-            seed=MC_BIG.seed, n_paths=MC_BIG.n_paths,
-        )
-        means[x0] = estimate_cost(EXAMPLE_MODEL, batch).mean
+    # the legs x0 = 0 and x0 = 1 over one draw of the noise
+    starts = (0.0, 1.0)
+    batches = simulate_legs(
+        EXAMPLE_MODEL, [fb, fb], x0=np.array(starts)[:, None], mean_flow=0.0,
+        T=MC_BIG.T, dt=MC_BIG.dt, seed=MC_BIG.seed, n_paths=MC_BIG.n_paths,
+    )
+    means = {x0: estimate_cost(EXAMPLE_MODEL, batch).mean
+             for x0, batch in zip(starts, batches)}
     elapsed = time.perf_counter() - t0
     ok = 0.24 <= means[0.0] <= 0.26 and 0.73 <= means[1.0] <= 0.77
     _report("criterion 3 (value reproduction)", ok,

@@ -259,6 +259,82 @@ def test_banded_chunks_equal_one_block(instance_b, instance_b_selected, monkeypa
             assert np.array_equal(a.states, b.states)
 
 
+def test_per_leg_start_points_equal_separate_runs(instance_b, instance_b_selected,
+                                                   monkeypatch):
+    # chunks of 7 paths in bands of 9 steps: legs started at their own
+    # points give bitwise the batches of simulating each leg alone
+    monkeypatch.setattr(simulate, "PATH_CHUNK", 7)
+    monkeypatch.setattr(simulate, "BLOCK_DOUBLES", 7 * 9)
+    model = instance_b
+    eq = AffineFeedback.equilibrium(model, instance_b_selected)
+    feedbacks = [eq, eq, eq.with_offset(0.3)]
+    n_paths = 17
+    args = (lambda t: 0.4 * math.exp(-t), 0.5, 1e-2, 11)
+    kwargs = dict(n_paths=n_paths, keep_states=True, stream=rng.STREAM_CHECKS,
+                  path_offset=5)
+    per_leg = np.array([[0.0], [1.0], [-0.5]])
+    per_path = np.linspace(-1.0, 1.0, 3 * n_paths).reshape(3, n_paths)
+    for x0 in (per_leg, per_path):
+        legs = simulate.simulate_legs(model, feedbacks, x0, *args, **kwargs)
+        for fb, start, leg in zip(feedbacks, x0, legs):
+            solo = simulate_representative(model, fb, start, *args, **kwargs)
+            assert np.array_equal(leg.costs, solo.costs)
+            assert np.array_equal(leg.terminal, solo.terminal)
+            assert np.array_equal(leg.states, solo.states)
+            assert np.array_equal(leg.states[:, 0], np.broadcast_to(start, n_paths))
+
+
+def test_simulate_legs_peak_memory_is_bounded(example_model, eq_feedback):
+    # crn-verify's legs (8 legs, 8192 paths, 750 steps): one block of
+    # 8192 paths x 125 steps (7.8 MiB) is live at a time, beside the legs'
+    # costs, terminal and current states (0.5 MiB each)
+    feedbacks = [eq_feedback.with_offset(0.1 * j) for j in range(8)]
+    tracemalloc.start()
+    try:
+        simulate.simulate_legs(example_model, feedbacks, 1.0, 0.0, 3.0, 0.004,
+                               seed=3, n_paths=8192)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 2**20, peak / 2**20
+
+
+def test_population_bands_equal_one_block(example_model, eq_feedback, monkeypatch):
+    # 17 particles in bands of 9 steps, statistics over chunks of 9 rows:
+    # the history, the means and the flow.csv rows of one block, bitwise
+    args = (example_model, eq_feedback, InitialLaw.gaussian(0.5, 1.0), 17, 0.5, 1e-2, 4)
+    whole = simulate_population(*args)
+    whole_rows = export_flow_csv(whole)
+    monkeypatch.setattr(simulate, "BLOCK_DOUBLES", 17 * 9)
+    bands = []
+    real = rng.gaussian_block
+
+    def spy(seed, stream, first_index, n_rows, n_cols, first_col=0):
+        bands.append((first_col, n_cols))
+        return real(seed, stream, first_index, n_rows, n_cols, first_col)
+
+    monkeypatch.setattr(rng, "gaussian_block", spy)
+    banded = simulate_population(*args)
+    assert bands == [(0, 9), (9, 9), (18, 9), (27, 9), (36, 9), (45, 5)]
+    assert np.array_equal(banded.states, whole.states)
+    assert np.array_equal(banded.means, whole.means)
+    assert export_flow_csv(banded) == whole_rows
+
+
+def test_population_divergence_in_a_later_band_names_its_step(example_model,
+                                                              monkeypatch):
+    # x' = 10x diverges after some 290 steps of 0.01, in the eighth band of
+    # 40 steps: the banded run names the step the one-block run names
+    steps = []
+    for budget in (simulate.BLOCK_DOUBLES, 5 * 40):
+        monkeypatch.setattr(simulate, "BLOCK_DOUBLES", budget)
+        with pytest.raises(DivergedError) as info:
+            simulate_population(example_model, AffineFeedback(5.0, 0.0),
+                                InitialLaw.dirac(1.0), N=5, T=4.0, dt=0.01, seed=2)
+        steps.append(info.value.step)
+    assert steps[0] == steps[1] and 280 <= steps[0] < 320
+
+
 def test_divergence_in_a_later_band_names_its_step(example_model, eq_feedback,
                                                    monkeypatch):
     # x' = 10x diverges after some 290 steps of 0.01, in the eighth band of
