@@ -257,6 +257,7 @@ def simulate_population(
         )
         if dstep >= 0:
             raise DivergedError(k0 + dstep)
+        # release this band before the next one is drawn
         del noise
     return PopulationPath(times=times, states=states, means=means)
 
