@@ -43,7 +43,7 @@ def make_generator(seed: int, stream: int, index: int = 0) -> np.random.Generato
 
 def gaussian_block(
     seed: int, stream: int, first_index: int, n_rows: int, n_cols: int,
-    first_col: int = 0,
+    first_col: int = 0, out: np.ndarray | None = None,
 ) -> np.ndarray:
     """(n_rows, n_cols) standard normals; row i holds draws first_col, ...,
     first_col + n_cols - 1 of the stream (seed, stream, first_index + i),
@@ -56,8 +56,16 @@ def gaussian_block(
     contiguous: the kernels read ``noise[:, k]`` once per time step.  Rows
     are drawn into a C-order tile of at most ``_TILE_ROWS`` rows and copied
     in, so no full-size transposed copy is ever made.
+
+    ``out``, when given, is an (n_rows, n_cols) float64 array in Fortran
+    order that receives the block in place of a new one, and is returned:
+    the noise worker of ``simulate_legs`` draws into a shared slot this
+    way.
     """
-    out = np.empty((n_rows, n_cols), order="F")
+    if out is None:
+        out = np.empty((n_rows, n_cols), order="F")
+    elif out.shape != (n_rows, n_cols) or out.dtype != float or not out.flags.f_contiguous:
+        raise ValueError(f"out must be a ({n_rows}, {n_cols}) float64 array in Fortran order")
     skip = first_col % _PER_COUNTER
     tile = np.empty((min(_TILE_ROWS, n_rows), skip + n_cols))
     tile_rows = list(tile)

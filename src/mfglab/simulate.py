@@ -9,12 +9,14 @@ equal feedbacks compare equal; the kernels in ``_kernels`` take its offset
 as one array entry per step.  All noise is drawn from counter-based
 streams keyed by (seed, stream, path index) so that any single path can be
 replayed bit-exactly in isolation.  Common-random-number legs (several
-feedbacks against the same streams) share one noise draw per block:
-``simulate_legs`` draws a block of paths over one time band, steps every
-leg across it and releases it before drawing the next;
-``simulate_population`` draws its particles' noise in time bands the same
-way.  Every noise block handed to a kernel holds sqrt(dt)-scaled
-increments, scaled once, in place, by the function that draws it.
+feedbacks against the same streams) share one noise draw per block of
+paths over one time band: in ``simulate_legs`` a forked worker process
+draws the next block into one of two shared slots while every leg steps
+the block in the other, or, where forking is unsafe, each block is drawn
+inline and released before the next.  ``simulate_population`` draws its
+particles' noise in time bands, inline, one block at a time.  Every noise
+block handed to a kernel holds sqrt(dt)-scaled increments, scaled once,
+in place, by the code that draws it.
 
 Each simulation rule is stated once: ``whole_steps`` counts the steps of
 every grid, ``time_grid`` builds every time grid, and ``population_draws``
@@ -24,24 +26,34 @@ system and the fixed-point solver.
 
 from __future__ import annotations
 
+import contextlib
+import errno
 import math
+import mmap
+import os
+import signal
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
 
 from . import _kernels, rng
-from .errors import DivergedError
+from .errors import DivergedError, MFGLabError
 from .master import QuadraticValue
 from .model import LQModel
 
 # Paths per representative noise block: the width of each kernel call.
-PATH_CHUNK = 8192
-# Doubles per noise block (8 MiB): a block of min(n_paths, PATH_CHUNK)
-# representative paths, or of every particle of a population, covers a time
-# band of as many steps as fit.  The population history's statistics are
-# taken over row chunks of at most as many doubles.
+PATH_CHUNK = 4096
+# Doubles of live noise (8 MiB).  A population's block (every particle)
+# covers a time band of as many steps as fit in it; a representative block
+# of min(n_paths, PATH_CHUNK) paths fits in half of it, since two such
+# blocks are live at once, one drawn by the noise worker while the legs
+# step the other.  The population history's statistics are taken over row
+# chunks of at most ``BLOCK_DOUBLES`` doubles.
 BLOCK_DOUBLES = 2**20
+# Exit status of a noise worker that ran out of memory.
+_WORKER_NO_MEMORY = 3
 # Relative distance from a whole number within which span/step counts as
 # whole steps: the floating-point noise of the division.
 STEP_RTOL = 1e-9
@@ -190,11 +202,11 @@ def time_grid(T: float, dt: float) -> np.ndarray:
     return dt * np.arange(n_steps + 1)
 
 
-def _bands(n_rows: int, n_steps: int) -> list[tuple[int, int]]:
+def _bands(n_rows: int, n_steps: int, budget: int) -> list[tuple[int, int]]:
     """The time bands (k0, k1) of a noise block of ``n_rows`` rows: the
-    fewest even bands whose blocks hold at most ``BLOCK_DOUBLES`` doubles,
-    one step per band at the least."""
-    n_bands = -(-n_steps // max(1, BLOCK_DOUBLES // n_rows))
+    fewest even bands whose blocks hold at most ``budget`` doubles, one step
+    per band at the least."""
+    n_bands = -(-n_steps // max(1, budget // n_rows))
     band = -(-n_steps // n_bands)
     return [(k0, min(k0 + band, n_steps)) for k0 in range(0, n_steps, band)]
 
@@ -236,9 +248,10 @@ def simulate_population(
 
     The mean-field coupling is the same-ensemble empirical mean, recomputed
     once per step.  The particles and their noise are ``population_draws``,
-    drawn in the time bands of ``simulate_legs``'s blocks (N rows): the
-    kernel steps each band into the kept history from the band's first
-    row, so the history and the means are bitwise those of one block.
+    drawn in the fewest even time bands whose blocks (N rows) hold at most
+    ``BLOCK_DOUBLES`` doubles: the kernel steps each band into the kept
+    history from the band's first row, so the history and the means are
+    bitwise those of one block.
     """
     if N < 1:
         raise ValueError("population needs at least one particle")
@@ -247,7 +260,7 @@ def simulate_population(
     states = np.empty((n_steps + 1, N))
     means = np.empty(n_steps + 1)
     off = np.full(n_steps, feedback.offset)
-    for k0, k1 in _bands(N, n_steps):
+    for k0, k1 in _bands(N, n_steps, BLOCK_DOUBLES):
         x0, noise = population_draws(law0, N, seed, k1 - k0, dt, k0)
         if k0 == 0:
             states[0] = x0
@@ -260,6 +273,135 @@ def simulate_population(
         # release this band before the next one is drawn
         del noise
     return PopulationPath(times=times, states=states, means=means)
+
+
+def _can_fork() -> bool:
+    """Whether this process may fork the noise worker: it must have no
+    thread but the main one, which could hold a lock the worker needs.  The
+    worker calls no BLAS or LAPACK (its Philox draws, ``ndtri`` and scaling
+    are elementwise), so a BLAS library's own threads do not matter."""
+    return hasattr(os, "fork") and threading.active_count() == 1
+
+
+def _noise_blocks(n_paths: int, n_steps: int, seed: int, stream: int,
+                  path_offset: int, dt: float):
+    """``simulate_legs``'s blocks in plan order, each as ((lo, hi, k0, k1),
+    noise): the sqrt(dt)-scaled increments of paths lo..hi-1 over steps
+    k0..k1-1, of shape (hi - lo, k1 - k0) in Fortran order.
+
+    The plan is chunks of ``PATH_CHUNK`` paths, each over the time bands of
+    a ``BLOCK_DOUBLES // 2`` budget.  A plan of more than one block is drawn
+    ahead by a forked worker (``_worker_blocks``) when ``_can_fork()``;
+    otherwise each block is drawn here when it is asked for.  Either way
+    the caller must be done with a block before it asks for the next one.
+    """
+    plan = [(lo, hi, k0, k1)
+            for lo in range(0, n_paths, PATH_CHUNK)
+            for hi in (min(lo + PATH_CHUNK, n_paths),)
+            for k0, k1 in _bands(hi - lo, n_steps, BLOCK_DOUBLES // 2)]
+    sdt = math.sqrt(dt)
+    if len(plan) > 1 and _can_fork():
+        yield from _worker_blocks(plan, seed, stream, path_offset, sdt)
+        return
+    for block in plan:
+        lo, hi, k0, k1 = block
+        noise = rng.gaussian_block(seed, stream, path_offset + lo, hi - lo, k1 - k0, k0)
+        noise *= sdt
+        yield block, noise
+        # release this block before the next one is drawn
+        del noise
+
+
+def _slot(slots: np.ndarray, i: int, block) -> np.ndarray:
+    """Block ``i`` of a plan, in its slot i % 2 of ``slots``."""
+    lo, hi, k0, k1 = block
+    return slots[i % 2, :(hi - lo) * (k1 - k0)].reshape((hi - lo, k1 - k0), order="F")
+
+
+def _worker_blocks(plan, seed: int, stream: int, path_offset: int, sdt: float):
+    """``_noise_blocks`` drawn one block ahead by a forked worker process.
+
+    The worker (``_worker``) draws block i straight into slot i % 2 of an
+    anonymous shared mmap of two slots, each as large as the plan's largest
+    block, and reports it on the ``ready`` pipe.  The parent yields the slot
+    and, once the caller is done with it, frees it on the ``free`` pipe for
+    block i + 2.  The worker is always reaped before this returns or raises,
+    and killed first unless every block was yielded.  Failures to start it
+    or of the worker itself raise ``MemoryError`` (out of memory) or
+    ``MFGLabError``, never ``OSError``.
+    """
+    size = max((hi - lo) * (k1 - k0) for lo, hi, k0, k1 in plan)
+    fds, pid, done = [], 0, False
+    try:
+        try:
+            shared = mmap.mmap(-1, 2 * size * 8)
+            for _ in range(2):
+                fds += os.pipe()
+            pid = os.fork()
+        except OSError as exc:
+            if exc.errno == errno.ENOMEM:
+                raise MemoryError(f"cannot start the noise worker: {exc.strerror}") from None
+            raise MFGLabError(f"cannot start the noise worker: {exc.strerror or exc}") from None
+        free_r, free_w, ready_r, ready_w = fds
+        slots = np.frombuffer(shared, dtype=float).reshape(2, size)
+        if pid == 0:
+            _worker(plan, slots, seed, stream, path_offset, sdt, free_r, ready_w,
+                    (free_w, ready_r))
+        os.close(free_r)
+        os.close(ready_w)
+        fds = [free_w, ready_r]
+        for i, block in enumerate(plan):
+            try:
+                ready = os.read(ready_r, 1)
+            except OSError:
+                ready = b""
+            if not ready:  # the worker ended early: its exit status says why
+                status = os.waitpid(pid, 0)[1]
+                pid = 0
+                code = os.waitstatus_to_exitcode(status)
+                if code == _WORKER_NO_MEMORY:
+                    raise MemoryError("the noise worker ran out of memory")
+                raise MFGLabError(f"the noise worker failed with exit status {code}")
+            yield block, _slot(slots, i, block)
+            if i + 2 < len(plan):
+                # a worker that has died is reported at the next read
+                with contextlib.suppress(OSError):
+                    os.write(free_w, b"\0")
+        done = True
+    finally:
+        for fd in fds:
+            os.close(fd)
+        if pid:
+            if not done:
+                os.kill(pid, signal.SIGKILL)
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(pid, 0)
+
+
+def _worker(plan, slots, seed, stream, path_offset, sdt, free_r, ready_w, parent_fds):
+    """The noise worker's life in the forked process; it ends in
+    ``os._exit`` and never returns.  Block i waits for the parent to free
+    slot i % 2 (from block 2 on), is drawn into it, scaled by sqrt(dt) in
+    place and reported with one byte.  It exits 0 when done or when the
+    parent stops early, ``_WORKER_NO_MEMORY`` on ``MemoryError`` and 1 on
+    any other failure."""
+    status = 1
+    try:
+        for fd in parent_fds:
+            os.close(fd)
+        for i, block in enumerate(plan):
+            if i >= 2 and not os.read(free_r, 1):
+                break  # the parent stopped early
+            lo, hi, k0, k1 = block
+            noise = _slot(slots, i, block)
+            rng.gaussian_block(seed, stream, path_offset + lo, hi - lo, k1 - k0, k0, out=noise)
+            noise *= sdt
+            os.write(ready_w, b"\0")
+        status = 0
+    except MemoryError:
+        status = _WORKER_NO_MEMORY
+    finally:
+        os._exit(status)
 
 
 def simulate_legs(
@@ -286,15 +428,20 @@ def simulate_legs(
     Path j of every leg consumes the noise stream (seed, stream,
     path_offset + j).  The paths run in chunks of ``PATH_CHUNK``, and each
     chunk's horizon in even time bands, the fewest whose blocks hold at most
-    ``BLOCK_DOUBLES`` doubles (one step per band at the least).  Each block
-    of min(n_paths, PATH_CHUNK) paths by one band is drawn and scaled by
-    sqrt(dt) once, every leg is stepped across it from the state and cost it
-    reached at the end of the previous band, and the block is released
-    before the next one is drawn.  A leg's result is bitwise the same as
-    simulating it alone in one block, since the kernel does not write to the
-    noise and carries each path's state and cost across bands.  A
-    divergence raises ``DivergedError`` at the first band in which a leg
-    diverged, naming the first such leg's step on the whole grid.
+    ``BLOCK_DOUBLES // 2`` doubles (one step per band at the least).  Each
+    block of min(n_paths, PATH_CHUNK) paths by one band is drawn and scaled
+    by sqrt(dt) once, and every leg is stepped across it from the state and
+    cost it reached at the end of the previous band.  When there is more
+    than one block and the process can fork safely, a worker process draws
+    the next block into the other of two shared slots while the legs step
+    this one, so at most ``BLOCK_DOUBLES`` doubles of noise are live; no
+    worker outlives the call.  Otherwise each block is drawn here and
+    released before the next.  A leg's result is bitwise the same either
+    way, and the same as simulating it alone in one block, since the kernel
+    does not write to the noise and carries each path's state and cost
+    across bands.  A divergence raises ``DivergedError`` at the first block
+    in which a leg diverged, naming the first such leg's step on the whole
+    grid.
     """
     times = time_grid(T, dt)
     n_steps = times.size - 1
@@ -308,7 +455,6 @@ def simulate_legs(
     x0s = np.broadcast_to(np.asarray(x0, dtype=float), (len(feedbacks), n_paths))
     offs = [np.full(n_steps, fb.offset) for fb in feedbacks]
     disc = np.exp(-model.r * times[:-1])
-    sdt = math.sqrt(dt)
 
     costs = [np.zeros(n_paths) for _ in feedbacks]
     # each leg's states: its start points, carried from band to band
@@ -316,11 +462,9 @@ def simulate_legs(
     states = [np.empty((n_paths, n_steps + 1)) if keep_states else None for _ in feedbacks]
     dummy = np.empty((0, 0))
 
-    for lo in range(0, n_paths, PATH_CHUNK):
-        hi = min(lo + PATH_CHUNK, n_paths)
-        for k0, k1 in _bands(hi - lo, n_steps):
-            noise = rng.gaussian_block(seed, stream, path_offset + lo, hi - lo, k1 - k0, k0)
-            noise *= sdt
+    blocks = _noise_blocks(n_paths, n_steps, seed, stream, path_offset, dt)
+    with contextlib.closing(blocks):
+        for (lo, hi, k0, k1), noise in blocks:
             for j, fb in enumerate(feedbacks):
                 band_states = states[j][lo:hi, k0:k1 + 1] if keep_states else dummy
                 x = terminal[j][lo:hi]
@@ -331,7 +475,7 @@ def simulate_legs(
                 )
                 if dstep >= 0:
                     raise DivergedError(k0 + dstep)
-            # release this block before the next one is drawn: one block is live
+            # done with this block: it is released before the next is drawn
             del noise
 
     return [

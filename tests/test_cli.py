@@ -1,9 +1,9 @@
 import csv
+import errno
 import math
 import os
 import subprocess
 import sys
-import tracemalloc
 import warnings
 
 import pytest
@@ -102,19 +102,11 @@ def test_simulate_writes_flow_and_cost(cfg_path, tmp_path):
     assert 0.5 < float(cost[1][0]) < 1.0
 
 
-def _traced_peak(fn, *args, **kwargs):
-    tracemalloc.start()
-    try:
-        fn(*args, **kwargs)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_simulate_peak_is_its_larger_phase(tmp_path):
+def test_simulate_peak_is_its_larger_phase(tmp_path, live_noise_peak):
     # the population history (401 x 500 doubles, 1.6 MB) is released once
     # flow.csv is written, so the run peaks at its larger phase, the paths'
-    # 4000 x 400 noise block (12.8 MB), and not at the two phases' sum
+    # two slots of 4000 x 100 noise (6.4 MB, one being stepped while the
+    # noise worker fills the other), and not at the two phases' sum
     from mfglab import master, simulate
     from mfglab.config import load_config
 
@@ -128,14 +120,15 @@ def test_simulate_peak_is_its_larger_phase(tmp_path):
                                            cfg.T, cfg.dt, cfg.seed)
         simulate.export_flow_csv(pop)
 
-    population = _traced_peak(population_phase)
-    paths = _traced_peak(simulate.simulate_representative, cfg.model, fb, x0=1.0,
-                         mean_flow=0.0, T=cfg.T, dt=cfg.dt, seed=cfg.seed,
-                         n_paths=cfg.n_paths)
+    population, _ = live_noise_peak(population_phase)
+    paths, slots = live_noise_peak(simulate.simulate_representative, cfg.model, fb, x0=1.0,
+                                   mean_flow=0.0, T=cfg.T, dt=cfg.dt, seed=cfg.seed,
+                                   n_paths=cfg.n_paths)
+    assert slots == [2 * 4000 * 100 * 8]
     history = 401 * 500 * 8
     assert paths > population + history
     assert main(["simulate", "--config", cfg_file]) == EXIT_OK  # warm imports
-    peak = _traced_peak(main, ["simulate", "--config", cfg_file])
+    peak, _ = live_noise_peak(main, ["simulate", "--config", cfg_file])
     assert peak < paths + history / 2, (peak, paths, history)
 
 
@@ -213,25 +206,63 @@ def test_nash_and_gateaux_legs_are_equal_feedbacks(cfg_path, monkeypatch):
     assert set(nash) == set(gateaux)
 
 
-def test_verify_draws_each_path_block_once(tmp_path, monkeypatch):
+def test_verify_draws_each_path_block_once(tmp_path, draw_log):
     # nash and gateaux step their legs over one shared draw per block of
-    # PATH_CHUNK paths: two blocks here, each drawn once
+    # PATH_CHUNK paths: two blocks here, each drawn once (the log sees the
+    # noise worker's draws too)
     from mfglab import rng, simulate
 
-    real = simulate.rng.gaussian_block
-    streams = []
-
-    def spy(seed, stream, first_index, n_rows, n_cols, first_col=0):
-        streams.append(stream)
-        return real(seed, stream, first_index, n_rows, n_cols, first_col)
-
-    monkeypatch.setattr(simulate.rng, "gaussian_block", spy)
     overrides = {"sim.nPaths": str(simulate.PATH_CHUNK + 1), "sim.T": "0.1",
                  "sim.dt": "0.02"}
     # paths this short may fail the statistical checks; the draws still count
     assert main(["verify", "--config", write_cfg(tmp_path, overrides),
                  "--checks", "nash,gateaux"]) in (EXIT_OK, EXIT_CHECK_FAILED)
-    assert streams.count(rng.STREAM_PATHS) == 2
+    assert [call[0] for call in draw_log()].count(rng.STREAM_PATHS) == 2
+
+
+@pytest.mark.parametrize("failure", ["worker-memory", "worker-error", "mmap-enomem",
+                                     "pipe-emfile"])
+def test_noise_worker_failures_exit_2_in_one_line(tmp_path, capfd, monkeypatch, failure):
+    # five blocks of 100 paths.  The worker fails at its third block, after
+    # the parent freed a slot for it, or it cannot be started: either way
+    # simulate exits 2 with one line, no traceback, and leaves no child
+    from mfglab import rng, simulate
+
+    monkeypatch.setattr(simulate, "PATH_CHUNK", 100)
+    real = rng.gaussian_block
+    drawn = []
+
+    def worker_fails(seed, stream, first_index, n_rows, n_cols, first_col=0, out=None):
+        if out is not None:
+            drawn.append(first_index)
+            if len(drawn) == 3:
+                raise MemoryError() if failure == "worker-memory" else RuntimeError("boom")
+        return real(seed, stream, first_index, n_rows, n_cols, first_col, out=out)
+
+    def refused(code):
+        def fail(*args, **kwargs):
+            raise OSError(code, os.strerror(code))
+        return fail
+
+    cfg = write_cfg(tmp_path, {})
+    with monkeypatch.context() as m:
+        if failure.startswith("worker"):
+            m.setattr(rng, "gaussian_block", worker_fails)
+        elif failure == "mmap-enomem":
+            m.setattr(simulate.mmap, "mmap", refused(errno.ENOMEM))
+        else:
+            m.setattr(simulate.os, "pipe", refused(errno.EMFILE))
+        assert main(["simulate", "--config", cfg]) == EXIT_CONFIG
+    out, err = capfd.readouterr()
+    assert err.count("\n") == 1 and "Traceback" not in out + err, err
+    assert "cannot write outputs" not in err
+    expected = {"worker-memory": "error: not enough memory",
+                "worker-error": "error: the noise worker failed with exit status 1",
+                "mmap-enomem": "error: not enough memory",
+                "pipe-emfile": "error: cannot start the noise worker"}[failure]
+    assert err.startswith(expected), err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_paired_checks_alone_write_the_pair_run_bytes(tmp_path):

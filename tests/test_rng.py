@@ -73,3 +73,16 @@ def test_gaussian_block_bands_are_columns_of_the_full_block(first_col):
         band = rng.gaussian_block(2**41 + 9, rng.STREAM_PATHS, 123, 37, n_cols, first_col)
         assert band.flags.f_contiguous
         assert np.array_equal(band, full[:, first_col:first_col + n_cols])
+
+
+def test_gaussian_block_draws_into_out():
+    # a band drawn into a given Fortran-order array is the band it returns
+    # otherwise, in that array
+    band = rng.gaussian_block(5, rng.STREAM_PATHS, 3, 6, 11, 7)
+    out = np.full((6, 11), np.nan, order="F")
+    assert rng.gaussian_block(5, rng.STREAM_PATHS, 3, 6, 11, 7, out=out) is out
+    assert np.array_equal(out, band)
+    for wrong in (np.empty((6, 11)), np.empty((6, 10), order="F"),
+                  np.empty((6, 11), dtype=np.float32, order="F")):
+        with pytest.raises(ValueError, match="Fortran order"):
+            rng.gaussian_block(5, rng.STREAM_PATHS, 3, 6, 11, 7, out=wrong)

@@ -1,5 +1,5 @@
 import math
-import tracemalloc
+import os
 
 import numpy as np
 import pytest
@@ -13,7 +13,7 @@ from mfglab import (
     w2_empirical,
 )
 from mfglab import _kernels, rng, simulate
-from mfglab.errors import DivergedError
+from mfglab.errors import DivergedError, MFGLabError
 from mfglab.simulate import export_flow_csv
 
 
@@ -227,9 +227,10 @@ def test_simulate_legs_match_per_leg_kernel_runs(instance_b, instance_b_selected
 
 @pytest.mark.parametrize("keep_states", [False, True])
 def test_banded_chunks_equal_one_block(instance_b, instance_b_selected, monkeypatch,
-                                       keep_states):
+                                       draw_log, keep_states):
     # chunks of 7 paths in bands of 9 steps (17 steps in the last chunk of 3
-    # paths) give bitwise the legs of one 17-path block over the horizon
+    # paths; a leg block's budget is half of BLOCK_DOUBLES) give bitwise the
+    # legs of one 17-path block over the horizon
     model = instance_b
     eq = AffineFeedback.equilibrium(model, instance_b_selected)
     feedbacks = [eq, eq.with_offset(0.3), AffineFeedback(1.2 * eq.fx, 1.2 * eq.fm)]
@@ -239,16 +240,11 @@ def test_banded_chunks_equal_one_block(instance_b, instance_b_selected, monkeypa
                   path_offset=5)
     whole = simulate.simulate_legs(*args, **kwargs)
     monkeypatch.setattr(simulate, "PATH_CHUNK", 7)
-    monkeypatch.setattr(simulate, "BLOCK_DOUBLES", 7 * 9)
-    bands = []
-    real = rng.gaussian_block
-
-    def spy(seed, stream, first_index, n_rows, n_cols, first_col=0):
-        bands.append((first_index, n_rows, first_col, n_cols))
-        return real(seed, stream, first_index, n_rows, n_cols, first_col)
-
-    monkeypatch.setattr(rng, "gaussian_block", spy)
+    monkeypatch.setattr(simulate, "BLOCK_DOUBLES", 2 * 7 * 9)
+    drawn = len(draw_log())
     banded = simulate.simulate_legs(*args, **kwargs)
+    # the log sees the draws wherever they are made, the worker's included
+    bands = [call[1:5] for call in draw_log()[drawn:]]
     assert bands[:2] == [(5, 7, 0, 9), (5, 7, 9, 9)]
     assert bands[-1] == (19, 3, 34, 16) and len(bands) == 2 * 6 + 3
     for a, b in zip(whole, banded):
@@ -261,10 +257,11 @@ def test_banded_chunks_equal_one_block(instance_b, instance_b_selected, monkeypa
 
 def test_per_leg_start_points_equal_separate_runs(instance_b, instance_b_selected,
                                                    monkeypatch):
-    # chunks of 7 paths in bands of 9 steps: legs started at their own
-    # points give bitwise the batches of simulating each leg alone
+    # chunks of 7 paths in bands of 9 steps (a leg block's budget is half of
+    # BLOCK_DOUBLES): legs started at their own points give bitwise the
+    # batches of simulating each leg alone
     monkeypatch.setattr(simulate, "PATH_CHUNK", 7)
-    monkeypatch.setattr(simulate, "BLOCK_DOUBLES", 7 * 9)
+    monkeypatch.setattr(simulate, "BLOCK_DOUBLES", 2 * 7 * 9)
     model = instance_b
     eq = AffineFeedback.equilibrium(model, instance_b_selected)
     feedbacks = [eq, eq, eq.with_offset(0.3)]
@@ -284,18 +281,15 @@ def test_per_leg_start_points_equal_separate_runs(instance_b, instance_b_selecte
             assert np.array_equal(leg.states[:, 0], np.broadcast_to(start, n_paths))
 
 
-def test_simulate_legs_peak_memory_is_bounded(example_model, eq_feedback):
-    # crn-verify's legs (8 legs, 8192 paths, 750 steps): one block of
-    # 8192 paths x 125 steps (7.8 MiB) is live at a time, beside the legs'
-    # costs, terminal and current states (0.5 MiB each)
+def test_simulate_legs_peak_memory_is_bounded(example_model, eq_feedback, live_noise_peak):
+    # crn-verify's legs (8 legs, 8192 paths, 750 steps): two slots of 4096
+    # paths x 125 steps (3.9 MiB each) are live, one stepped by the legs and
+    # one filled by the noise worker, beside the legs' costs, terminal and
+    # current states (0.5 MiB each)
     feedbacks = [eq_feedback.with_offset(0.1 * j) for j in range(8)]
-    tracemalloc.start()
-    try:
-        simulate.simulate_legs(example_model, feedbacks, 1.0, 0.0, 3.0, 0.004,
-                               seed=3, n_paths=8192)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak, slots = live_noise_peak(simulate.simulate_legs, example_model, feedbacks, 1.0,
+                                  0.0, 3.0, 0.004, seed=3, n_paths=8192)
+    assert slots == [2 * 4096 * 125 * 8]
     assert peak <= 10 * 2**20, peak / 2**20
 
 
@@ -335,38 +329,106 @@ def test_population_divergence_in_a_later_band_names_its_step(example_model,
     assert steps[0] == steps[1] and 280 <= steps[0] < 320
 
 
+def _no_child_left():
+    # waitpid(-1) raises only when this process has no child at all,
+    # running or exited
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_divergence_in_a_later_band_names_its_step(example_model, eq_feedback,
-                                                   monkeypatch):
+                                                   monkeypatch, draw_log):
     # x' = 10x diverges after some 290 steps of 0.01, in the eighth band of
-    # 40 steps: the banded run names the step the one-block run names
+    # 40 steps: the banded run names the step the one-block run names,
+    # whether the noise worker or this process draws the bands, and the
+    # worker is reaped
     feedbacks = [eq_feedback, AffineFeedback(5.0, 0.0)]
     steps = []
-    for budget in (simulate.BLOCK_DOUBLES, 5 * 40):
+    for budget, can_fork in ((simulate.BLOCK_DOUBLES, True), (2 * 5 * 40, True),
+                             (2 * 5 * 40, False)):
         monkeypatch.setattr(simulate, "BLOCK_DOUBLES", budget)
+        monkeypatch.setattr(simulate, "_can_fork", lambda: can_fork)
         with pytest.raises(DivergedError) as info:
             simulate.simulate_legs(example_model, feedbacks, 1.0, 0.0, 4.0, 0.01,
                                    seed=2, n_paths=5)
         steps.append(info.value.step)
-    assert steps[0] == steps[1] and 280 <= steps[0] < 320
+        _no_child_left()
+    assert steps[0] == steps[1] == steps[2] and 280 <= steps[0] < 320
+    assert any(call[5] for call in draw_log())
 
 
 def test_simulate_legs_hold_one_noise_block_at_a_time(example_model, eq_feedback,
-                                                       monkeypatch):
+                                                       monkeypatch, live_noise_peak):
     # three blocks of 50 steps, two legs: the results and the kernels' work
-    # buffers are small beside one block, so a traced peak below 1.6 blocks
-    # shows that each block is released before the next one is drawn
+    # buffers are small beside one block.  The legs hold one block at a
+    # time: drawn here, a live peak below 1.6 blocks shows that each block
+    # is released before the next one is drawn; drawn by the worker, the
+    # live peak with its two one-block slots stays below 2.6 blocks
     monkeypatch.setattr(simulate, "PATH_CHUNK", 1000)
     n_steps, dt = 50, 0.01
     block_bytes = simulate.PATH_CHUNK * n_steps * 8
     feedbacks = [eq_feedback, eq_feedback.with_offset(0.2)]
-    tracemalloc.start()
-    try:
-        simulate.simulate_legs(example_model, feedbacks, 0.5, 0.0, n_steps * dt, dt,
-                               seed=1, n_paths=3 * simulate.PATH_CHUNK)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.6 * block_bytes, peak / block_bytes
+    live = {}
+    for can_fork in (True, False):
+        monkeypatch.setattr(simulate, "_can_fork", lambda: can_fork)
+        peak, slots = live_noise_peak(simulate.simulate_legs, example_model, feedbacks,
+                                      0.5, 0.0, n_steps * dt, dt, seed=1,
+                                      n_paths=3 * simulate.PATH_CHUNK)
+        assert slots == ([2 * block_bytes] if can_fork else [])
+        live[can_fork] = peak / block_bytes
+    assert live[True] < 2.6 and live[False] < 1.6, live
+
+
+@pytest.mark.parametrize("keep_states", [False, True])
+def test_worker_blocks_equal_inline_blocks(instance_b, instance_b_selected, monkeypatch,
+                                           draw_log, keep_states):
+    # chunks of 7 paths in bands of 9 steps, legs started at their own
+    # points, another stream and a path offset: the legs stepped over the
+    # noise worker's slots are bitwise the legs of the same blocks drawn here
+    monkeypatch.setattr(simulate, "PATH_CHUNK", 7)
+    monkeypatch.setattr(simulate, "BLOCK_DOUBLES", 2 * 7 * 9)
+    model = instance_b
+    eq = AffineFeedback.equilibrium(model, instance_b_selected)
+    feedbacks = [eq, eq.with_offset(0.3), AffineFeedback(1.2 * eq.fx, 1.2 * eq.fm)]
+    x0 = np.linspace(-1.0, 1.0, 3 * 17).reshape(3, 17)
+    args = (model, feedbacks, x0, lambda t: 0.4 * math.exp(-t), 0.5, 1e-2, 11)
+    kwargs = dict(n_paths=17, keep_states=keep_states, stream=rng.STREAM_CHECKS,
+                  path_offset=5)
+    forked = simulate.simulate_legs(*args, **kwargs)
+    _no_child_left()
+    n = len(draw_log())
+    monkeypatch.setattr(simulate, "_can_fork", lambda: False)
+    inline = simulate.simulate_legs(*args, **kwargs)
+    calls = draw_log()
+    # the same 15 blocks, drawn into the worker's slots, then drawn here
+    assert n == 15 and [c[:5] for c in calls[:n]] == [c[:5] for c in calls[n:]]
+    assert all(c[5] for c in calls[:n]) and not any(c[5] for c in calls[n:])
+    for a, b in zip(forked, inline):
+        assert np.array_equal(a.costs, b.costs)
+        assert np.array_equal(a.terminal, b.terminal)
+        assert (a.states is None) == (b.states is None) == (not keep_states)
+        if keep_states:
+            assert np.array_equal(a.states, b.states)
+
+
+def test_no_noise_worker_outlives_its_call(example_model, eq_feedback, monkeypatch):
+    # three blocks of 10 paths: the worker is reaped after a whole run, and
+    # after it failed, which the caller hears as an MFGLabError
+    monkeypatch.setattr(simulate, "PATH_CHUNK", 10)
+    args = (example_model, [eq_feedback], 0.5, 0.0, 0.5, 0.01)
+    simulate.simulate_legs(*args, seed=1, n_paths=30)
+    _no_child_left()
+    real = rng.gaussian_block
+
+    def failing(seed, stream, first_index, n_rows, n_cols, first_col=0, out=None):
+        if out is not None:
+            raise RuntimeError("a worker failure")
+        return real(seed, stream, first_index, n_rows, n_cols, first_col)
+
+    monkeypatch.setattr(rng, "gaussian_block", failing)
+    with pytest.raises(MFGLabError, match="noise worker failed with exit status 1"):
+        simulate.simulate_legs(*args, seed=1, n_paths=30)
+    _no_child_left()
 
 
 def test_whole_steps():
