@@ -2,9 +2,9 @@
 
 Each kernel steps a whole ensemble, one time step per loop iteration.
 ``noise`` has shape (paths, steps) and holds sqrt(dt)-scaled increments
-sqrt(dt)*g_k: the function that draws an ``rng.gaussian_block`` scales it
-by sqrt(dt) once, in place, and every kernel call over that block reads
-those increments.  The block is in Fortran order, so step k's column
+sqrt(dt)*g_k, as ``simulate.draw_block`` returns them: every noise block
+is scaled once, in place, and every kernel call over it reads those
+increments.  The block is in Fortran order, so step k's column
 ``noise[:, k]`` is contiguous (any order gives the same results, only
 slower).  Each step evaluates its update into work buffers allocated once
 per call (``np.multiply(..., out=)``, ``+=``, ``take(..., out=)``), in

@@ -26,12 +26,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
-from . import _kernels
+from . import _kernels, rng
 from .config import RunConfig
 from .errors import ConfigError, DivergedError, MFGLabError, StepTooLargeError
 from .master import select_admissible, solve_root_system
 from .model import LQModel
-from .simulate import InitialLaw, population_draws, time_grid, whole_steps
+from .simulate import InitialLaw, draw_block, time_grid, whole_steps
 
 
 @dataclass(frozen=True)
@@ -170,9 +170,9 @@ def forward_flow_update(
 ) -> MeanFlow:
     """Particle update of the mean flow under the field-induced drift."""
     times = field.times
-    x0, noise = population_draws(law0, N, seed, times.size - 1,
-                                 float(times[1] - times[0]))
-    return _forward_flow(model, field, x0, noise)
+    noise = draw_block(seed, rng.STREAM_POPULATION, 0, float(times[1] - times[0]),
+                       (0, N, 0, times.size - 1))
+    return _forward_flow(model, field, law0.sample(N, seed), noise)
 
 
 def _forward_flow(model: LQModel, field: DecouplingField, x0, noise) -> MeanFlow:
@@ -207,16 +207,18 @@ def solve_mfg(cfg: RunConfig) -> FixedPointReport:
     count, the seed, the damping, tolerance and iteration budget and the
     space grid from ``cfg``.  The particle seed is held fixed across
     iterations, so the iterated map is deterministic and its fixed point
-    does not depend on the damping; the initial particles and their noise
-    are drawn, and the noise scaled by sqrt(dt), once per solve.
+    does not depend on the damping; the particles are those of
+    ``simulate_population`` (see ``simulate``'s noise rules), their noise
+    drawn in one whole block once per solve.
     """
     if cfg.n_particles < 2:
         raise ConfigError("fixed-point needs sim.nParticles >= 2")
     model = cfg.model
     grid = space_grid(cfg.x_lo, cfg.x_hi, cfg.dx)
     flow = MeanFlow.constant(cfg.T, cfg.dt, cfg.law0.mean)
-    x0, noise = population_draws(cfg.law0, cfg.n_particles, cfg.seed,
-                                 flow.times.size - 1, flow.dt)
+    x0 = cfg.law0.sample(cfg.n_particles, cfg.seed)
+    noise = draw_block(cfg.seed, rng.STREAM_POPULATION, 0, flow.dt,
+                       (0, cfg.n_particles, 0, flow.times.size - 1))
     deltas = []
     converged = False
     theta = cfg.damping

@@ -58,9 +58,7 @@ def gaussian_block(
     in, so no full-size transposed copy is ever made.
 
     ``out``, when given, is an (n_rows, n_cols) float64 array in Fortran
-    order that receives the block in place of a new one, and is returned:
-    the noise worker of ``simulate_legs`` draws into a shared slot this
-    way.
+    order that receives the block in place of a new one, and is returned.
     """
     if out is None:
         out = np.empty((n_rows, n_cols), order="F")

@@ -6,28 +6,45 @@ Feedback control laws are affine with a constant offset,
 a(x, m) = fx*x + fm*m + offset: every equilibrium and every in-scope
 perturbation has this shape.  A feedback is a value of three numbers, so
 equal feedbacks compare equal; the kernels in ``_kernels`` take its offset
-as one array entry per step.  All noise is drawn from counter-based
-streams keyed by (seed, stream, path index) so that any single path can be
-replayed bit-exactly in isolation.  Common-random-number legs (several
-feedbacks against the same streams) share one noise draw per block of
-paths over one time band: in ``simulate_legs`` a forked worker process
-draws the next block into one of two shared slots while every leg steps
-the block in the other, or, where forking is unsafe, each block is drawn
-inline and released before the next.  ``simulate_population`` draws its
-particles' noise in time bands, inline, one block at a time.  Every noise
-block handed to a kernel holds sqrt(dt)-scaled increments, scaled once,
-in place, by the code that draws it.
+as one array entry per step.
+
+Noise.  All noise is drawn from counter-based streams keyed by (seed,
+stream, path index), so that any single path can be replayed bit-exactly
+in isolation.  Representative path j of ``simulate_legs`` reads the stream
+(seed, stream, path_offset + j); population particle i, in
+``simulate_population`` and in the fixed-point solver alike, starts at
+``law0.sample(N, seed)[i]``, sampled once per run, and reads the stream
+(seed, STREAM_POPULATION, i).  Every consumer goes through two rules:
+
+* ``_plan`` cuts rows x steps into blocks (lo, hi, k0, k1): chunks of
+  rows, in order, each over the fewest even time bands whose blocks hold
+  at most a budget of doubles (one step per band at the least).  The legs
+  run in chunks of ``PATH_CHUNK`` paths with half of ``BLOCK_DOUBLES`` per
+  block, a population in one chunk of every particle with all of it; the
+  fixed-point solver draws one whole block.
+* ``draw_block`` draws a block and scales it by sqrt(dt) once, in place;
+  it is the only caller of ``rng.gaussian_block``, and every kernel reads
+  the increments it returns.
+
+A legs plan of more than one block is drawn one block ahead by a forked
+worker process into two shared slots while every leg steps the other, so
+at most ``BLOCK_DOUBLES`` doubles of noise are live and no worker outlives
+the call.  Where forking is unsafe, and for populations and the
+fixed-point solver, each block is drawn inline and released before the
+next.  Results are bitwise those of one whole block, whichever plan and
+whoever draws: a block is bitwise its rows and columns of the streams, the
+kernels do not write to the noise, and they carry each path's state and
+cost from band to band.
 
 Each simulation rule is stated once: ``whole_steps`` counts the steps of
-every grid, ``time_grid`` builds every time grid, and ``population_draws``
-draws the population's initial particles and noise for both the particle
-system and the fixed-point solver.
+every grid and ``time_grid`` builds every time grid.
 """
 
 from __future__ import annotations
 
 import contextlib
 import errno
+import functools
 import math
 import mmap
 import os
@@ -45,10 +62,8 @@ from .model import LQModel
 
 # Paths per representative noise block: the width of each kernel call.
 PATH_CHUNK = 4096
-# Doubles of live noise (8 MiB).  A population's block (every particle)
-# covers a time band of as many steps as fit in it; a representative block
-# of min(n_paths, PATH_CHUNK) paths fits in half of it, since two such
-# blocks are live at once, one drawn by the noise worker while the legs
+# Doubles of live noise (8 MiB): the block budget of a population, and
+# twice that of the legs, whose noise worker fills one block while the legs
 # step the other.  The population history's statistics are taken over row
 # chunks of at most ``BLOCK_DOUBLES`` doubles.
 BLOCK_DOUBLES = 2**20
@@ -202,13 +217,30 @@ def time_grid(T: float, dt: float) -> np.ndarray:
     return dt * np.arange(n_steps + 1)
 
 
-def _bands(n_rows: int, n_steps: int, budget: int) -> list[tuple[int, int]]:
-    """The time bands (k0, k1) of a noise block of ``n_rows`` rows: the
-    fewest even bands whose blocks hold at most ``budget`` doubles, one step
-    per band at the least."""
-    n_bands = -(-n_steps // max(1, budget // n_rows))
-    band = -(-n_steps // n_bands)
-    return [(k0, min(k0 + band, n_steps)) for k0 in range(0, n_steps, band)]
+def _plan(n_rows: int, chunk: int, n_steps: int, budget: int) -> list[tuple]:
+    """The noise blocks (lo, hi, k0, k1), rows lo..hi-1 over steps k0..k1-1,
+    of ``n_rows`` rows in chunks of ``chunk`` rows, each chunk over the
+    fewest even time bands whose blocks hold at most ``budget`` doubles (one
+    step per band at the least), chunk by chunk."""
+    plan = []
+    for lo in range(0, n_rows, chunk):
+        hi = min(lo + chunk, n_rows)
+        n_bands = -(-n_steps // max(1, budget // (hi - lo)))
+        band = -(-n_steps // n_bands)
+        plan += [(lo, hi, k0, min(k0 + band, n_steps)) for k0 in range(0, n_steps, band)]
+    return plan
+
+
+def draw_block(seed: int, stream: int, first_index: int, dt: float, block,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """The sqrt(dt)-scaled increments of the block (lo, hi, k0, k1): row i
+    holds sqrt(dt) times draws k0, ..., k1 - 1 of the stream (seed, stream,
+    first_index + lo + i), in Fortran order, drawn into ``out`` when
+    given."""
+    lo, hi, k0, k1 = block
+    noise = rng.gaussian_block(seed, stream, first_index + lo, hi - lo, k1 - k0, k0, out=out)
+    noise *= math.sqrt(dt)
+    return noise
 
 
 def _by_rows(f, a: np.ndarray) -> np.ndarray:
@@ -217,22 +249,6 @@ def _by_rows(f, a: np.ndarray) -> np.ndarray:
     whole-size temporaries."""
     rows = max(1, BLOCK_DOUBLES // a.shape[1])
     return np.concatenate([f(a[i:i + rows]) for i in range(0, a.shape[0], rows)])
-
-
-def population_draws(law0: InitialLaw, N: int, seed: int, n_cols: int, dt: float,
-                     first_col: int = 0):
-    """Initial particles and their (N, n_cols) sqrt(dt)-scaled noise
-    increments of steps first_col, ..., first_col + n_cols - 1, both fixed
-    by the seed.
-
-    Particle i starts at ``law0.sample(N, seed)[i]`` and its increments are
-    sqrt(dt) times the noise stream (seed, STREAM_POPULATION, i); a band of
-    steps is bitwise those columns of the whole horizon's block.
-    """
-    x0 = law0.sample(N, seed)
-    noise = rng.gaussian_block(seed, rng.STREAM_POPULATION, 0, N, n_cols, first_col)
-    noise *= math.sqrt(dt)
-    return x0, noise
 
 
 def simulate_population(
@@ -247,11 +263,9 @@ def simulate_population(
     """Synchronous particle approximation of the self-interacting dynamics.
 
     The mean-field coupling is the same-ensemble empirical mean, recomputed
-    once per step.  The particles and their noise are ``population_draws``,
-    drawn in the fewest even time bands whose blocks (N rows) hold at most
-    ``BLOCK_DOUBLES`` doubles: the kernel steps each band into the kept
-    history from the band's first row, so the history and the means are
-    bitwise those of one block.
+    once per step.  The particles and their noise follow the module's noise
+    rules; the kernel steps each band into the kept history from the band's
+    first row.
     """
     if N < 1:
         raise ValueError("population needs at least one particle")
@@ -259,11 +273,11 @@ def simulate_population(
     n_steps = times.size - 1
     states = np.empty((n_steps + 1, N))
     means = np.empty(n_steps + 1)
+    states[0] = law0.sample(N, seed)
     off = np.full(n_steps, feedback.offset)
-    for k0, k1 in _bands(N, n_steps, BLOCK_DOUBLES):
-        x0, noise = population_draws(law0, N, seed, k1 - k0, dt, k0)
-        if k0 == 0:
-            states[0] = x0
+    for block in _plan(N, N, n_steps, BLOCK_DOUBLES):
+        _, _, k0, k1 = block
+        noise = draw_block(seed, rng.STREAM_POPULATION, 0, dt, block)
         means[k0:k1 + 1], dstep = _kernels.population_kernel(
             states[k0:k1 + 1], noise, dt, model.b1, model.b2, model.b3,
             feedback.fx, feedback.fm, off[k0:k1],
@@ -283,30 +297,19 @@ def _can_fork() -> bool:
     return hasattr(os, "fork") and threading.active_count() == 1
 
 
-def _noise_blocks(n_paths: int, n_steps: int, seed: int, stream: int,
-                  path_offset: int, dt: float):
-    """``simulate_legs``'s blocks in plan order, each as ((lo, hi, k0, k1),
-    noise): the sqrt(dt)-scaled increments of paths lo..hi-1 over steps
-    k0..k1-1, of shape (hi - lo, k1 - k0) in Fortran order.
-
-    The plan is chunks of ``PATH_CHUNK`` paths, each over the time bands of
-    a ``BLOCK_DOUBLES // 2`` budget.  A plan of more than one block is drawn
-    ahead by a forked worker (``_worker_blocks``) when ``_can_fork()``;
-    otherwise each block is drawn here when it is asked for.  Either way
-    the caller must be done with a block before it asks for the next one.
+def _noise_blocks(plan, draw):
+    """``simulate_legs``'s blocks, each as (block, noise) in ``plan`` order,
+    drawn by ``draw`` (a ``draw_block`` with its stream bound) as the module
+    docstring says: ahead by a forked worker (``_worker_blocks``) when the
+    plan has more than one block and ``_can_fork()``, otherwise here when
+    each is asked for.  The caller must be done with a block before it asks
+    for the next one.
     """
-    plan = [(lo, hi, k0, k1)
-            for lo in range(0, n_paths, PATH_CHUNK)
-            for hi in (min(lo + PATH_CHUNK, n_paths),)
-            for k0, k1 in _bands(hi - lo, n_steps, BLOCK_DOUBLES // 2)]
-    sdt = math.sqrt(dt)
     if len(plan) > 1 and _can_fork():
-        yield from _worker_blocks(plan, seed, stream, path_offset, sdt)
+        yield from _worker_blocks(plan, draw)
         return
     for block in plan:
-        lo, hi, k0, k1 = block
-        noise = rng.gaussian_block(seed, stream, path_offset + lo, hi - lo, k1 - k0, k0)
-        noise *= sdt
+        noise = draw(block)
         yield block, noise
         # release this block before the next one is drawn
         del noise
@@ -318,7 +321,7 @@ def _slot(slots: np.ndarray, i: int, block) -> np.ndarray:
     return slots[i % 2, :(hi - lo) * (k1 - k0)].reshape((hi - lo, k1 - k0), order="F")
 
 
-def _worker_blocks(plan, seed: int, stream: int, path_offset: int, sdt: float):
+def _worker_blocks(plan, draw):
     """``_noise_blocks`` drawn one block ahead by a forked worker process.
 
     The worker (``_worker``) draws block i straight into slot i % 2 of an
@@ -345,8 +348,7 @@ def _worker_blocks(plan, seed: int, stream: int, path_offset: int, sdt: float):
         free_r, free_w, ready_r, ready_w = fds
         slots = np.frombuffer(shared, dtype=float).reshape(2, size)
         if pid == 0:
-            _worker(plan, slots, seed, stream, path_offset, sdt, free_r, ready_w,
-                    (free_w, ready_r))
+            _worker(plan, slots, draw, free_r, ready_w, (free_w, ready_r))
         os.close(free_r)
         os.close(ready_w)
         fds = [free_w, ready_r]
@@ -378,13 +380,12 @@ def _worker_blocks(plan, seed: int, stream: int, path_offset: int, sdt: float):
                 os.waitpid(pid, 0)
 
 
-def _worker(plan, slots, seed, stream, path_offset, sdt, free_r, ready_w, parent_fds):
+def _worker(plan, slots, draw, free_r, ready_w, parent_fds):
     """The noise worker's life in the forked process; it ends in
     ``os._exit`` and never returns.  Block i waits for the parent to free
-    slot i % 2 (from block 2 on), is drawn into it, scaled by sqrt(dt) in
-    place and reported with one byte.  It exits 0 when done or when the
-    parent stops early, ``_WORKER_NO_MEMORY`` on ``MemoryError`` and 1 on
-    any other failure."""
+    slot i % 2 (from block 2 on), is drawn into it by ``draw`` and reported
+    with one byte.  It exits 0 when done or when the parent stops early,
+    ``_WORKER_NO_MEMORY`` on ``MemoryError`` and 1 on any other failure."""
     status = 1
     try:
         for fd in parent_fds:
@@ -392,10 +393,7 @@ def _worker(plan, slots, seed, stream, path_offset, sdt, free_r, ready_w, parent
         for i, block in enumerate(plan):
             if i >= 2 and not os.read(free_r, 1):
                 break  # the parent stopped early
-            lo, hi, k0, k1 = block
-            noise = _slot(slots, i, block)
-            rng.gaussian_block(seed, stream, path_offset + lo, hi - lo, k1 - k0, k0, out=noise)
-            noise *= sdt
+            draw(block, out=_slot(slots, i, block))
             os.write(ready_w, b"\0")
         status = 0
     except MemoryError:
@@ -426,22 +424,12 @@ def simulate_legs(
     in every leg, and a (len(feedbacks), 1) or (len(feedbacks), n_paths)
     array gives leg j the start points ``x0[j]``.
     Path j of every leg consumes the noise stream (seed, stream,
-    path_offset + j).  The paths run in chunks of ``PATH_CHUNK``, and each
-    chunk's horizon in even time bands, the fewest whose blocks hold at most
-    ``BLOCK_DOUBLES // 2`` doubles (one step per band at the least).  Each
-    block of min(n_paths, PATH_CHUNK) paths by one band is drawn and scaled
-    by sqrt(dt) once, and every leg is stepped across it from the state and
-    cost it reached at the end of the previous band.  When there is more
-    than one block and the process can fork safely, a worker process draws
-    the next block into the other of two shared slots while the legs step
-    this one, so at most ``BLOCK_DOUBLES`` doubles of noise are live; no
-    worker outlives the call.  Otherwise each block is drawn here and
-    released before the next.  A leg's result is bitwise the same either
-    way, and the same as simulating it alone in one block, since the kernel
-    does not write to the noise and carries each path's state and cost
-    across bands.  A divergence raises ``DivergedError`` at the first block
-    in which a leg diverged, naming the first such leg's step on the whole
-    grid.
+    path_offset + j), drawn once per block by the module's noise rules, and
+    every leg is stepped across a block from the state and cost it reached
+    at the end of the previous band.  A leg's result is bitwise that of
+    simulating it alone in one block.  A divergence raises
+    ``DivergedError`` at the first block in which a leg diverged, naming the
+    first such leg's step on the whole grid.
     """
     times = time_grid(T, dt)
     n_steps = times.size - 1
@@ -462,7 +450,8 @@ def simulate_legs(
     states = [np.empty((n_paths, n_steps + 1)) if keep_states else None for _ in feedbacks]
     dummy = np.empty((0, 0))
 
-    blocks = _noise_blocks(n_paths, n_steps, seed, stream, path_offset, dt)
+    blocks = _noise_blocks(_plan(n_paths, PATH_CHUNK, n_steps, BLOCK_DOUBLES // 2),
+                           functools.partial(draw_block, seed, stream, path_offset, dt))
     with contextlib.closing(blocks):
         for (lo, hi, k0, k1), noise in blocks:
             for j, fb in enumerate(feedbacks):

@@ -3,6 +3,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfglab import (
     AffineFeedback,
@@ -79,7 +81,7 @@ def test_population_stationary_variance(example_model, eq_feedback):
 def test_deterministic_ode_limit(example_model, eq_feedback, monkeypatch):
     # with the noise switched off the path solves dx/dt = -2x exactly
     monkeypatch.setattr(rng, "gaussian_block",
-                        lambda seed, stream, first, rows, cols, first_col=0:
+                        lambda seed, stream, first, rows, cols, first_col=0, out=None:
                         np.zeros((rows, cols)))
     batch = simulate_representative(
         example_model, eq_feedback, x0=1.0, mean_flow=0.0, T=2.0, dt=1e-4,
@@ -303,9 +305,9 @@ def test_population_bands_equal_one_block(example_model, eq_feedback, monkeypatc
     bands = []
     real = rng.gaussian_block
 
-    def spy(seed, stream, first_index, n_rows, n_cols, first_col=0):
+    def spy(seed, stream, first_index, n_rows, n_cols, first_col=0, out=None):
         bands.append((first_col, n_cols))
-        return real(seed, stream, first_index, n_rows, n_cols, first_col)
+        return real(seed, stream, first_index, n_rows, n_cols, first_col, out=out)
 
     monkeypatch.setattr(rng, "gaussian_block", spy)
     banded = simulate_population(*args)
@@ -313,6 +315,48 @@ def test_population_bands_equal_one_block(example_model, eq_feedback, monkeypatc
     assert np.array_equal(banded.states, whole.states)
     assert np.array_equal(banded.means, whole.means)
     assert export_flow_csv(banded) == whole_rows
+
+
+@given(st.integers(1, 40), st.integers(1, 12), st.integers(1, 40), st.integers(1, 200))
+@settings(max_examples=300, deadline=None)
+def test_plan_tiles_rows_and_steps_in_even_bands(n_rows, chunk, n_steps, budget):
+    plan = simulate._plan(n_rows, chunk, n_steps, budget)
+    # chunk-major order: each chunk's bands run from step 0 to the horizon
+    # before the next chunk starts, so the blocks tile rows x steps once
+    tiles = [(lo, k0) for lo, hi, k0, k1 in plan]
+    assert tiles == sorted(tiles)
+    cover = np.zeros((n_rows, n_steps), dtype=int)
+    for lo, hi, k0, k1 in plan:
+        assert lo % chunk == 0 and hi == min(lo + chunk, n_rows)
+        assert 0 <= k0 < k1 <= n_steps
+        cover[lo:hi, k0:k1] += 1
+    assert (cover == 1).all()
+    for lo in range(0, n_rows, chunk):
+        rows = min(chunk, n_rows - lo)
+        widths = [k1 - k0 for lo_, hi, k0, k1 in plan if lo_ == lo]
+        assert all(rows * w <= budget or w == 1 for w in widths)
+        # even bands: all equal but the last, which is no longer
+        assert len(set(widths[:-1])) <= 1 and widths[-1] <= widths[0]
+
+
+def test_population_samples_its_initial_law_once(example_model, eq_feedback, monkeypatch):
+    # 17 particles in six bands of at most 9 steps: the gaussian initial law
+    # is sampled once, and the history is bitwise that of one block
+    args = (example_model, eq_feedback, InitialLaw.gaussian(0.5, 1.0), 17, 0.5, 1e-2, 4)
+    whole = simulate_population(*args)
+    monkeypatch.setattr(simulate, "BLOCK_DOUBLES", 17 * 9)
+    calls = []
+    real = InitialLaw.sample
+
+    def spy(self, n, seed):
+        calls.append((n, seed))
+        return real(self, n, seed)
+
+    monkeypatch.setattr(InitialLaw, "sample", spy)
+    banded = simulate_population(*args)
+    assert calls == [(17, 4)]
+    assert np.array_equal(banded.states, whole.states)
+    assert np.array_equal(banded.means, whole.means)
 
 
 def test_population_divergence_in_a_later_band_names_its_step(example_model,
@@ -462,10 +506,21 @@ def test_whole_steps_stop_below_2_53():
             simulate.whole_steps(span, step)
 
 
-def test_population_draws_follow_the_particle_streams():
+def test_population_follows_the_particle_streams(example_model, eq_feedback, monkeypatch):
+    # particle i starts at the law's sample i and is stepped by sqrt(dt)
+    # times its own stream (seed, STREAM_POPULATION, i)
     law, n, seed, n_steps, dt = InitialLaw.gaussian(0.5, 2.0), 5, 3, 4, 0.01
-    x0, noise = simulate.population_draws(law, n, seed, n_steps, dt)
-    assert np.array_equal(x0, law.sample(n, seed))
+    stepped = []
+    real = _kernels.population_kernel
+
+    def spy(states, noise, *args):
+        stepped.append(noise.copy())
+        return real(states, noise, *args)
+
+    monkeypatch.setattr(_kernels, "population_kernel", spy)
+    pop = simulate_population(example_model, eq_feedback, law, n, n_steps * dt, dt, seed)
+    assert np.array_equal(pop.states[0], law.sample(n, seed))
+    (noise,) = stepped
     for i in range(n):
         row = rng.gaussian_block(seed, rng.STREAM_POPULATION, i, 1, n_steps)[0]
         assert np.array_equal(noise[i], math.sqrt(dt) * row)
