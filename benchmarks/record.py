@@ -16,9 +16,13 @@ second in odd ones.  It writes ``BENCH_<LABEL>.json`` holding mfgbench's
 side ran, committed or not), with ``git_revision`` set to PARENT_REV's
 commit on the parent side and to HEAD on the change side, suffixed
 ``+uncommitted`` when ``git status --porcelain -- src`` lists changes;
-every run's end-to-end metrics and ``fail_share``, the per-pair
-change/parent ratios, each side's median and quartiles, and how many pairs
-the change wins on each metric (ties count for neither side).
+each side's ``kernels_backend``, the ``mfglab._kernels.BACKEND`` a fresh
+interpreter loads from that side's ``src`` ("numpy" where the attribute is
+absent), read before the first pair, so that a compiled kernel is built
+before any run is timed; every run's end-to-end metrics and
+``fail_share``, the per-pair change/parent ratios, each side's median
+and quartiles, and how many pairs the change wins on each metric (ties
+count for neither side).
 """
 
 from __future__ import annotations
@@ -60,6 +64,15 @@ def bench(root: str, workload: str, seed: int) -> dict:
         "metrics": {k: m["value"] for k, m in result["metrics"].items()},
         "fail_share": result["failed"] / result["attempted"],
     }
+
+
+def kernels_backend(root: str) -> str:
+    """``mfglab._kernels.BACKEND`` as a fresh interpreter loads it from
+    ``root``'s ``src``; "numpy" for a source without the attribute."""
+    code = "from mfglab import _kernels; print(getattr(_kernels, 'BACKEND', 'numpy'))"
+    env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout.strip()
 
 
 def spread(values: list[float]) -> dict:
@@ -105,6 +118,9 @@ def main(argv: list[str]) -> int:
                                  capture_output=True).stdout
         subprocess.run(["tar", "-x", "-C", parent_root], input=archive, check=True)
         roots = {"parent": parent_root, "change": ROOT}
+        backends = {side: kernels_backend(root) for side, root in roots.items()}
+        print(f"kernels backend: parent {backends['parent']}, change {backends['change']}",
+              flush=True)
         runs = {w: [] for w in workloads}
         for i, seed in enumerate(SEEDS):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -121,8 +137,10 @@ def main(argv: list[str]) -> int:
         "label": label,
         "parent_rev": parent_sha,
         "command": f"mfgbench/run.py --workload W --seed S --seconds {SECONDS} --trace 0",
-        "machine": {"parent": {**first["parent"]["machine"], "git_revision": parent_sha},
-                    "change": {**first["change"]["machine"], "git_revision": change_rev}},
+        "machine": {"parent": {**first["parent"]["machine"], "git_revision": parent_sha,
+                               "kernels_backend": backends["parent"]},
+                    "change": {**first["change"]["machine"], "git_revision": change_rev,
+                               "kernels_backend": backends["change"]}},
         "workloads": {},
     }
     for w in workloads:

@@ -37,14 +37,27 @@ weights:
     cost += disc_k*(b4*x*m_k + A*x*x + C*a_k*a_k)*dt
 
 A step diverges when some |x| is not below ``_DIVERGE_LIMIT`` (NaN included).
-Each kernel runs with numpy's floating-point warnings off
+Each numpy kernel runs with numpy's floating-point warnings off
 (``np.errstate(all="ignore")``): a diverging step may overflow on its way to
 the divergence check, and that check, not a warning, reports it.
+
+Backends.  The representative kernel, the hot loop of ``verify``'s
+common-random-number legs, also has a compiled twin (``_native``): the same
+operations in the same order in C, built with FMA contraction off, so its
+results are bitwise those of ``_representative_numpy``.  It is built on
+the first import into a per-user cache, and used only once a self-check
+against the numpy kernel passes; if anything fails, the numpy kernel runs.
+``BACKEND`` says which loaded: "c" or "numpy".  The population and
+forward-field kernels are numpy's on every backend, so the flow-consistency
+identity (deviation exactly 0) checks the compiled representative kernel
+against the numpy population kernel.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from . import _native
 
 _DIVERGE_LIMIT = 1e12
 
@@ -110,7 +123,6 @@ def population_kernel(states, noise, dt, b1, b2, b3, fx, fm, off):
     return means, -1
 
 
-@np.errstate(all="ignore")
 def representative_kernel(x0s, mflow, off, noise, dt, disc,
                           b1, b2, b3, b4, A, C, fx, fm, states, keep, costs):
     """Independent paths against a frozen mean flow, over one band of steps.
@@ -122,8 +134,20 @@ def representative_kernel(x0s, mflow, off, noise, dt, disc,
     accumulate the same sums as one call over the whole horizon.  Returns
     (terminal states, diverged_step), the step counted within the band.
     When ``keep`` is true, ``states`` (n_paths, n_steps+1) is filled,
-    column 0 with ``x0s``.
+    column 0 with ``x0s``.  The compiled kernel runs when it loaded
+    (``BACKEND`` is "c"), ``_representative_numpy`` otherwise; their
+    results are bitwise equal.
     """
+    kernel = _compiled or _representative_numpy
+    return kernel(x0s, mflow, off, noise, dt, disc, b1, b2, b3, b4, A, C, fx, fm,
+                  states, keep, costs)
+
+
+@np.errstate(all="ignore")
+def _representative_numpy(x0s, mflow, off, noise, dt, disc,
+                          b1, b2, b3, b4, A, C, fx, fm, states, keep, costs):
+    """``representative_kernel`` in numpy: the fallback, and the reference
+    the compiled kernel is checked against."""
     n_paths, n_steps = noise.shape
     dt, b1, b3, b4, A, C, fx = _f64(dt, b1, b3, b4, A, C, fx)
     x = x0s.copy()
@@ -207,3 +231,9 @@ def forward_field_kernel(x0, u, xgrid, noise, dt, b1, b2, gain):
             return means, x, k
     means[n_steps] = _mean(x)
     return means, x, -1
+
+
+# The compiled representative kernel, or None when it could not be built,
+# loaded or checked (see ``_native``).
+_compiled = _native.load(_representative_numpy, _DIVERGE_LIMIT)
+BACKEND = "numpy" if _compiled is None else "c"

@@ -13,7 +13,8 @@ def _population_inputs(n=64, steps=50):
 
 
 def test_backends_agree_population():
-    # numpy is the only backend left
+    # the population kernel has one backend, numpy; only the representative
+    # kernel is also compiled (tests/test_backends.py)
     states, noise, offsets = _population_inputs()
     means, div = _kernels.population_kernel(
         states, 0.1 * noise, 0.01, 0.0, 0.0, 2.0, -1.0, 0.0, offsets
@@ -106,13 +107,18 @@ def _population(states, noise, dt, sdt, *rest):
     return _kernels.population_kernel(states, sdt * noise, dt, *rest)
 
 
-def _representative(x0s, mflow, off, noise, dt, sdt, *rest):
-    """representative_kernel on the block pre-scaled to sdt*noise, adding to
-    zero costs; returns (costs, terminal, diverged_step) as the reference
-    does."""
+def _representative(x0s, mflow, off, noise, dt, sdt, *rest, kernel=None):
+    """representative_kernel (or ``kernel``, a backend's) on the block
+    pre-scaled to sdt*noise, adding to zero costs; returns (costs, terminal,
+    diverged_step) as the reference does."""
     costs = np.zeros(x0s.shape[0])
-    return (costs, *_kernels.representative_kernel(x0s, mflow, off, sdt * noise, dt,
-                                                   *rest, costs))
+    kernel = kernel or _kernels.representative_kernel
+    return (costs, *kernel(x0s, mflow, off, sdt * noise, dt, *rest, costs))
+
+
+# the representative kernel's backends: the loaded one (the compiled kernel
+# where it built) and numpy
+REPRESENTATIVE_BACKENDS = [None, _kernels._representative_numpy]
 
 
 def _forward_field(x0, u, xgrid, noise, dt, sdt, *rest):
@@ -169,15 +175,16 @@ def _representative_case(n, steps, order, keep):
 @pytest.mark.parametrize("keep", [False, True])
 @pytest.mark.parametrize("n", [1, 37])
 def test_representative_kernel_matches_reference(order, keep, n):
-    args = _representative_case(n, 80, order, keep)
-    ref_args = list(args)
-    ref_args[15] = args[15].copy()
-    got = _representative(*args)
-    ref = _ref_representative(*ref_args)
-    _same(got, ref)
-    assert np.array_equal(args[15], ref_args[15])
-    # the kernel reads its inputs and never writes them
-    assert np.array_equal(args[0], np.linspace(-1.0, 2.0, n))
+    for kernel in REPRESENTATIVE_BACKENDS:
+        args = _representative_case(n, 80, order, keep)
+        ref_args = list(args)
+        ref_args[15] = args[15].copy()
+        got = _representative(*args, kernel=kernel)
+        ref = _ref_representative(*ref_args)
+        _same(got, ref)
+        assert np.array_equal(args[15], ref_args[15])
+        # the kernel reads its inputs and never writes them
+        assert np.array_equal(args[0], np.linspace(-1.0, 2.0, n))
 
 
 def _field_case(n, steps, order):
@@ -227,10 +234,11 @@ def test_kernels_report_nan_noise_at_its_step():
     _, div = _population(states, noise, *args)
     assert div == step
 
-    args = _representative_case(37, 80, "F", True)
-    args[3][5, step] = np.nan
-    _, _, div = _representative(*args)
-    assert div == step
+    for kernel in REPRESENTATIVE_BACKENDS:
+        args = _representative_case(37, 80, "F", True)
+        args[3][5, step] = np.nan
+        _, _, div = _representative(*args, kernel=kernel)
+        assert div == step
 
     args = _field_case(41, 70, "F")
     args[3][5, step] = np.nan
