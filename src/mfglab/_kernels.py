@@ -1,4 +1,5 @@
-"""Hot inner loops: particle and path time-stepping.
+"""Hot inner loops: particle and path time-stepping, and the uniform draw
+under every noise block (``uniforms``).
 
 Each kernel steps a whole ensemble, one time step per loop iteration.
 ``noise`` has shape (paths, steps) and holds sqrt(dt)-scaled increments
@@ -42,13 +43,16 @@ Each numpy kernel runs with numpy's floating-point warnings off
 the divergence check, and that check, not a warning, reports it.
 
 Backends.  The representative kernel, the hot loop of ``verify``'s
-common-random-number legs, also has a compiled twin (``_native``): the same
-operations in the same order in C, built with FMA contraction off, so its
-results are bitwise those of ``_representative_numpy``.  It is built on
-the first import into a per-user cache, and used only once a self-check
-against the numpy kernel passes; if anything fails, the numpy kernel runs.
-``BACKEND`` says which loaded: "c" or "numpy".  The population and
-forward-field kernels are numpy's on every backend, so the flow-consistency
+common-random-number legs, and ``uniforms``, the Philox draw under every
+noise block, also have compiled twins (``_native``): the same operations
+in the same order in C, built with FMA contraction off, so their results
+are bitwise those of ``_representative_numpy`` and ``_uniforms_numpy``.
+The library is built on the first import into a per-user cache, and used
+only once self-checks of both functions against their numpy references
+pass; if anything fails, both run in numpy.  ``BACKEND`` says which
+loaded: "c" (both compiled) or "numpy".  The population and forward-field
+kernels, and the clip and inverse CDF that turn uniforms into Gaussians
+(``rng``), are numpy and scipy on every backend, so the flow-consistency
 identity (deviation exactly 0) checks the compiled representative kernel
 against the numpy population kernel.
 """
@@ -60,6 +64,11 @@ import numpy as np
 from . import _native
 
 _DIVERGE_LIMIT = 1e12
+# Rows drawn per C-order tile before the copy into a Fortran-order block.
+_TILE_ROWS = 64
+# Doubles per Philox counter step: each step fills a buffer of four 64-bit
+# words, and random() reads one word per double.
+_PER_COUNTER = 4
 
 
 def _diverged(x, scratch) -> bool:
@@ -138,7 +147,7 @@ def representative_kernel(x0s, mflow, off, noise, dt, disc,
     (``BACKEND`` is "c"), ``_representative_numpy`` otherwise; their
     results are bitwise equal.
     """
-    kernel = _compiled or _representative_numpy
+    kernel = _representative_numpy if _compiled is None else _compiled.representative
     return kernel(x0s, mflow, off, noise, dt, disc, b1, b2, b3, b4, A, C, fx, fm,
                   states, keep, costs)
 
@@ -233,7 +242,48 @@ def forward_field_kernel(x0, u, xgrid, noise, dt, b1, b2, gain):
     return means, x, -1
 
 
-# The compiled representative kernel, or None when it could not be built,
-# loaded or checked (see ``_native``).
-_compiled = _native.load(_representative_numpy, _DIVERGE_LIMIT)
+def uniforms(k0, first_index, first_col, out):
+    """Fill ``out`` (rows, cols) with Philox uniforms and return it:
+    ``out[i, j]`` is draw first_col + j of
+    ``Generator(Philox(key=(k0, (first_index + i) mod 2**64))).random()``.
+    The compiled draw runs when it loaded (``BACKEND`` is "c"),
+    ``_uniforms_numpy`` otherwise; their results are bitwise equal."""
+    draw = _uniforms_numpy if _compiled is None else _compiled.uniforms
+    return draw(k0, first_index, first_col, out)
+
+
+def _uniforms_numpy(k0, first_index, first_col, out):
+    """``uniforms`` through numpy's Philox: the fallback, and the reference
+    the compiled draw is checked against.
+
+    The counter starts at first_col // 4 with an empty buffer and the first
+    first_col % 4 draws are dropped.  One generator is re-keyed per row:
+    the state (key, counter, empty buffer) yields the same stream as a new
+    Philox of that key, without building one per row; plain ints make the
+    re-key about 4x cheaper than numpy arrays.  Rows are drawn into a
+    C-order tile of at most ``_TILE_ROWS`` rows and copied in, so no
+    full-size transposed copy of a Fortran-order ``out`` is ever made.
+    """
+    n_rows, n_cols = out.shape
+    skip = first_col % _PER_COUNTER
+    tile = np.empty((min(_TILE_ROWS, n_rows), skip + n_cols))
+    tile_rows = list(tile)
+    bitgen = np.random.Philox()
+    draw = np.random.Generator(bitgen).random
+    row = {"counter": (first_col // _PER_COUNTER, 0, 0, 0), "key": (0, 0)}
+    state = {"bit_generator": "Philox", "state": row, "buffer": (0, 0, 0, 0),
+             "buffer_pos": _PER_COUNTER, "has_uint32": 0, "uinteger": 0}
+    for lo in range(0, n_rows, _TILE_ROWS):
+        hi = min(lo + _TILE_ROWS, n_rows)
+        for i, tile_row in zip(range(lo, hi), tile_rows):
+            row["key"] = (k0, (first_index + i) % 2**64)
+            bitgen.state = state
+            draw(out=tile_row)
+        out[lo:hi] = tile[: hi - lo, skip:]
+    return out
+
+
+# The compiled kernel and draw, or None when the library could not be
+# built, loaded or checked (see ``_native``).
+_compiled = _native.load(_representative_numpy, _uniforms_numpy, _DIVERGE_LIMIT)
 BACKEND = "numpy" if _compiled is None else "c"

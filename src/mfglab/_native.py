@@ -1,22 +1,37 @@
-"""The representative-path kernel compiled from C, bitwise equal to numpy's.
+"""The compiled library: the representative-path kernel and the Philox draw
+in C, each bitwise equal to its numpy reference.
 
-``_SOURCE`` is ``_kernels._representative_numpy`` written as a C loop, steps
-on the outside and paths on the inside.  Each step makes three passes over
-the paths: the update, with exactly the numpy kernel's operations in its
-order, so every IEEE result is the same; the kept states' column; and the
-divergence check.  The update has no branch, so the compiler vectorises it
-at the baseline instruction set.  It is built with ``cc -O3
--ffp-contract=off -fPIC -shared``: contraction is off because a fused
-multiply-add rounds once where numpy rounds twice, and there is no
-``-march`` or fast-math, which could change results or the machines the
-library runs on.  The library is cached as ``kernels-<digest>.so`` in
-``${XDG_CACHE_HOME:-~/.cache}/mfglab``, the digest covering the source, the
-flags and the platform, so it is built once per key; a build is written to a
-temporary file and renamed into place, so processes building at once leave
-one whole library.  Before it is used, a self-check compares it with the
-numpy kernel on one small band with keep on and on a forced divergence.  Any
-failure (no compiler, an unwritable cache, a library that will not load, a
-self-check mismatch) leaves the numpy kernel in use, silently.
+``_SOURCE`` holds both functions; they are built, cached, loaded and checked
+together, and used only together.
+
+- ``mfglab_representative`` is ``_kernels._representative_numpy`` written as
+  a C loop, steps on the outside and paths on the inside.  Each step makes
+  three passes over the paths: the update, with exactly the numpy kernel's
+  operations in its order, so every IEEE result is the same; the kept
+  states' column; and the divergence check.  The update has no branch, so
+  the compiler vectorises it at the baseline instruction set.
+- ``mfglab_uniforms`` is ``_kernels._uniforms_numpy``: Philox4x64-10 (Salmon
+  et al., SC'11) as numpy's ``Philox`` computes it, its counter incremented
+  before each block of four words and each word made a double as numpy's
+  ``random()`` does, ``(w >> 11) * 2**-53``, which is exact.  It writes
+  straight into a Fortran-order block, eight rows at a time, so eight
+  independent rounds overlap and each column's writes share cache lines.
+  Clipping and the inverse CDF stay numpy and scipy (``rng``).
+
+The library is built with ``cc -O3 -ffp-contract=off -fPIC -shared``:
+contraction is off because a fused multiply-add rounds once where numpy
+rounds twice, and there is no ``-march`` or fast-math, which could change
+results or the machines the library runs on.  It is cached as
+``kernels-<digest>.so`` in ``${XDG_CACHE_HOME:-~/.cache}/mfglab``, the
+digest covering the source, the flags and the platform, so it is built once
+per key; a build is written to a temporary file and renamed into place, so
+processes building at once leave one whole library.  Before it is used, two
+self-checks must pass bit for bit: the kernel against the numpy kernel on
+one small band with keep on and on a forced divergence, and the draw
+against numpy's Philox on keys and indices at the top of their words and
+every band offset.  Any failure (no compiler, an unwritable cache, a
+library that will not load or lacks a symbol, a self-check mismatch) leaves
+numpy in use for both, silently.
 """
 
 from __future__ import annotations
@@ -27,6 +42,7 @@ import os
 import subprocess
 import sysconfig
 import tempfile
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -83,13 +99,67 @@ int64_t mfglab_representative(
     }
     return -1;
 }
+
+/* Philox4x64-10 (Salmon et al., SC'11) as numpy's Philox computes it. */
+static const uint64_t PHILOX_M0 = 0xD2E7470EE14C6C93u, PHILOX_M1 = 0xCA5A826395121157u;
+static const uint64_t PHILOX_W0 = 0x9E3779B97F4A7C15u, PHILOX_W1 = 0xBB67AE8584CAA73Bu;
+#define LANES 8
+
+static void philox(const uint64_t ctr[4], uint64_t k0, uint64_t k1, uint64_t w[4])
+{
+    uint64_t c0 = ctr[0], c1 = ctr[1], c2 = ctr[2], c3 = ctr[3];
+    for (int r = 0; r < 10; r++) {
+        if (r) {
+            k0 += PHILOX_W0;
+            k1 += PHILOX_W1;
+        }
+        const unsigned __int128 p0 = (unsigned __int128)PHILOX_M0 * c0;
+        const unsigned __int128 p1 = (unsigned __int128)PHILOX_M1 * c2;
+        c0 = (uint64_t)(p1 >> 64) ^ c1 ^ k0;
+        c1 = (uint64_t)p1;
+        c2 = (uint64_t)(p0 >> 64) ^ c3 ^ k1;
+        c3 = (uint64_t)p0;
+    }
+    w[0] = c0, w[1] = c1, w[2] = c2, w[3] = c3;
+}
+
+void mfglab_uniforms(int64_t n_rows, int64_t n_cols, uint64_t k0, uint64_t first_index,
+                     uint64_t counter, int64_t skip, double *out)
+{
+    for (int64_t i0 = 0; i0 < n_rows; i0 += LANES) {
+        const int64_t lanes = n_rows - i0 < LANES ? n_rows - i0 : LANES;
+        uint64_t ctr[4] = {counter, 0, 0, 0};
+        for (int64_t j0 = -skip; j0 < n_cols; j0 += 4) {
+            if (++ctr[0] == 0 && ++ctr[1] == 0 && ++ctr[2] == 0)
+                ++ctr[3];
+            for (int64_t lane = 0; lane < lanes; lane++) {
+                uint64_t w[4];
+                philox(ctr, k0, first_index + (uint64_t)(i0 + lane), w);
+                for (int q = 0; q < 4; q++)
+                    if (j0 + q >= 0 && j0 + q < n_cols)
+                        out[i0 + lane + (j0 + q) * n_rows] = (double)(w[q] >> 11) * 0x1.0p-53;
+            }
+        }
+    }
+}
 """
 _FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 _BUILD_TIMEOUT_S = 120
 
-_I64, _F64, _PTR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+_I64, _U64, _F64, _PTR = ctypes.c_int64, ctypes.c_uint64, ctypes.c_double, ctypes.c_void_p
 _ARGTYPES = [_I64, _I64, _PTR, _PTR, _PTR, _PTR, _I64, _F64, _PTR,
              *[_F64] * 8, _PTR, _I64, _I64, ctypes.c_int32, _PTR, _F64]
+_UNIFORM_ARGTYPES = [_I64, _I64, _U64, _U64, _U64, _I64, _PTR]
+# Doubles per Philox counter step, and the counter's range.
+_PER_COUNTER = 4
+_WORD = 1 << 64
+
+
+class Library(NamedTuple):
+    """The compiled functions, each with its numpy reference's signature."""
+
+    representative: Callable
+    uniforms: Callable
 
 
 def library_path() -> str:
@@ -142,7 +212,7 @@ def _fits(x0s, mflow, off, noise, disc, states, keep, costs) -> bool:
                               and states.flags.writeable)))
 
 
-def _bind(lib, reference, limit: float):
+def _bind_representative(lib, reference, limit: float):
     """The library's kernel as a function with ``reference``'s signature;
     arguments it does not take (``_fits``) go to ``reference``."""
     fn = lib.mfglab_representative
@@ -166,6 +236,27 @@ def _bind(lib, reference, limit: float):
         return x, step
 
     return representative
+
+
+def _bind_uniforms(lib, reference):
+    """The library's draw as a function with ``reference``'s signature,
+    ``uniforms(k0, first_index, first_col, out)``; an ``out`` that is not a
+    writeable float64 array in Fortran order, or a counter that does not
+    fit one 64-bit word, goes to ``reference``."""
+    fn = lib.mfglab_uniforms
+    fn.argtypes = _UNIFORM_ARGTYPES
+    fn.restype = None
+
+    def uniforms(k0, first_index, first_col, out):
+        if not (_f64(out, 2) and out.flags.f_contiguous and out.flags.writeable
+                and 0 <= first_col < _PER_COUNTER * _WORD):
+            return reference(k0, first_index, first_col, out)
+        n_rows, n_cols = out.shape
+        counter, skip = divmod(first_col, _PER_COUNTER)
+        fn(n_rows, n_cols, k0 % _WORD, first_index % _WORD, counter, skip, out.ctypes.data)
+        return out
+
+    return uniforms
 
 
 def _self_check(kernel, reference) -> bool:
@@ -192,17 +283,39 @@ def _self_check(kernel, reference) -> bool:
     return True
 
 
-def load(reference, limit: float):
-    """The compiled kernel, built if its cache holds none, or None when any
-    step fails or it disagrees with ``reference``, the numpy kernel with
-    divergence limit ``limit``."""
+def _draw_self_check(uniforms, reference) -> bool:
+    """Whether ``uniforms`` and ``reference`` fill the same bits: both key
+    words at their top, stream indices wrapping past 2^64 across a group of
+    rows, every ``first_col % 4``, and a counter carrying out of its first
+    word."""
+    top = _WORD - 1
+    cases = [(top, _WORD - 3, first_col, 11, 9) for first_col in (0, 1, 2, 7)]
+    cases.append((0x5DEECE66D, 2**63, _PER_COUNTER * top + 3, 2, 6))
+    for k0, first_index, first_col, n_rows, n_cols in cases:
+        got, ref = (fn(k0, first_index, first_col, np.empty((n_rows, n_cols), order="F"))
+                    for fn in (uniforms, reference))
+        if got.tobytes() != ref.tobytes():
+            return False
+    return True
+
+
+def load(representative, uniforms, limit: float) -> Library | None:
+    """The compiled library, built if its cache holds none, or None when any
+    step fails or either function disagrees with its numpy reference:
+    ``representative``, the kernel with divergence limit ``limit``, and
+    ``uniforms``, the Philox draw."""
     path = library_path()
     if not os.path.isabs(path):  # no home directory to cache in
         return None
     try:
         if not os.path.exists(path):
             _build(path)
-        kernel = _bind(ctypes.CDLL(path), reference, limit)
+        lib = ctypes.CDLL(path)
+        compiled = Library(_bind_representative(lib, representative, limit),
+                           _bind_uniforms(lib, uniforms))
     except (OSError, subprocess.SubprocessError, AttributeError):
         return None
-    return kernel if _self_check(kernel, reference) else None
+    if (_self_check(compiled.representative, representative)
+            and _draw_self_check(compiled.uniforms, uniforms)):
+        return compiled
+    return None

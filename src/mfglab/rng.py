@@ -5,13 +5,18 @@ path's noise can be regenerated in isolation — paired-comparison and
 replay-a-single-particle workflows depend on this.  Philox is
 counter-based, so any band of a stream's draws is addressable too:
 ``gaussian_block`` draws a band of steps exactly, without the steps before
-it.  Gaussians come from the inverse CDF applied to the raw uniform stream.
+it.  Gaussians come from the inverse CDF applied to the raw uniform stream:
+the uniforms are ``_kernels.uniforms``, compiled from C when the library
+loaded and numpy's Philox otherwise, bitwise equal either way, and the
+clip and the inverse CDF (scipy's ``ndtri``) stay numpy and scipy.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.special import ndtri
+
+from . import _kernels
 
 # Stream ids, to keep independent uses of the same seed disjoint.
 STREAM_PATHS = 0
@@ -21,24 +26,18 @@ STREAM_CHECKS = 3
 
 _MIX = 0x9E3779B97F4A7C15  # splitmix64 increment, key whitening
 _MASK = (1 << 64) - 1
-# Rows drawn per C-order tile before the copy into a Fortran-order block.
-_TILE_ROWS = 64
-# Doubles per Philox counter step: each step fills a buffer of four 64-bit
-# words, and random() reads one word per double.
-_PER_COUNTER = 4
 
 
-def _keys(seed: int, stream: int, first_index: int, n: int):
-    """The Philox keys of the streams (seed, stream, first_index + i), i < n:
-    two 64-bit words each, the whitened seed xor the stream id, and the
-    index."""
-    k0 = (((seed & _MASK) * _MIX) & _MASK) ^ (stream & _MASK)
-    return ((k0, index & _MASK) for index in range(first_index, first_index + n))
+def _key0(seed: int, stream: int) -> int:
+    """The first word of the Philox key of every stream (seed, stream,
+    index): the whitened seed xor the stream id.  The second word is the
+    index, modulo 2^64."""
+    return (((seed & _MASK) * _MIX) & _MASK) ^ (stream & _MASK)
 
 
 def make_generator(seed: int, stream: int, index: int = 0) -> np.random.Generator:
-    (key,) = _keys(seed, stream, index, 1)
-    return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
+    key = np.array((_key0(seed, stream), index & _MASK), dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def gaussian_block(
@@ -49,42 +48,23 @@ def gaussian_block(
     first_col + n_cols - 1 of the stream (seed, stream, first_index + i),
     independent of how rows are grouped or columns are banded.
 
-    A band is exact: the Philox counter starts at first_col // 4 with an
-    empty buffer and the first first_col % 4 draws are dropped, so the band
-    is bitwise those columns of the block drawn from column 0.  The block is
+    A band is exact: it is bitwise those columns of the block drawn from
+    column 0 (``_kernels.uniforms`` starts the Philox counter at
+    first_col // 4 and drops the first first_col % 4 draws).  The block is
     in Fortran order, so column k (step first_col + k of every path) is
-    contiguous: the kernels read ``noise[:, k]`` once per time step.  Rows
-    are drawn into a C-order tile of at most ``_TILE_ROWS`` rows and copied
-    in, so no full-size transposed copy is ever made.
+    contiguous: the kernels read ``noise[:, k]`` once per time step.
 
-    ``out``, when given, is an (n_rows, n_cols) float64 array in Fortran
-    order that receives the block in place of a new one, and is returned.
+    ``out``, when given, is a writeable (n_rows, n_cols) float64 array in
+    Fortran order that receives the block in place of a new one, and is
+    returned; any other ``out`` is refused before anything is drawn.
     """
     if out is None:
         out = np.empty((n_rows, n_cols), order="F")
-    elif out.shape != (n_rows, n_cols) or out.dtype != float or not out.flags.f_contiguous:
-        raise ValueError(f"out must be a ({n_rows}, {n_cols}) float64 array in Fortran order")
-    skip = first_col % _PER_COUNTER
-    tile = np.empty((min(_TILE_ROWS, n_rows), skip + n_cols))
-    tile_rows = list(tile)
-    keys = _keys(seed, stream, first_index, n_rows)
-    # One generator re-keyed per row: the state (key, counter, empty buffer)
-    # yields the same stream as make_generator(seed, stream, index), advanced
-    # by 4 draws per counter step, without building a new Philox per row.
-    # A band pays this per row, so it is kept cheap: plain ints make the
-    # re-key about 4x cheaper than numpy arrays.
-    bitgen = np.random.Philox()
-    draw = np.random.Generator(bitgen).random
-    row = {"counter": (first_col // _PER_COUNTER, 0, 0, 0), "key": (0, 0)}
-    state = {"bit_generator": "Philox", "state": row, "buffer": (0, 0, 0, 0),
-             "buffer_pos": _PER_COUNTER, "has_uint32": 0, "uinteger": 0}
-    for lo in range(0, n_rows, _TILE_ROWS):
-        hi = min(lo + _TILE_ROWS, n_rows)
-        for tile_row in tile_rows[: hi - lo]:
-            row["key"] = next(keys)
-            bitgen.state = state
-            draw(out=tile_row)
-        out[lo:hi] = tile[: hi - lo, skip:]
+    elif (out.shape != (n_rows, n_cols) or out.dtype != float or not out.flags.f_contiguous
+          or not out.flags.writeable):
+        raise ValueError(f"out must be a writeable ({n_rows}, {n_cols}) float64 array "
+                         "in Fortran order")
+    _kernels.uniforms(_key0(seed, stream), first_index, first_col, out)
     # random() can return exactly 0.0, where the inverse CDF is -inf.
     np.clip(out, 2.5e-17, None, out=out)
     return ndtri(out, out=out)

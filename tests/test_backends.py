@@ -1,7 +1,8 @@
-"""Both representative-kernel backends: the compiled kernel (``_native``)
-and the numpy kernel it falls back to give bitwise-equal results, the
-golden outputs hold on numpy too, and every way the compiled kernel can
-fail to load leaves numpy in use without a word on stderr."""
+"""Both backends: the compiled library (``_native``) and the numpy code it
+falls back to give bitwise-equal results, for the representative kernel
+and for the Philox draw; the golden outputs hold on numpy too, and every
+way the library can fail to load leaves numpy in use without a word on
+stderr."""
 
 import os
 import shutil
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mfglab
-from mfglab import EXAMPLE_MODEL, INSTANCE_B, _kernels, _native, solve_selected
+from mfglab import EXAMPLE_MODEL, INSTANCE_B, _kernels, _native, rng, solve_selected
 from mfglab.cli import EXIT_OK, main
 from mfglab.simulate import InitialLaw
 from mfglab.verify import flow_consistency
@@ -23,7 +24,7 @@ from mfglab.verify import flow_consistency
 SRC = os.path.dirname(os.path.dirname(mfglab.__file__))
 
 compiled = pytest.mark.skipif(_kernels._compiled is None,
-                              reason="the compiled kernel did not load")
+                              reason="the compiled library did not load")
 
 coefficient = st.one_of(st.just(0.0), st.floats(-3.0, 3.0, allow_nan=False))
 
@@ -73,7 +74,7 @@ def test_compiled_kernel_matches_numpy_bitwise(n, steps, cut, keep, coefs, seed,
         x0s[gen.integers(n)] = np.nan
     cuts = sorted({0, min(cut, steps), steps})
     args = (x0s, mflow, off, noise, dt, disc, coefs, keep, cuts)
-    got = _band_calls(_kernels._compiled, *args)
+    got = _band_calls(_kernels._compiled.representative, *args)
     ref = _band_calls(_kernels._representative_numpy, *args)
     assert got == ref
     if fault is not None:
@@ -92,14 +93,41 @@ def test_arguments_the_compiled_kernel_does_not_take_run_on_numpy():
     for make in (lambda: (np.empty((0, 0)), np.zeros(2 * n)[::2]),
                  lambda: (np.zeros((n, steps + 1), dtype=np.float32), np.zeros(n))):
         results = []
-        for kernel in (_kernels._compiled, _kernels._representative_numpy):
+        for kernel in (_kernels._compiled.representative, _kernels._representative_numpy):
             states, costs = make()
             x, step = kernel(x0s, flow, flow, noise, *coefs, states, states.size > 0, costs)
             results.append([x.tobytes(), step, states.tobytes(), costs.tobytes()])
         assert results[0] == results[1]
     with pytest.raises(ValueError):
-        _kernels._compiled(x0s, flow, flow, noise, *coefs, np.empty((0, 0)), False,
-                           np.zeros(n - 1))
+        _kernels._compiled.representative(x0s, flow, flow, noise, *coefs, np.empty((0, 0)),
+                                          False, np.zeros(n - 1))
+
+
+@compiled
+@given(
+    seed=st.one_of(st.sampled_from([0, 2**63, 2**64 - 1]), st.integers(0, 2**64 - 1)),
+    stream=st.sampled_from([rng.STREAM_PATHS, rng.STREAM_INITIAL, rng.STREAM_POPULATION,
+                            rng.STREAM_CHECKS]),
+    first_index=st.one_of(st.integers(0, 2**40), st.integers(2**64 - 5000, 2**64 - 1)),
+    n_rows=st.sampled_from([1, 63, 64, 65, 4097]),
+    n_cols=st.one_of(st.integers(1, 12), st.just(125)),
+    counter=st.integers(0, 250),
+    skip=st.integers(0, 3),
+    into_out=st.booleans(),
+)
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+def test_compiled_draw_matches_numpy_bitwise(seed, stream, first_index, n_rows, n_cols,
+                                             counter, skip, into_out):
+    # rows past 2^64 - 1 wrap to index 0, as the numpy draw's keys do
+    args = (seed, stream, first_index, n_rows, n_cols, 4 * counter + skip)
+    out = np.empty((n_rows, n_cols), order="F") if into_out else None
+    got = rng.gaussian_block(*args, out=out)
+    assert got is out or not into_out
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "_compiled", None)
+        ref = rng.gaussian_block(*args)
+    assert got.flags.f_contiguous
+    assert got.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(test_golden.CASES))
@@ -131,10 +159,18 @@ print(_kernels.BACKEND)
 sys.exit(main(sys.argv[1:]))
 """
 
-_WRONG_KERNEL = """
-#include <stdint.h>
-int64_t mfglab_representative(void) { return -1; }
-"""
+# a kernel that computes nothing, and a draw of nothing but one half; each
+# replaces its symbol in a library that is otherwise the real one
+_WRONG = {
+    "mfglab_representative": "int64_t mfglab_representative(void) { return -1; }",
+    "mfglab_uniforms": """
+void mfglab_uniforms(int64_t n_rows, int64_t n_cols, uint64_t k0, uint64_t first_index,
+                     uint64_t counter, int64_t skip, double *out)
+{
+    for (int64_t i = 0; i < n_rows * n_cols; i++)
+        out[i] = 0.5;
+}""",
+}
 
 
 def _break(case, cache, monkeypatch):
@@ -151,16 +187,20 @@ def _break(case, cache, monkeypatch):
         if case == "garbage library":
             with open(path, "wb") as fh:
                 fh.write(b"\x7fELF and then nothing a loader wants")
-        else:  # a library that loads, with a kernel that computes nothing
+        else:  # a library that loads, with one function wrong
             if shutil.which("cc") is None:
                 pytest.skip("no C compiler to build the library with")
+            symbol = "mfglab_uniforms" if case == "draw self-check mismatch" \
+                else "mfglab_representative"
+            source = (f"#define {symbol} {symbol}_unused\n{_native._SOURCE}\n"
+                      f"#undef {symbol}\n{_WRONG[symbol]}\n")
             subprocess.run(["cc", "-shared", "-fPIC", "-x", "c", "-", "-o", path],
-                           input=_WRONG_KERNEL.encode(), check=True, timeout=120)
+                           input=source.encode(), check=True, timeout=120)
     return {**os.environ, "PYTHONPATH": SRC}
 
 
 @pytest.mark.parametrize("case", ["no compiler", "unwritable cache", "garbage library",
-                                  "self-check mismatch"])
+                                  "self-check mismatch", "draw self-check mismatch"])
 def test_failed_loads_fall_back_to_numpy_silently(case, tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(test_golden.CLI_BASE)
@@ -181,12 +221,13 @@ def test_failed_loads_fall_back_to_numpy_silently(case, tmp_path, capsys, monkey
 
 def test_load_builds_once_and_reuses_the_library(tmp_path, monkeypatch):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    kernel = _native.load(_kernels._representative_numpy, _kernels._DIVERGE_LIMIT)
-    if kernel is None:
+    references = (_kernels._representative_numpy, _kernels._uniforms_numpy,
+                  _kernels._DIVERGE_LIMIT)
+    if _native.load(*references) is None:
         pytest.skip("the compiled kernel did not build here")
     path = _native.library_path()
     assert os.path.dirname(path) == str(tmp_path / "mfglab")
     assert os.listdir(tmp_path / "mfglab") == [os.path.basename(path)]
     stamp = os.stat(path).st_mtime_ns
-    assert _native.load(_kernels._representative_numpy, _kernels._DIVERGE_LIMIT) is not None
+    assert _native.load(*references) is not None
     assert os.stat(path).st_mtime_ns == stamp

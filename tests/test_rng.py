@@ -1,8 +1,10 @@
+import mmap
+
 import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from mfglab import rng
+from mfglab import _kernels, rng
 
 
 def test_streams_are_reproducible():
@@ -86,3 +88,40 @@ def test_gaussian_block_draws_into_out():
                   np.empty((6, 11), dtype=np.float32, order="F")):
         with pytest.raises(ValueError, match="Fortran order"):
             rng.gaussian_block(5, rng.STREAM_PATHS, 3, 6, 11, 7, out=wrong)
+
+
+def test_gaussian_block_refuses_a_read_only_out():
+    # refused before anything is drawn: a draw through a raw pointer into a
+    # read-only mapping would fault, and a read-only view would be changed
+    mapped = mmap.mmap(-1, 6 * 11 * 8, prot=mmap.PROT_READ)
+    frozen = np.frombuffer(mapped, dtype=np.float64).reshape((6, 11), order="F")
+    view = np.full((6, 11), 0.5, order="F")
+    view.flags.writeable = False
+    for out in (frozen, view):
+        with pytest.raises(ValueError, match="writeable .* Fortran order"):
+            rng.gaussian_block(5, rng.STREAM_PATHS, 3, 6, 11, 7, out=out)
+    assert not frozen.any()
+    assert np.all(view == 0.5)
+
+
+class TestGaussianBlockOnNumpy:
+    """The gaussian_block tests above with the compiled draw unloaded, so the
+    numpy fallback keeps the independent check against make_generator."""
+
+    @pytest.fixture(autouse=True)
+    def numpy_draw(self, monkeypatch):
+        monkeypatch.setattr(_kernels, "_compiled", None)
+
+    test_streams_are_distinct = staticmethod(test_streams_are_distinct)
+    test_gaussian_block_rows_are_per_index_streams = staticmethod(
+        test_gaussian_block_rows_are_per_index_streams)
+    test_gaussian_block_is_standard_normal = staticmethod(test_gaussian_block_is_standard_normal)
+    test_gaussian_block_rows_equal_generator_streams = staticmethod(
+        test_gaussian_block_rows_equal_generator_streams)
+    test_gaussian_block_is_fortran_ordered_generator_rows = staticmethod(
+        test_gaussian_block_is_fortran_ordered_generator_rows)
+    test_gaussian_block_bands_are_columns_of_the_full_block = staticmethod(
+        test_gaussian_block_bands_are_columns_of_the_full_block)
+    test_gaussian_block_draws_into_out = staticmethod(test_gaussian_block_draws_into_out)
+    test_gaussian_block_refuses_a_read_only_out = staticmethod(
+        test_gaussian_block_refuses_a_read_only_out)
