@@ -1,5 +1,6 @@
-"""Hot inner loops: particle and path time-stepping, and the uniform draw
-under every noise block (``uniforms``).
+"""Hot inner loops: particle and path time-stepping, the uniform draw
+under every noise block (``uniforms``) and the backward PDE sweep of the
+fixed-point solve (``backward_sweep``).
 
 Each kernel steps a whole ensemble, one time step per loop iteration.
 ``noise`` has shape (paths, steps) and holds sqrt(dt)-scaled increments
@@ -42,24 +43,28 @@ Each numpy kernel runs with numpy's floating-point warnings off
 (``np.errstate(all="ignore")``): a diverging step may overflow on its way to
 the divergence check, and that check, not a warning, reports it.
 
-Backends.  The representative kernel, the hot loop of ``verify``'s
-common-random-number legs, and ``uniforms``, the Philox draw under every
-noise block, also have compiled twins (``_native``): the same operations
-in the same order in C, built with FMA contraction off, so their results
-are bitwise those of ``_representative_numpy`` and ``_uniforms_numpy``.
+Backends.  Four of these loops also have compiled twins (``_native``):
+the representative kernel (the hot loop of ``verify``'s
+common-random-number legs), ``uniforms`` (the Philox draw under every noise
+block), the forward-field kernel and ``backward_sweep`` (the two loops of
+each fixed-point iteration).  Each makes the same operations in the same
+order in C, built with FMA contraction off, so its results are bitwise
+those of its numpy reference (``_representative_numpy``,
+``_uniforms_numpy``, ``_forward_field_numpy``, ``_backward_sweep_numpy``).
 The library is built on the first import into a per-user cache, and used
-only once self-checks of both functions against their numpy references
-pass; if anything fails, both run in numpy.  ``BACKEND`` says which
-loaded: "c" (both compiled) or "numpy".  The population and forward-field
-kernels, and the clip and inverse CDF that turn uniforms into Gaussians
-(``rng``), are numpy and scipy on every backend, so the flow-consistency
-identity (deviation exactly 0) checks the compiled representative kernel
-against the numpy population kernel.
+only once self-checks of all four against their references pass; if
+anything fails, all four run in numpy.  ``BACKEND`` says which loaded: "c"
+(all compiled) or "numpy".  The population kernel, and the clip and
+inverse CDF that turn uniforms into Gaussians (``rng``), are numpy and
+scipy on every backend, so the flow-consistency identity (deviation
+exactly 0) checks the compiled representative kernel against the numpy
+population kernel.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg.lapack import dgttrs
 
 from . import _native
 
@@ -192,7 +197,6 @@ def _representative_numpy(x0s, mflow, off, noise, dt, disc,
     return x, -1
 
 
-@np.errstate(all="ignore")
 def forward_field_kernel(x0, u, xgrid, noise, dt, b1, b2, gain):
     """Ensemble driven by a tabulated decoupling field; returns
     (means, terminal ensemble, diverged_step).
@@ -200,9 +204,19 @@ def forward_field_kernel(x0, u, xgrid, noise, dt, b1, b2, gain):
     u(t_k, x) is interpolated linearly on ``xgrid`` with edge-slope
     extrapolation: with pos = (x - x_0)/dx and idx = clip(floor(pos), 0,
     nx - 2), w = pos - idx and u = u_k[idx]*(1 - w) + u_k[idx + 1]*w.
-    The floor is clamped as a float and cast once; w subtracts that float,
-    which equals idx exactly, and u_k[idx + 1] is read as u_k[1:][idx].
+    The compiled kernel runs when it loaded (``BACKEND`` is "c"),
+    ``_forward_field_numpy`` otherwise; their results are bitwise equal.
     """
+    kernel = _forward_field_numpy if _compiled is None else _compiled.forward_field
+    return kernel(x0, u, xgrid, noise, dt, b1, b2, gain)
+
+
+@np.errstate(all="ignore")
+def _forward_field_numpy(x0, u, xgrid, noise, dt, b1, b2, gain):
+    """``forward_field_kernel`` in numpy: the fallback, and the reference
+    the compiled kernel is checked against.  The floor is clamped as a
+    float and cast once; w subtracts that float, which equals idx exactly,
+    and u_k[idx + 1] is read as u_k[1:][idx]."""
     n_particles, n_steps = noise.shape
     nx = xgrid.shape[0]
     dt, b1, neg_gain, x_lo, dx, top, zero, one = _f64(
@@ -240,6 +254,90 @@ def forward_field_kernel(x0, u, xgrid, noise, dt, b1, b2, gain):
             return means, x, k
     means[n_steps] = _mean(x)
     return means, x, -1
+
+
+def backward_sweep(u, mflow, x, dt, dx, lam, b1, b2, b4, A, r, gain, lu):
+    """Fill rows nt - 2, ..., 0 of the decoupling field ``u`` (nt, nx) from
+    its last row, one backward step of the PDE (``fixed_point``) each;
+    returns (stopped_step, cfl).
+
+    Step k reads row k + 1 and ``mflow[k + 1]``:
+
+        g    = b1*x + b2*m - gain*u_{k+1}        (closed-loop drift)
+        cfl  = max|g|*dt/dx
+        u_k  = u_{k+1} + dt*(g*dudx + src - r*u_{k+1}),
+               src = b1*u_{k+1} + b4*m + 2*A*x
+
+    with ``dudx`` the upwind difference (node i takes (u[i] - u[i-1])/dx
+    where g > 0 and (u[i+1] - u[i])/dx elsewhere, the edge nodes their one
+    inward difference), and then solves the implicit diffusion on the
+    interior nodes, whose right-hand side takes lam times each boundary
+    value; the boundary nodes keep the explicit value.  ``lu`` is
+    ``dgttrf``'s factorisation (dl, d, du, du2, ipiv) of that constant
+    operator.  The sweep stops at the first step whose ``cfl`` exceeds 1,
+    before writing its row, or whose row is not finite; ``stopped_step``
+    is that step, or -1, and ``cfl`` is the CFL number of the last step
+    begun (NaN when its drift is not finite).  The compiled sweep runs
+    when it loaded (``BACKEND`` is "c"), ``_backward_sweep_numpy``
+    otherwise; their results are bitwise equal.
+    """
+    sweep = _backward_sweep_numpy if _compiled is None else _compiled.backward_sweep
+    return sweep(u, mflow, x, dt, dx, lam, b1, b2, b4, A, r, gain, lu)
+
+
+@np.errstate(all="ignore")
+def _backward_sweep_numpy(u, mflow, x, dt, dx, lam, b1, b2, b4, A, r, gain, lu):
+    """``backward_sweep`` in numpy and LAPACK's ``dgttrs``: the fallback,
+    and the reference the compiled sweep is checked against.  Each step is
+    evaluated into buffers allocated once per call, in the operation order
+    of the expressions in the comments, so every IEEE result equals
+    evaluating those expressions directly."""
+    nt, nx = u.shape
+    b1x = b1 * x
+    ax2 = 2.0 * A * x
+    g = np.empty(nx)
+    tmp = np.empty(nx)
+    diff = np.empty(nx - 1)
+    dudx = np.empty(nx)
+    upwind = np.empty(nx - 2, dtype=bool)
+    cfl = np.nan
+    for k in range(nt - 2, -1, -1):
+        uk1 = u[k + 1]
+        m = mflow[k + 1]
+        # g = b1*x + b2*m - gain*uk1
+        np.add(b1x, b2 * m, out=g)
+        np.multiply(uk1, gain, out=tmp)
+        g -= tmp
+        np.abs(g, out=tmp)
+        cfl = tmp.max() * dt / dx
+        if cfl > 1.0:
+            return k, cfl
+        # upwind first derivative from the one-sided differences
+        # diff[i] = (uk1[i+1] - uk1[i])/dx
+        np.subtract(uk1[1:], uk1[:-1], out=diff)
+        diff /= dx
+        dudx[:-1] = diff
+        dudx[-1] = diff[-1]
+        np.greater(g[1:-1], 0.0, out=upwind)
+        np.copyto(dudx[1:-1], diff[:-1], where=upwind)
+        # u[k] = uk1 + dt*(g*dudx + src - r*uk1), src = b1*uk1 + b4*m + 2*A*x
+        row = u[k]
+        np.multiply(uk1, b1, out=row)
+        row += b4 * m
+        row += ax2
+        np.multiply(g, dudx, out=tmp)
+        tmp += row
+        np.multiply(uk1, r, out=row)
+        tmp -= row
+        tmp *= dt
+        np.add(uk1, tmp, out=row)
+        rhs = row[1:-1]
+        rhs[0] += lam * row[0]
+        rhs[-1] += lam * row[-1]
+        row[1:-1], info = dgttrs(*lu, rhs, overwrite_b=1)
+        if info != 0 or not np.isfinite(row).all():
+            return k, cfl
+    return -1, cfl
 
 
 def uniforms(k0, first_index, first_col, out):
@@ -283,7 +381,9 @@ def _uniforms_numpy(k0, first_index, first_col, out):
     return out
 
 
-# The compiled kernel and draw, or None when the library could not be
-# built, loaded or checked (see ``_native``).
-_compiled = _native.load(_representative_numpy, _uniforms_numpy, _DIVERGE_LIMIT)
+# The compiled functions, or None when the library could not be built,
+# loaded or checked (see ``_native``).
+_compiled = _native.load(_native.Library(_representative_numpy, _uniforms_numpy,
+                                         _forward_field_numpy, _backward_sweep_numpy),
+                         _DIVERGE_LIMIT)
 BACKEND = "numpy" if _compiled is None else "c"

@@ -17,6 +17,12 @@ s = b1 u + b4 m + 2 A x, terminal condition at the truncation horizon.
 Discretization: upwind advection and source explicit, diffusion implicit
 (a constant tridiagonal operator, LU-factored once per solve and applied
 per step), zero-curvature extrapolation at the space boundaries.
+
+The two loops of a sweep live in ``_kernels``: the backward steps in
+``backward_sweep`` (after LAPACK's ``dgttrf`` factors the operator here)
+and the particle push in ``forward_field_kernel``.  Both run compiled
+where the library loaded, bitwise equal to their numpy references, so a
+solve's outputs are the same bytes on either backend.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dgttrf
 
 from . import _kernels, rng
 from .config import RunConfig
@@ -92,72 +98,29 @@ def backward_field_solve(
     dx = float(x[1] - x[0])
     dt = flow.dt
     nt = flow.times.size
-    gain = model.control_gain
 
     u = np.empty((nt, nx))
     u[-1] = np.asarray(terminal(x), dtype=float) * np.ones(nx)
 
     # constant implicit-diffusion operator (interior rows), factored once;
     # LAPACK's partial pivoting does not swap rows of this diagonally
-    # dominant matrix, so each solve is the arithmetic of ?gtsv
+    # dominant matrix, so each step's solve is the arithmetic of ?gtsv,
+    # the case the compiled sweep takes
     lam = dt / (2.0 * dx * dx)
     off = np.full(nx - 3, -lam)
-    dl, d, du, du2, ipiv, info = dgttrf(off, np.full(nx - 2, 1.0 + 2.0 * lam), off)
+    *lu, info = dgttrf(off, np.full(nx - 2, 1.0 + 2.0 * lam), off)
     if info != 0:
         raise DivergedError(nt - 2)
 
-    # each step is evaluated into buffers allocated once per call, in the
-    # operation order of the expressions in the comments, so every IEEE
-    # result equals evaluating those expressions directly
-    b1x = model.b1 * x
-    ax2 = 2.0 * model.A * x
-    g = np.empty(nx)
-    tmp = np.empty(nx)
-    diff = np.empty(nx - 1)
-    dudx = np.empty(nx)
-    upwind = np.empty(nx - 2, dtype=bool)
-    for k in range(nt - 2, -1, -1):
-        uk1 = u[k + 1]
-        m = flow.m[k + 1]
-        # g = b1*x + b2*m - gain*uk1
-        np.add(b1x, model.b2 * m, out=g)
-        np.multiply(uk1, gain, out=tmp)
-        g -= tmp
-        np.abs(g, out=tmp)
-        cfl = tmp.max() * dt / dx
+    step, cfl = _kernels.backward_sweep(u, flow.m, x, dt, dx, lam, model.b1, model.b2,
+                                        model.b4, model.A, model.r, model.control_gain, lu)
+    if step >= 0:
         if cfl > 1.0:
             raise StepTooLargeError(
-                f"advection CFL violated at step {k}: max|g|*dt/dx = "
+                f"advection CFL violated at step {step}: max|g|*dt/dx = "
                 f"{cfl:.3g} > 1"
             )
-        # upwind first derivative from the one-sided differences
-        # diff[i] = (uk1[i+1] - uk1[i])/dx: node i takes diff[i - 1] where
-        # g > 0 and diff[i] elsewhere; the edge nodes take their one
-        # inward difference
-        np.subtract(uk1[1:], uk1[:-1], out=diff)
-        diff /= dx
-        dudx[:-1] = diff
-        dudx[-1] = diff[-1]
-        np.greater(g[1:-1], 0.0, out=upwind)
-        np.copyto(dudx[1:-1], diff[:-1], where=upwind)
-        # u[k] = uk1 + dt*(g*dudx + src - r*uk1), src = b1*uk1 + b4*m + 2*A*x;
-        # the boundary nodes keep it: zero curvature, fully explicit
-        row = u[k]
-        np.multiply(uk1, model.b1, out=row)
-        row += model.b4 * m
-        row += ax2
-        np.multiply(g, dudx, out=tmp)
-        tmp += row
-        np.multiply(uk1, model.r, out=row)
-        tmp -= row
-        tmp *= dt
-        np.add(uk1, tmp, out=row)
-        rhs = row[1:-1]
-        rhs[0] += lam * row[0]
-        rhs[-1] += lam * row[-1]
-        row[1:-1], info = dgttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=1)
-        if info != 0 or not np.isfinite(row).all():
-            raise DivergedError(k)
+        raise DivergedError(step)
     return DecouplingField(times=flow.times, x=x, u=u)
 
 

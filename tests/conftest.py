@@ -1,6 +1,6 @@
 import pytest
 
-from mfglab import EXAMPLE_MODEL, INSTANCE_B, solve_root_system, solve_selected
+from mfglab import EXAMPLE_MODEL, INSTANCE_B, _kernels, solve_root_system, solve_selected
 
 
 @pytest.fixture(scope="session")
@@ -83,3 +83,15 @@ def live_noise_peak(monkeypatch):
         return max(p + s for p, s in zip(peaks, [0] + slots)), slots
 
     return measure
+
+
+@pytest.fixture
+def each_backend(monkeypatch):
+    """A loop over the backends: ``for backend in each_backend():`` runs
+    the body on the loaded one (``_kernels.BACKEND``), then on numpy, with
+    ``_kernels._compiled`` set to None until the test ends."""
+    def backends():
+        yield _kernels.BACKEND
+        monkeypatch.setattr(_kernels, "_compiled", None)
+        yield "numpy"
+    return backends

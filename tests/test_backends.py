@@ -1,9 +1,10 @@
 """Both backends: the compiled library (``_native``) and the numpy code it
-falls back to give bitwise-equal results, for the representative kernel
-and for the Philox draw; the golden outputs hold on numpy too, and every
-way the library can fail to load leaves numpy in use without a word on
-stderr."""
+falls back to give bitwise-equal results, for the representative kernel,
+the Philox draw, the forward-field kernel and the backward PDE sweep; the
+golden outputs hold on numpy too, and every way the library can fail to
+load leaves numpy in use without a word on stderr."""
 
+import json
 import os
 import shutil
 import subprocess
@@ -14,10 +15,15 @@ import pytest
 import test_golden
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dgttrf
 
 import mfglab
-from mfglab import EXAMPLE_MODEL, INSTANCE_B, _kernels, _native, rng, solve_selected
+from mfglab import (EXAMPLE_MODEL, INSTANCE_B, MeanFlow, _kernels, _native,
+                    backward_field_solve, rng, solve_selected)
 from mfglab.cli import EXIT_OK, main
+from mfglab.errors import DivergedError, StepTooLargeError
+from mfglab.fixed_point import space_grid
+from mfglab.model import LQModel
 from mfglab.simulate import InitialLaw
 from mfglab.verify import flow_consistency
 
@@ -130,6 +136,150 @@ def test_compiled_draw_matches_numpy_bitwise(seed, stream, first_index, n_rows, 
     assert got.tobytes() == ref.tobytes()
 
 
+def _field_results(kernel, x0, u, xgrid, noise):
+    """The bytes of ``kernel``'s means up to the step it stopped at, of its
+    terminal ensemble, and that step."""
+    means, x, step = kernel(x0, u, xgrid, noise, 0.01, -0.2, 0.5, 1.7)
+    last = step if step >= 0 else noise.shape[1]
+    return means[:last + 1].tobytes(), x.tobytes(), step
+
+
+@compiled
+@given(
+    n=st.sampled_from([1, 7, 8, 9, 128, 129, 5000, 10001]),
+    steps=st.integers(0, 8),
+    spread=st.sampled_from([0.5, 3.0, 1e3]),
+    seed=st.integers(0, 2**32 - 1),
+    fault=st.sampled_from([None, "huge increment", "nan start"]),
+)
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+def test_compiled_forward_field_matches_numpy_bitwise(n, steps, spread, seed, fault):
+    # the widths run every branch of numpy's pairwise sum, 10001 past its
+    # 8192-element buffer; the particles start left of the grid, right of
+    # it, on its nodes and at -0.0
+    gen = np.random.default_rng(seed)
+    xgrid = np.linspace(-1.0, 1.5, 11)
+    u = gen.normal(size=(steps + 1, xgrid.size))
+    x0 = spread * gen.normal(size=n)
+    x0[gen.integers(n, size=min(n, 4))] = xgrid[gen.integers(xgrid.size, size=min(n, 4))]
+    x0[gen.integers(n)] = -0.0
+    noise = np.asfortranarray(0.1 * gen.normal(size=(n, steps)))
+    if fault == "huge increment" and steps:
+        noise[gen.integers(n), gen.integers(steps)] = 1e300
+    elif fault == "nan start":
+        x0[gen.integers(n)] = np.nan
+    got = _field_results(_kernels._compiled.forward_field, x0, u, xgrid, noise)
+    ref = _field_results(_kernels._forward_field_numpy, x0, u, xgrid, noise)
+    assert got == ref
+    if fault is not None and steps:
+        assert got[2] >= 0  # the run diverged, at the same step
+
+
+def _sweep_case(gen, nt, nx, dt):
+    """A sweep's arguments on a random grid: coefficients, a flow and a
+    terminal row with signs that vary, and the factorisation
+    ``backward_field_solve`` makes."""
+    x = gen.uniform(-3.0, 0.0) + gen.uniform(0.05, 0.5) * np.arange(nx)
+    dx = float(x[1] - x[0])
+    lam = dt / (2.0 * dx * dx)
+    off = np.full(nx - 3, -lam)
+    *lu, info = dgttrf(off, np.full(nx - 2, 1.0 + 2.0 * lam), off)
+    assert info == 0
+    b1, b2, b4, A, r, gain = gen.uniform(-2.0, 2.0, size=6)
+    mflow = gen.normal(size=nt)
+    terminal = gen.normal(size=nx)
+    return terminal, (mflow, x, dt, dx, lam, b1, b2, b4, A, r, gain, lu)
+
+
+def _sweep_results(sweep, terminal, args):
+    u = np.zeros((args[0].size, terminal.size))
+    u[-1] = terminal
+    step, cfl = sweep(u, *args)
+    return u.tobytes(), step, repr(float(cfl))
+
+
+@compiled
+@given(
+    nt=st.integers(1, 12),
+    nx=st.sampled_from([5, 6, 17, 161]),
+    dt=st.sampled_from([1e-4, 1e-3, 0.02, 0.5]),
+    seed=st.integers(0, 2**32 - 1),
+    fault=st.sampled_from([None, "huge source", "nan flow"]),
+)
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+def test_compiled_sweep_matches_numpy_bitwise(nt, nx, dt, seed, fault):
+    # dt = 0.5 stops most sweeps on the CFL bound; a huge b4 overflows the
+    # source to inf and a NaN in the flow makes the drift NaN
+    gen = np.random.default_rng(seed)
+    terminal, args = _sweep_case(gen, nt, nx, dt)
+    args = list(args)
+    if fault == "huge source":
+        args[7] = 1e305
+        args[0] = args[0] * 1e4
+    elif fault == "nan flow":
+        args[0][gen.integers(nt)] = np.nan
+    got = _sweep_results(_kernels._compiled.backward_sweep, terminal, args)
+    ref = _sweep_results(_kernels._backward_sweep_numpy, terminal, args)
+    assert got == ref
+
+
+@pytest.mark.parametrize("backend", ["compiled", "numpy"])
+def test_sweep_stops_report_the_same_step_and_ratio(backend, monkeypatch):
+    # a sweep stopped part-way reports the numpy code's step and CFL
+    # message on both backends: a flow that grows backwards in time, and
+    # an overflowing source from step 9 down
+    if backend == "numpy":
+        monkeypatch.setattr(_kernels, "_compiled", None)
+    elif _kernels._compiled is None:
+        pytest.skip("the compiled library did not load")
+    grid = space_grid(-4.0, 4.0, 0.05)
+    times = 0.01 * np.arange(41)
+    with pytest.raises(StepTooLargeError) as info:
+        backward_field_solve(INSTANCE_B, MeanFlow(times, np.linspace(12.0, 0.0, 41)), grid,
+                             lambda x: 0.1 * x)
+    assert str(info.value) == "advection CFL violated at step 29: max|g|*dt/dx = 1.07 > 1"
+    model = LQModel(r=1, b1=0, b2=0, b3=1, b4=1e305, A=1, C=1)
+    with pytest.raises(DivergedError) as info:
+        backward_field_solve(model, MeanFlow(times, np.r_[np.full(11, 1e4), np.zeros(30)]),
+                             grid, lambda x: 0.1 * x)
+    assert info.value.step == 9
+
+
+@compiled
+def test_arguments_the_compiled_loops_do_not_take_run_on_numpy():
+    # float32 particles, a non-contiguous field, a grid too large for
+    # 32-bit node indices and a pivoting factorisation: each goes to the
+    # numpy code, whose result the call returns
+    gen = np.random.default_rng(4)
+    xgrid = np.linspace(-1.0, 1.0, 9)
+    u = gen.normal(size=(6, 9))
+    x0 = np.linspace(-1.2, 1.3, 40)
+    noise = np.asfortranarray(0.1 * gen.normal(size=(40, 5)))
+    # a 2^31 + 2 node grid over two doubles: with one step from the first
+    # cell, numpy reads u[0, :2], xgrid[:2] and the length only
+    cell = np.array([0.0, 1.0])
+    huge = 2**31 + 2
+    big_grid = np.lib.stride_tricks.as_strided(cell, shape=(huge,), strides=(8,),
+                                               writeable=False)
+    big_u = np.lib.stride_tricks.as_strided(cell, shape=(1, huge), strides=(8 * huge, 8),
+                                            writeable=False)
+    for args in ((x0.astype(np.float32), u, xgrid, noise),
+                 (x0, np.asfortranarray(u), xgrid, noise),
+                 (np.linspace(0.1, 0.9, 7), big_u, big_grid, np.zeros((7, 1), order="F"))):
+        assert not _native._field_fits(*args)
+        got = _field_results(_kernels._compiled.forward_field, *args)
+        assert got == _field_results(_kernels._forward_field_numpy, *args)
+
+    terminal, args = _sweep_case(gen, 9, 12, 1e-3)
+    off = np.full(9, 5.0)
+    *lu, info = dgttrf(off, np.full(10, 1.0), off)
+    assert info == 0 and not np.array_equal(lu[4], np.arange(1, 11))
+    args = (*args[:-1], lu)
+    assert not _native._sweep_fits(np.zeros((9, 12)), args[0], args[1], lu)
+    got = _sweep_results(_kernels._compiled.backward_sweep, terminal, args)
+    assert got == _sweep_results(_kernels._backward_sweep_numpy, terminal, args)
+
+
 @pytest.mark.parametrize("name", sorted(test_golden.CASES))
 def test_golden_outputs_on_numpy(name, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(_kernels, "_compiled", None)
@@ -150,17 +300,18 @@ def test_flow_consistency_is_exact_on_both_backends(backend, monkeypatch):
         assert dev == 0.0
 
 
-# run in a fresh interpreter: report the backend, then verify
+# run in a fresh interpreter: report the backend, then run each command
+# line of the JSON list in the first argument
 _FRESH = """
-import sys
+import json, sys
 from mfglab import _kernels
 from mfglab.cli import main
 print(_kernels.BACKEND)
-sys.exit(main(sys.argv[1:]))
+sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))
 """
 
-# a kernel that computes nothing, and a draw of nothing but one half; each
-# replaces its symbol in a library that is otherwise the real one
+# kernels and a sweep that compute nothing, and a draw of nothing but one
+# half; each replaces its symbol in a library that is otherwise the real one
 _WRONG = {
     "mfglab_representative": "int64_t mfglab_representative(void) { return -1; }",
     "mfglab_uniforms": """
@@ -170,7 +321,22 @@ void mfglab_uniforms(int64_t n_rows, int64_t n_cols, uint64_t k0, uint64_t first
     for (int64_t i = 0; i < n_rows * n_cols; i++)
         out[i] = 0.5;
 }""",
+    "mfglab_forward_field": "int64_t mfglab_forward_field(void) { return -1; }",
+    "mfglab_backward_sweep": "int64_t mfglab_backward_sweep(void) { return -1; }",
 }
+
+# the function each mismatch case replaces
+_MISMATCHES = {
+    "self-check mismatch": "mfglab_representative",
+    "draw self-check mismatch": "mfglab_uniforms",
+    "forward-field self-check mismatch": "mfglab_forward_field",
+    "sweep self-check mismatch": "mfglab_backward_sweep",
+}
+
+# a small fixed-point run: the golden workload on fewer particles and a
+# shorter horizon
+_FIXED_POINT = (test_golden.FIXED_POINT.replace("sim.nParticles = 5000", "sim.nParticles = 300")
+                .replace("sim.T = 1.0", "sim.T = 0.4"))
 
 
 def _break(case, cache, monkeypatch):
@@ -190,8 +356,7 @@ def _break(case, cache, monkeypatch):
         else:  # a library that loads, with one function wrong
             if shutil.which("cc") is None:
                 pytest.skip("no C compiler to build the library with")
-            symbol = "mfglab_uniforms" if case == "draw self-check mismatch" \
-                else "mfglab_representative"
+            symbol = _MISMATCHES[case]
             source = (f"#define {symbol} {symbol}_unused\n{_native._SOURCE}\n"
                       f"#undef {symbol}\n{_WRONG[symbol]}\n")
             subprocess.run(["cc", "-shared", "-fPIC", "-x", "c", "-", "-o", path],
@@ -200,28 +365,36 @@ def _break(case, cache, monkeypatch):
 
 
 @pytest.mark.parametrize("case", ["no compiler", "unwritable cache", "garbage library",
-                                  "self-check mismatch", "draw self-check mismatch"])
+                                  *_MISMATCHES])
 def test_failed_loads_fall_back_to_numpy_silently(case, tmp_path, capsys, monkeypatch):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(test_golden.CLI_BASE)
-    argv = ["verify", "--config", str(cfg), "--checks", "nash,gateaux,consistency"]
-    assert main([*argv, "--out", str(tmp_path / "ref")]) == EXIT_OK
+    (tmp_path / "run.cfg").write_text(test_golden.CLI_BASE)
+    (tmp_path / "fixed.cfg").write_text(_FIXED_POINT)
+    commands = {"verify": ["verify", "--config", str(tmp_path / "run.cfg"),
+                           "--checks", "nash,gateaux,consistency"],
+                "fixed-point": ["fixed-point", "--config", str(tmp_path / "fixed.cfg")]}
+    for name, argv in commands.items():
+        assert main([*argv, "--out", str(tmp_path / "ref" / name)]) == EXIT_OK
     capsys.readouterr()
 
     env = _break(case, tmp_path / "cache", monkeypatch)
-    proc = subprocess.run([sys.executable, "-c", _FRESH, *argv, "--out", str(tmp_path / "out")],
+    argvs = [[*argv, "--out", str(tmp_path / "out" / name)] for name, argv in commands.items()]
+    proc = subprocess.run([sys.executable, "-c", _FRESH, json.dumps(argvs)],
                           env=env, capture_output=True, text=True, timeout=300)
     assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
     assert proc.stdout.splitlines()[0] == "numpy"
-    ref = sorted((tmp_path / "ref").iterdir())
-    assert [p.name for p in ref] == sorted(p.name for p in (tmp_path / "out").iterdir())
-    for p in ref:
-        assert (tmp_path / "out" / p.name).read_bytes() == p.read_bytes(), p.name
+    for name in commands:
+        ref = sorted((tmp_path / "ref" / name).iterdir())
+        out = tmp_path / "out" / name
+        assert [p.name for p in ref] == sorted(p.name for p in out.iterdir())
+        for p in ref:
+            assert (out / p.name).read_bytes() == p.read_bytes(), (name, p.name)
 
 
 def test_load_builds_once_and_reuses_the_library(tmp_path, monkeypatch):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    references = (_kernels._representative_numpy, _kernels._uniforms_numpy,
+    references = (_native.Library(_kernels._representative_numpy, _kernels._uniforms_numpy,
+                                  _kernels._forward_field_numpy,
+                                  _kernels._backward_sweep_numpy),
                   _kernels._DIVERGE_LIMIT)
     if _native.load(*references) is None:
         pytest.skip("the compiled kernel did not build here")

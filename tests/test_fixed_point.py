@@ -61,22 +61,24 @@ def test_backward_solve_odd_symmetry(example_model):
     assert np.max(np.abs(field.u[0] + field.u[0, ::-1])) <= 1e-10
 
 
-def test_backward_solve_cfl_guard(example_model):
+def test_backward_solve_cfl_guard(example_model, each_backend):
     flow = MeanFlow.constant(T=2.0, dt=0.1, value=0.0)
-    with pytest.raises(StepTooLargeError):
-        backward_field_solve(example_model, flow, GRID, lambda x: 2.0 * x)
+    for _ in each_backend():
+        with pytest.raises(StepTooLargeError):
+            backward_field_solve(example_model, flow, GRID, lambda x: 2.0 * x)
 
 
-def test_backward_solve_non_finite_step_reports_divergence():
+def test_backward_solve_non_finite_step_reports_divergence(each_backend):
     # b4 * m overflows the explicit source to inf on the first step; the
     # solve must report the divergence, not let a finite-input check of the
     # linear solver raise ValueError
     model = LQModel(r=1, b1=0, b2=0, b3=1, b4=1e305, A=1, C=1)
     flow = MeanFlow.constant(0.1, 0.01, 1e4)
     grid = space_grid(-1.0, 1.0, 0.25)
-    with pytest.raises(DivergedError) as info, np.errstate(over="ignore", invalid="ignore"):
-        backward_field_solve(model, flow, grid, lambda x: np.zeros_like(x))
-    assert info.value.step == flow.times.size - 2
+    for _ in each_backend():
+        with pytest.raises(DivergedError) as info, np.errstate(over="ignore", invalid="ignore"):
+            backward_field_solve(model, flow, grid, lambda x: np.zeros_like(x))
+        assert info.value.step == flow.times.size - 2
 
 
 def test_backward_solve_matches_banded_solver(instance_b):
