@@ -24,9 +24,9 @@ checked together, and used only together.
   128 terms, halves cut at a multiple of eight above; no chunking), and
   then makes three passes: the cell index and weight, where clamping to
   [0, nx - 2] and truncating to 32 bits equals numpy's floor then clamp,
-  both bounds being whole numbers; the gather of the two node values; and
-  the interpolation and Euler update.  The first and last vectorise at
-  the baseline instruction set, as does the divergence check.
+  both bounds being whole numbers; the gather of the two node values and
+  the interpolation; and the Euler update.  The first and last vectorise
+  at the baseline instruction set, as does the divergence check.
 - ``mfglab_backward_sweep`` is ``_kernels._backward_sweep_numpy``, with
   LAPACK ``dgtts2``'s formulas for the tridiagonal solve (what ``dgttrs``
   runs for one right-hand side) when the factorisation's pivots are the
@@ -211,7 +211,7 @@ int64_t mfglab_forward_field(
     int64_t n, int64_t steps, double *x, const double *u, int64_t u_row,
     const double *noise, int64_t noise_col, double dt, double b1, double b2,
     double neg_gain, double x_lo, double dx, double top, double *means,
-    double *w, int32_t *idx, double *ua, double *ub, double limit)
+    double *w, int32_t *idx, double limit)
 {
     for (int64_t k = 0; k < steps; k++) {
         const double m = mean(x, n), b2m = b2 * m;
@@ -229,13 +229,13 @@ int64_t mfglab_forward_field(
             w[i] = pos - (double)j;
         }
         for (int64_t i = 0; i < n; i++) {
-            ua[i] = uk[idx[i]];
-            ub[i] = uk[idx[i] + 1];
+            double v = uk[idx[i]] * (1.0 - w[i]);
+            v += uk[idx[i] + 1] * w[i];
+            w[i] = v;
         }
         for (int64_t i = 0; i < n; i++) {
             const double xi = x[i];
-            double v = ua[i] * (1.0 - w[i]);
-            v += ub[i] * w[i];
+            double v = w[i];
             v *= neg_gain;
             double t = xi * b1;
             t += b2m;
@@ -319,7 +319,7 @@ _ARGTYPES = [_I64, _I64, _PTR, _PTR, _PTR, _PTR, _I64, _F64, _PTR,
              *[_F64] * 8, _PTR, _I64, _I64, ctypes.c_int32, _PTR, _F64]
 _UNIFORM_ARGTYPES = [_I64, _I64, _U64, _U64, _U64, _I64, _PTR]
 _FIELD_ARGTYPES = [_I64, _I64, _PTR, _PTR, _I64, _PTR, _I64, *[_F64] * 7,
-                   *[_PTR] * 5, _F64]
+                   *[_PTR] * 3, _F64]
 _SWEEP_ARGTYPES = [_I64, _I64, *[_PTR] * 3, *[_F64] * 9, *[_PTR] * 6]
 # Doubles per Philox counter step, and the counter's range.
 _PER_COUNTER = 4
@@ -460,14 +460,13 @@ def _bind_forward_field(lib, reference, limit: float):
         n_particles, n_steps = noise.shape
         x = x0.copy()
         noise = np.asfortranarray(noise)
-        means = np.empty(n_steps + 1)
-        w, ua, ub = (np.empty(n_particles) for _ in range(3))
+        means, w = np.empty(n_steps + 1), np.empty(n_particles)
         idx = np.empty(n_particles, dtype=np.int32)
         step = fn(n_particles, n_steps, x.ctypes.data, u.ctypes.data, u.strides[0] // 8,
                   noise.ctypes.data, noise.strides[1] // 8, float(dt), float(b1), float(b2),
                   -float(gain), float(xgrid[0]), float(xgrid[1] - xgrid[0]),
                   float(xgrid.shape[0] - 2), means.ctypes.data, w.ctypes.data,
-                  idx.ctypes.data, ua.ctypes.data, ub.ctypes.data, limit)
+                  idx.ctypes.data, limit)
         return means, x, step
 
     return forward_field
