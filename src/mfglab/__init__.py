@@ -68,8 +68,7 @@ from .simulate import (
     w2_empirical,
 )
 from .verify import (
-    NashReport,
-    UniquenessReport,
+    CheckResult,
     flow_consistency,
     gateaux_slope,
     lipschitz_scan,

@@ -71,9 +71,6 @@ from . import _native
 _DIVERGE_LIMIT = 1e12
 # Rows drawn per C-order tile before the copy into a Fortran-order block.
 _TILE_ROWS = 64
-# Doubles per Philox counter step: each step fills a buffer of four 64-bit
-# words, and random() reads one word per double.
-_PER_COUNTER = 4
 
 
 def _diverged(x, scratch) -> bool:
@@ -363,14 +360,14 @@ def _uniforms_numpy(k0, first_index, first_col, out):
     full-size transposed copy of a Fortran-order ``out`` is ever made.
     """
     n_rows, n_cols = out.shape
-    skip = first_col % _PER_COUNTER
+    skip = first_col % _native._PER_COUNTER
     tile = np.empty((min(_TILE_ROWS, n_rows), skip + n_cols))
     tile_rows = list(tile)
     bitgen = np.random.Philox()
     draw = np.random.Generator(bitgen).random
-    row = {"counter": (first_col // _PER_COUNTER, 0, 0, 0), "key": (0, 0)}
+    row = {"counter": (first_col // _native._PER_COUNTER, 0, 0, 0), "key": (0, 0)}
     state = {"bit_generator": "Philox", "state": row, "buffer": (0, 0, 0, 0),
-             "buffer_pos": _PER_COUNTER, "has_uint32": 0, "uinteger": 0}
+             "buffer_pos": _native._PER_COUNTER, "has_uint32": 0, "uinteger": 0}
     for lo in range(0, n_rows, _TILE_ROWS):
         hi = min(lo + _TILE_ROWS, n_rows)
         for i, tile_row in zip(range(lo, hi), tile_rows):

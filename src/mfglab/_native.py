@@ -9,8 +9,9 @@ checked together, and used only together.
   a C loop, steps on the outside and paths on the inside.  Each step makes
   three passes over the paths: the update, with exactly the numpy kernel's
   operations in its order, so every IEEE result is the same; the kept
-  states' column; and the divergence check.  The update has no branch, so
-  the compiler vectorises it at the baseline instruction set.
+  states' column; and the divergence check ``diverged``, which the forward
+  field shares.  The update and the check have no branch, so the compiler
+  vectorises both at the baseline instruction set.
 - ``mfglab_uniforms`` is ``_kernels._uniforms_numpy``: Philox4x64-10 (Salmon
   et al., SC'11) as numpy's ``Philox`` computes it, its counter incremented
   before each block of four words and each word made a double as numpy's
@@ -69,6 +70,18 @@ _SOURCE = r"""
 #include <math.h>
 #include <stdint.h>
 
+/* Whether some |x| is not below limit (NaN included), without a branch
+   per element, so the loop vectorises. */
+static int diverged(const double *x, int64_t n, double limit)
+{
+    int64_t bad = 0;
+    for (int64_t i = 0; i < n; i++) {
+        const double over = fabs(x[i]) < limit ? 0.0 : 1.0;
+        bad |= over != 0.0;
+    }
+    return bad != 0;
+}
+
 int64_t mfglab_representative(
     int64_t n, int64_t steps, double *x, const double *mflow,
     const double *off, const double *noise, int64_t noise_col,
@@ -112,9 +125,8 @@ int64_t mfglab_representative(
         if (keep)
             for (int64_t i = 0; i < n; i++)
                 states[i * s_row + (k + 1) * s_col] = x[i];
-        for (int64_t i = 0; i < n; i++)
-            if (!(fabs(x[i]) < limit))
-                return k;
+        if (diverged(x, n, limit))
+            return k;
     }
     return -1;
 }
@@ -188,18 +200,6 @@ static double pairwise(const double *a, int64_t n)
     int64_t n2 = n / 2;
     n2 -= n2 % 8;
     return pairwise(a, n2) + pairwise(a + n2, n - n2);
-}
-
-/* Whether some |x| is not below limit (NaN included), without a branch
-   per element, so the loop vectorises. */
-static int diverged(const double *x, int64_t n, double limit)
-{
-    int64_t bad = 0;
-    for (int64_t i = 0; i < n; i++) {
-        const double over = fabs(x[i]) < limit ? 0.0 : 1.0;
-        bad |= over != 0.0;
-    }
-    return bad != 0;
 }
 
 static double mean(const double *x, int64_t n)
@@ -321,7 +321,8 @@ _UNIFORM_ARGTYPES = [_I64, _I64, _U64, _U64, _U64, _I64, _PTR]
 _FIELD_ARGTYPES = [_I64, _I64, _PTR, _PTR, _I64, _PTR, _I64, *[_F64] * 7,
                    *[_PTR] * 3, _F64]
 _SWEEP_ARGTYPES = [_I64, _I64, *[_PTR] * 3, *[_F64] * 9, *[_PTR] * 6]
-# Doubles per Philox counter step, and the counter's range.
+# Doubles per Philox counter step (each step fills four 64-bit words, and
+# random() reads one word per double), and the counter's range.
 _PER_COUNTER = 4
 _WORD = 1 << 64
 

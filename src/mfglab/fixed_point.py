@@ -92,9 +92,13 @@ def backward_field_solve(
     """Backward finite-difference solve of the decoupling-field PDE.
 
     ``terminal`` is a callable of x giving u at the truncation horizon.
+    The grid needs at least 5 nodes (scipy's ``dgttrf`` takes at least 3
+    interior ones): ValueError otherwise.
     """
     x = np.asarray(grid, dtype=float)
     nx = x.size
+    if nx < 5:
+        raise ValueError(f"the space grid needs at least 5 nodes, got {nx}")
     dx = float(x[1] - x[0])
     dt = flow.dt
     nt = flow.times.size

@@ -14,15 +14,20 @@ one ``config.RunConfig``: the model, the initial law, the horizon and step,
 the path count and the seed.  The representative player starts at the
 initial law's mean, and the equilibrium mean flow starts there too.
 
+Every judged claim has one judge and one result, the ``CheckResult``
+(verdict, summary line, CSV table) that ``verify`` writes: ``verify_nash``,
+``gateaux_slope`` and ``weak_uniqueness_check`` return it, and the
+measuring functions (``flow_consistency``, ``y_representation_check``,
+``lipschitz_scan``) return numbers that the command's checks judge.
 ``CHECKS`` is the table of the ``verify`` command: each entry maps a run
-config and the selected root to a ``CheckResult`` (verdict, summary line and
-CSV table), with its sizes and its verdict threshold stated in that entry.
-``run_checks`` runs the selected entries.  The paired checks, nash and
-gateaux, also take their legs: ``run_checks`` simulates the legs of all
-selected paired checks in one ``_paired_legs`` call before any check runs,
-so one ``verify`` run draws each block of paths once, and each check
-judges its legs without drawing.  ``verify_nash`` and ``gateaux_slope``
-are the same judges on a plan of their own legs.
+config and the selected root to a ``CheckResult``, with its sizes and its
+verdict threshold stated in that entry.  ``run_checks`` runs the selected
+entries.  The paired checks, nash and gateaux, also take their legs:
+``run_checks`` simulates the legs of all selected paired checks in one
+``_paired_legs`` call before any check runs, so one ``verify`` run draws
+each block of paths once, and each check judges its legs without drawing;
+``verify_nash`` and ``gateaux_slope`` are the same judges, ``_nash`` and
+``_gateaux``, on a plan of their own legs.
 """
 
 from __future__ import annotations
@@ -41,7 +46,6 @@ from .riccati import riccati_backward
 from .simulate import (
     STEP_RTOL,
     AffineFeedback,
-    CostEstimate,
     InitialLaw,
     TrajectoryBatch,
     estimate_cost,
@@ -52,28 +56,14 @@ from .simulate import (
 
 
 @dataclass(frozen=True)
-class PairedComparison:
-    label: str
-    delta_mean: float
-    delta_ci: tuple[float, float]
-    delta_se: float
+class CheckResult:
+    """Outcome of one judged claim: its verdict, the summary line ``verify``
+    prints and the CSV table it writes."""
 
-
-@dataclass(frozen=True)
-class NashReport:
-    base_cost: CostEstimate
-    perturbed: tuple[PairedComparison, ...]
-    all_non_negative: bool
-
-
-@dataclass(frozen=True)
-class UniquenessReport:
-    estimate_a: tuple[float, float]  # (mean, std error)
-    estimate_b: tuple[float, float]
-    overlap_z: float
-    ks_statistic: float  # exact two-sample KS statistic h / lcm(n_a, n_b)
-    ks_critical_1pct: float
     passed: bool
+    detail: str
+    header: list[str]
+    rows: list[tuple]
 
 
 def _require_admissible(model: LQModel, U: QuadraticValue) -> None:
@@ -122,25 +112,26 @@ def _paired_legs(
     return out
 
 
-def _nash_report(model: LQModel, labels, base: TrajectoryBatch, legs) -> NashReport:
-    """The Nash verdict on paired legs: the base cost, and per labelled leg
-    the mean cost difference with its 95% interval; a difference whose
-    interval reaches below -3 standard errors fails."""
+def _nash(model: LQModel, labels, base: TrajectoryBatch, legs) -> CheckResult:
+    """The Nash verdict on paired legs: the base cost in the summary line
+    and per labelled leg a row of the mean cost difference, its 95% interval
+    and its standard error.  A leg whose interval reaches down to -3
+    standard errors fails; a NaN row does not."""
     rows = []
-    ok = True
     for label, (_, diff) in zip(labels, legs):
         dm = float(diff.mean())
         dse = float(diff.std(ddof=1) / math.sqrt(diff.size))
-        ci = (dm - 1.96 * dse, dm + 1.96 * dse)
-        rows.append(PairedComparison(label=label, delta_mean=dm, delta_ci=ci, delta_se=dse))
-        if ci[0] <= -3.0 * dse:
-            ok = False
-    return NashReport(base_cost=estimate_cost(model, base), perturbed=tuple(rows),
-                      all_non_negative=ok)
+        rows.append((label, dm, dm - 1.96 * dse, dm + 1.96 * dse, dse))
+    return CheckResult(
+        not any(lo <= -3.0 * se for _, _, lo, _, se in rows),
+        f"base {estimate_cost(model, base).mean:.4f}, min delta CI "
+        f"{min((lo for _, _, lo, _, _ in rows), default=math.nan):.3e}",
+        ["label", "delta_mean", "ci_lo", "ci_hi", "stderr"], rows)
 
 
-def verify_nash(cfg: RunConfig, U: QuadraticValue, perturbations) -> NashReport:
-    """Paired cost comparison of the equilibrium against each perturbation.
+def verify_nash(cfg: RunConfig, U: QuadraticValue, perturbations) -> CheckResult:
+    """Paired cost comparison of the equilibrium against each perturbation,
+    judged by ``_nash``.
 
     ``perturbations`` is a list of (label, feedback) pairs, such as those
     of ``offset_perturbation``.  The population stays at equilibrium (a
@@ -148,7 +139,7 @@ def verify_nash(cfg: RunConfig, U: QuadraticValue, perturbations) -> NashReport:
     """
     perturbations = list(perturbations)
     [(base, legs)] = _paired_legs(cfg, U, [[fb for _, fb in perturbations]])
-    return _nash_report(cfg.model, [label for label, _ in perturbations], base, legs)
+    return _nash(cfg.model, [label for label, _ in perturbations], base, legs)
 
 
 def offset_perturbation(model: LQModel, U: QuadraticValue, offset: float) -> AffineFeedback:
@@ -162,28 +153,29 @@ def _gateaux_feedbacks(model: LQModel, U: QuadraticValue, direction: float, epsi
     return [base_fb.with_offset(eps * direction) for eps in epsilons]
 
 
-def _slopes(epsilons, legs) -> list[tuple[float, float]]:
-    """(epsilon, mean cost difference / epsilon) per paired leg; 0 at eps = 0."""
-    out = []
-    for eps, (_, diff) in zip(epsilons, legs):
-        delta = float(diff.mean())
-        out.append((float(eps), delta / eps if eps != 0.0 else 0.0))
-    return out
+def _gateaux(epsilons, legs) -> CheckResult:
+    """The Gateaux verdict on paired legs: per step eps a row (eps, mean
+    cost difference / eps), the slope 0 at eps = 0; the slopes pass when
+    each is at most the previous one in magnitude (plus 1e-9), so steps
+    given in decreasing order must shrink towards the minimum."""
+    slopes = [(float(eps), float(diff.mean()) / eps if eps != 0.0 else 0.0)
+              for eps, (_, diff) in zip(epsilons, legs)]
+    shrink = all(abs(s2) <= abs(s1) + 1e-9
+                 for (_, s1), (_, s2) in zip(slopes, slopes[1:]))
+    return CheckResult(shrink, "slopes " + ", ".join(f"{s:.4f}" for _, s in slopes),
+                       ["epsilon", "slope"], slopes)
 
 
-def gateaux_slope(
-    cfg: RunConfig, U: QuadraticValue, direction: float, epsilons
-) -> list[tuple[float, float]]:
-    """Finite-difference directional derivatives of the cost at equilibrium.
-
-    ``direction`` is a constant control offset, taken in steps ``eps``.
-    Returns (epsilon, (J(eps) - J(0)) / eps) pairs; slopes of a quadratic
-    cost are linear in epsilon and vanish at the minimum.
+def gateaux_slope(cfg: RunConfig, U: QuadraticValue, direction: float, epsilons) -> CheckResult:
+    """Finite-difference directional derivatives of the cost at equilibrium,
+    judged by ``_gateaux``: ``direction`` is a constant control offset,
+    taken in steps ``eps``, and each row is (eps, (J(eps) - J(0)) / eps).
+    Slopes of a quadratic cost are linear in eps and vanish at the minimum.
     """
     epsilons = list(epsilons)
     [(_, legs)] = _paired_legs(
         cfg, U, [_gateaux_feedbacks(cfg.model, U, direction, epsilons)])
-    return _slopes(epsilons, legs)
+    return _gateaux(epsilons, legs)
 
 
 def flow_consistency(
@@ -300,7 +292,7 @@ def weak_uniqueness_check(
     x: float,
     seeds: tuple[int, int],
     n_particles: int = 4000,
-) -> UniquenessReport:
+) -> CheckResult:
     """Statistical surrogate for weak uniqueness.
 
     Two pathwise-different but equal-in-law initial ensembles are built by
@@ -311,7 +303,8 @@ def weak_uniqueness_check(
     then agree up to Monte Carlo noise: the z-score of the two estimates is
     at most 3 and the exact two-sample KS statistic of the terminal states,
     h / lcm(n, n) = h / n for ``n_particles`` each, is below its 1% critical
-    value.
+    value.  The one row holds both estimates with their standard errors,
+    the z-score, the KS statistic and its critical value.
     """
     model = cfg.model
     _require_admissible(model, U)
@@ -336,14 +329,11 @@ def weak_uniqueness_check(
     z = abs(mean_a - mean_b) / denom if denom > 0 else 0.0
     ks = _ks_statistic(term_a, term_b)
     critical = math.sqrt(-math.log(0.01 / 2.0) / 2.0) * math.sqrt(2.0 / n_particles)
-    passed = z <= 3.0 and ks < critical
-    return UniquenessReport(
-        estimate_a=(mean_a, se_a),
-        estimate_b=(mean_b, se_b),
-        overlap_z=float(z),
-        ks_statistic=ks,
-        ks_critical_1pct=float(critical),
-        passed=passed,
+    return CheckResult(
+        z <= 3.0 and ks < critical,
+        f"z {z:.2f}, KS {ks:.4f} (crit {critical:.4f})",
+        ["value_a", "se_a", "value_b", "se_b", "z", "ks", "ks_crit"],
+        [(mean_a, se_a, mean_b, se_b, z, ks, critical)],
     )
 
 
@@ -372,16 +362,6 @@ def lipschitz_scan(model: LQModel, U: QuadraticValue, probes) -> float:
 # wrapper installed in this module's namespace sees every call.
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    """Outcome of one ``verify`` check: its summary line and its CSV."""
-
-    passed: bool
-    detail: str
-    header: list[str]
-    rows: list[tuple]
-
-
 def _horizon_at_most(cfg: RunConfig, cap: float) -> float:
     """min(T, cap), with the cap lowered to a whole number of steps (at least one)."""
     n_steps = max(1, math.floor(cap / cfg.dt * (1.0 + STEP_RTOL)))
@@ -408,24 +388,11 @@ def _gateaux_legs(cfg: RunConfig, U: QuadraticValue) -> list[AffineFeedback]:
 
 
 def _check_nash(cfg: RunConfig, U: QuadraticValue, paired) -> CheckResult:
-    rep = _nash_report(cfg.model, [f"offset_{eps:g}" for eps in _NASH_OFFSETS], *paired)
-    return CheckResult(
-        rep.all_non_negative,
-        f"base {rep.base_cost.mean:.4f}, min delta CI "
-        f"{min(p.delta_ci[0] for p in rep.perturbed):.3e}",
-        ["label", "delta_mean", "ci_lo", "ci_hi", "stderr"],
-        [(p.label, p.delta_mean, p.delta_ci[0], p.delta_ci[1], p.delta_se)
-         for p in rep.perturbed],
-    )
+    return _nash(cfg.model, [f"offset_{eps:g}" for eps in _NASH_OFFSETS], *paired)
 
 
 def _check_gateaux(cfg: RunConfig, U: QuadraticValue, paired) -> CheckResult:
-    _, legs = paired
-    slopes = _slopes(_GATEAUX_STEPS, legs)
-    shrink = all(abs(s2) <= abs(s1) + 1e-9
-                 for (_, s1), (_, s2) in zip(slopes, slopes[1:]))
-    return CheckResult(shrink, "slopes " + ", ".join(f"{s:.4f}" for _, s in slopes),
-                       ["epsilon", "slope"], slopes)
+    return _gateaux(_GATEAUX_STEPS, paired[1])
 
 
 def _check_consistency(cfg: RunConfig, U: QuadraticValue) -> CheckResult:
@@ -449,17 +416,9 @@ def _check_representation(cfg: RunConfig, U: QuadraticValue) -> CheckResult:
 def _check_uniqueness(cfg: RunConfig, U: QuadraticValue) -> CheckResult:
     law = cfg.law0 if cfg.law0.kind == "gaussian" else InitialLaw.gaussian(
         cfg.law0.mean, 0.5)
-    rep = weak_uniqueness_check(
+    return weak_uniqueness_check(
         replace(cfg, law0=law, n_paths=min(cfg.n_paths, 4000)), U,
         x=cfg.law0.mean, seeds=(cfg.seed + 1, cfg.seed + 2),
-    )
-    return CheckResult(
-        rep.passed,
-        f"z {rep.overlap_z:.2f}, KS {rep.ks_statistic:.4f} "
-        f"(crit {rep.ks_critical_1pct:.4f})",
-        ["value_a", "se_a", "value_b", "se_b", "z", "ks", "ks_crit"],
-        [(rep.estimate_a[0], rep.estimate_a[1], rep.estimate_b[0],
-          rep.estimate_b[1], rep.overlap_z, rep.ks_statistic, rep.ks_critical_1pct)],
     )
 
 

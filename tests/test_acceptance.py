@@ -46,6 +46,11 @@ EXPECTED_ROOTS = {
 }
 
 
+def named_rows(rep):
+    """A check record's rows as dicts keyed by its header."""
+    return [dict(zip(rep.header, row)) for row in rep.rows]
+
+
 def _report(criterion: str, passed: bool, detail: str, elapsed: float, budget: float):
     status = "PASS" if (passed and elapsed <= budget) else "FAIL"
     print(f"{status} {criterion}: {detail} [{elapsed:.2f}s / budget {budget:.0f}s]")
@@ -116,13 +121,13 @@ def test_criterion_4_nash_optimality():
              for eps in (0.5, 1.0)]
     rep = verify_nash(MC_BIG, U, perts)
     elapsed = time.perf_counter() - t0
-    ok = rep.all_non_negative
+    ok = rep.passed
     details = []
-    for row, eps in zip(rep.perturbed, (0.5, 1.0)):
+    for row, eps in zip(named_rows(rep), (0.5, 1.0)):
         oracle = 0.5 * eps * eps
-        ok = ok and abs(row.delta_mean - oracle) <= 0.1 * oracle
-        ok = ok and row.delta_ci[0] > 0.0
-        details.append(f"dJ({eps:g})={row.delta_mean:.4f} (oracle {oracle:g})")
+        ok = ok and abs(row["delta_mean"] - oracle) <= 0.1 * oracle
+        ok = ok and row["ci_lo"] > 0.0
+        details.append(f"dJ({eps:g})={row['delta_mean']:.4f} (oracle {oracle:g})")
     _report("criterion 4 (Nash optimality)", ok, ", ".join(details), elapsed, 180.0)
 
 
@@ -197,10 +202,11 @@ def test_criterion_8_weak_uniqueness():
         cfg = RunConfig(model, InitialLaw.gaussian(1.0, 0.5), T=6.0, dt=2e-3,
                         n_paths=4_000, seed=1)
         rep = weak_uniqueness_check(cfg, U, 0.0, seeds=(21, 22), n_particles=8_000)
-        ok = ok and rep.passed and rep.overlap_z <= 3.0
-        ok = ok and rep.ks_statistic < rep.ks_critical_1pct
-        details.append(f"{name}: z={rep.overlap_z:.2f}, KS={rep.ks_statistic:.4f}"
-                       f"<{rep.ks_critical_1pct:.4f}")
+        [row] = named_rows(rep)
+        ok = ok and rep.passed and row["z"] <= 3.0
+        ok = ok and row["ks"] < row["ks_crit"]
+        details.append(f"{name}: z={row['z']:.2f}, KS={row['ks']:.4f}"
+                       f"<{row['ks_crit']:.4f}")
     elapsed = time.perf_counter() - t0
     _report("criterion 8 (weak uniqueness)", ok, "; ".join(details), elapsed, 120.0)
 

@@ -81,6 +81,16 @@ def test_backward_solve_non_finite_step_reports_divergence(each_backend):
         assert info.value.step == flow.times.size - 2
 
 
+@pytest.mark.parametrize("nx", [3, 4])
+def test_backward_solve_needs_five_nodes(example_model, nx):
+    # LAPACK's tridiagonal factorisation takes at least 3 interior nodes;
+    # a shorter grid is refused by name, not by scipy's array-size check
+    flow = MeanFlow.constant(T=0.1, dt=0.01, value=0.0)
+    grid = np.linspace(-1.0, 1.0, nx)
+    with pytest.raises(ValueError, match=f"at least 5 nodes, got {nx}$"):
+        backward_field_solve(example_model, flow, grid, lambda x: np.zeros_like(x))
+
+
 def test_backward_solve_matches_banded_solver(instance_b):
     # the once-factored tridiagonal solve reproduces scipy's banded solver
     # bitwise on every row of the field

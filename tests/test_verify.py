@@ -23,6 +23,11 @@ MC_SMALL = RunConfig(EXAMPLE_MODEL, InitialLaw.dirac(0.0), T=6.0, dt=1e-3, n_pat
                      seed=0)
 
 
+def named_rows(rep):
+    """A check record's rows as dicts keyed by its header."""
+    return [dict(zip(rep.header, row)) for row in rep.rows]
+
+
 def gain_perturbation(model, U, gain):
     """Equilibrium feedback with both coefficients scaled."""
     eq = AffineFeedback.equilibrium(model, U)
@@ -52,21 +57,42 @@ def test_verify_nash_offsets(example_model, example_selected):
         ("offset 1.0", offset_perturbation(example_model, example_selected, 1.0)),
     ]
     rep = verify_nash(MC_SMALL, example_selected, perts)
-    assert rep.all_non_negative
-    assert rep.base_cost.mean == pytest.approx(0.25, abs=0.01)
+    assert rep.passed
+    # the summary line opens with the base cost: "base 0.2500, ..."
+    base = float(rep.detail.split(",")[0].removeprefix("base "))
+    assert base == pytest.approx(0.25, abs=0.01)
     # oracle: a constant offset eps costs an extra eps^2 / 2
-    for row, eps in zip(rep.perturbed, (0.5, 1.0)):
-        assert row.delta_mean == pytest.approx(0.5 * eps**2, rel=0.1)
-        assert row.delta_ci[0] > 0.0
+    for row, eps in zip(named_rows(rep), (0.5, 1.0)):
+        assert row["delta_mean"] == pytest.approx(0.5 * eps**2, rel=0.1)
+        assert row["ci_lo"] > 0.0
 
 
 def test_verify_nash_zero_offset_is_exact_zero(example_model, example_selected):
     # common random numbers make the eps = 0 comparison bitwise identical
     perts = [("null", offset_perturbation(example_model, example_selected, 0.0))]
     cfg = RunConfig(example_model, InitialLaw.dirac(0.0), T=2.0, dt=1e-2, n_paths=256, seed=5)
-    rep = verify_nash(cfg, example_selected, perts)
-    assert rep.perturbed[0].delta_mean == 0.0
-    assert rep.perturbed[0].delta_se == 0.0
+    [row] = named_rows(verify_nash(cfg, example_selected, perts))
+    assert row["delta_mean"] == 0.0
+    assert row["stderr"] == 0.0
+
+
+def test_verify_table_and_library_share_one_record(instance_b, instance_b_selected):
+    # the verify command's checks are the library calls at the table's
+    # sizes: the labelled Nash offsets, the Gateaux steps 1, 1/2, 1/4 along
+    # the unit offset, and weak uniqueness at most 4000 paths, seeds
+    # seed + 1 and seed + 2, judged at the law's mean
+    U = instance_b_selected
+    cfg = RunConfig(instance_b, InitialLaw.gaussian(0.7, 0.5), T=1.0, dt=1e-2, n_paths=300,
+                    seed=4)
+    got = dict(verify.run_checks(cfg, U, ["nash", "gateaux", "uniqueness"]))
+    offsets = [(f"offset_{eps:g}", offset_perturbation(instance_b, U, eps))
+               for eps in (0.25, 0.5, 1.0)]
+    assert got == {
+        "nash": verify_nash(cfg, U, offsets),
+        "gateaux": gateaux_slope(cfg, U, 1.0, (1.0, 0.5, 0.25)),
+        "uniqueness": weak_uniqueness_check(cfg, U, 0.7, seeds=(5, 6)),
+    }
+    assert all(isinstance(rec, verify.CheckResult) for rec in got.values())
 
 
 def test_paired_legs_match_independent_runs(instance_b, instance_b_selected):
@@ -114,14 +140,15 @@ def test_gain_perturbation_costs_more(example_model, example_selected):
     cfg = RunConfig(example_model, InitialLaw.dirac(1.0), T=6.0, dt=1e-3, n_paths=10_000,
                     seed=2)
     rep = verify_nash(cfg, example_selected, perts)
-    assert rep.perturbed[0].delta_mean > 0.0
-    assert rep.all_non_negative
+    assert named_rows(rep)[0]["delta_mean"] > 0.0
+    assert rep.passed
 
 
 def test_gateaux_slopes_linear_in_epsilon(example_model, example_selected):
     cfg = RunConfig(example_model, InitialLaw.dirac(0.0), T=6.0, dt=1e-3, n_paths=10_000,
                     seed=1)
-    slopes = gateaux_slope(cfg, example_selected, direction=1.0, epsilons=(0.25, 0.5, 1.0))
+    rep = gateaux_slope(cfg, example_selected, direction=1.0, epsilons=(0.25, 0.5, 1.0))
+    slopes = [(row["epsilon"], row["slope"]) for row in named_rows(rep)]
     # quadratic cost: (J(eps) - J(0))/eps = eps/2 for a unit direction
     for eps, slope in slopes:
         assert slope / eps == pytest.approx(0.5, rel=0.1)
@@ -207,16 +234,18 @@ def test_weak_uniqueness_gaussian(example_model, example_selected):
                     n_paths=4_000, seed=1)
     rep = weak_uniqueness_check(cfg, example_selected, 0.0, seeds=(21, 22), n_particles=8_000)
     assert rep.passed
-    assert rep.overlap_z <= 3.0
-    assert rep.ks_statistic < rep.ks_critical_1pct
+    [row] = named_rows(rep)
+    assert row["z"] <= 3.0
+    assert row["ks"] < row["ks_crit"]
 
 
 def test_weak_uniqueness_dirac_same_seed_exact(example_model, example_selected):
     # a point mass with equal driving noise yields identical ensembles
     cfg = RunConfig(example_model, InitialLaw.dirac(1.0), T=2.0, dt=1e-2, n_paths=512, seed=1)
     rep = weak_uniqueness_check(cfg, example_selected, 0.0, seeds=(9, 9), n_particles=1_000)
-    assert rep.overlap_z == 0.0
-    assert rep.ks_statistic == 0.0
+    [row] = named_rows(rep)
+    assert row["z"] == 0.0
+    assert row["ks"] == 0.0
 
 
 def test_weak_uniqueness_rejects_shifted_law(instance_b, instance_b_selected,
@@ -235,7 +264,7 @@ def test_weak_uniqueness_rejects_shifted_law(instance_b, instance_b_selected,
     rep = weak_uniqueness_check(cfg, instance_b_selected, 0.0, seeds=(21, 22),
                                 n_particles=8_000)
     assert not rep.passed
-    assert rep.overlap_z > 5.0
+    assert named_rows(rep)[0]["z"] > 5.0
 
 
 def _ks_samples(kind, n_a, n_b, seed):
