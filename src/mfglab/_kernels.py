@@ -145,9 +145,9 @@ def representative_kernel(x0s, mflow, off, noise, dt, disc,
     accumulate the same sums as one call over the whole horizon.  Returns
     (terminal states, diverged_step), the step counted within the band.
     When ``keep`` is true, ``states`` (n_paths, n_steps+1) is filled,
-    column 0 with ``x0s``.  The compiled kernel runs when it loaded
-    (``BACKEND`` is "c"), ``_representative_numpy`` otherwise; their
-    results are bitwise equal.
+    column 0 with ``x0s``; otherwise it is not read and may be None.  The
+    compiled kernel runs when it loaded (``BACKEND`` is "c"),
+    ``_representative_numpy`` otherwise; their results are bitwise equal.
     """
     kernel = _representative_numpy if _compiled is None else _compiled.representative
     return kernel(x0s, mflow, off, noise, dt, disc, b1, b2, b3, b4, A, C, fx, fm,
@@ -216,8 +216,8 @@ def _forward_field_numpy(x0, u, xgrid, noise, dt, b1, b2, gain):
     and u_k[idx + 1] is read as u_k[1:][idx]."""
     n_particles, n_steps = noise.shape
     nx = xgrid.shape[0]
-    dt, b1, neg_gain, x_lo, dx, top, zero, one = _f64(
-        dt, b1, -gain, xgrid[0], xgrid[1] - xgrid[0], nx - 2, 0.0, 1.0)
+    dt, b1, b2, neg_gain, x_lo, dx, top, zero, one = _f64(
+        dt, b1, b2, -gain, xgrid[0], xgrid[1] - xgrid[0], nx - 2, 0.0, 1.0)
     means = np.empty(n_steps + 1)
     x = x0.copy()
     pos = np.empty(n_particles)
@@ -378,9 +378,10 @@ def _uniforms_numpy(k0, first_index, first_col, out):
     return out
 
 
-# The compiled functions, or None when the library could not be built,
-# loaded or checked (see ``_native``).
-_compiled = _native.load(_native.Library(_representative_numpy, _uniforms_numpy,
-                                         _forward_field_numpy, _backward_sweep_numpy),
-                         _DIVERGE_LIMIT)
+# The numpy references of the compiled functions, and the compiled
+# functions, or None when the library could not be built, loaded or
+# checked (see ``_native``).
+_REFERENCES = _native.Library(_representative_numpy, _uniforms_numpy, _forward_field_numpy,
+                              _backward_sweep_numpy)
+_compiled = _native.load(_REFERENCES, _DIVERGE_LIMIT)
 BACKEND = "numpy" if _compiled is None else "c"

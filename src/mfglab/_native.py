@@ -2,9 +2,6 @@
 the forward-field kernel and the backward PDE sweep in C, each bitwise
 equal to its numpy reference.
 
-``_SOURCE`` holds all four functions; they are built, cached, loaded and
-checked together, and used only together.
-
 - ``mfglab_representative`` is ``_kernels._representative_numpy`` written as
   a C loop, steps on the outside and paths on the inside.  Each step makes
   three passes over the paths: the update, with exactly the numpy kernel's
@@ -33,6 +30,14 @@ checked together, and used only together.
   runs for one right-hand side) when the factorisation's pivots are the
   identity; any other factorisation goes to the numpy code.
 
+Each function's contract is stated once, as its row of ``_FUNCTIONS``:
+C symbol, argtypes and restype; ``fits`` and ``call``, which ``_bind``
+joins to the numpy reference so that any argument gives the same bytes,
+or the same exception type, on both backends; and the self-check's
+``cases`` and compared ``outputs`` (``_agree``).  A new function takes C
+source, a row, a ``Library`` field, and its reference and dispatcher in
+``_kernels``.
+
 The library is built with ``cc -O3 -ffp-contract=off -fPIC -shared``:
 contraction is off because a fused multiply-add rounds once where numpy
 rounds twice, and there is no ``-march`` or fast-math, which could change
@@ -40,18 +45,13 @@ results or the machines the library runs on.  It is cached as
 ``kernels-<digest>.so`` in ``${XDG_CACHE_HOME:-~/.cache}/mfglab``, the
 digest covering the source, the flags and the platform, so it is built once
 per key; a build is written to a temporary file and renamed into place, so
-processes building at once leave one whole library.  Before it is used,
-four self-checks must pass bit for bit: the kernel against the numpy
-kernel on one small band with keep on and on a forced divergence; the draw
-against numpy's Philox on keys and indices at the top of their words and
-every band offset; the forward field on 8197 particles (a mean past
-8192 terms) and on 5, off the grid, on its nodes, at -0.0 and on a forced
-divergence; and the sweep on a drift of both signs and on its CFL and
-non-finite stops.  So a numpy that changed its summation order, or a
-LAPACK that changed its solve, would leave numpy in use rather than change
-a bit.  Any failure (no compiler, an unwritable cache, a library that will
-not load or lacks a symbol, a self-check mismatch) leaves numpy in use for
-all four, silently.
+processes building at once leave one whole library.  It is used only when
+every function agrees with its reference bit for bit on its self-check
+cases, so a numpy that changed its summation order, or a LAPACK that
+changed its solve, would leave numpy in use rather than change a bit.  Any
+failure (no compiler, an unwritable cache, a library that will not load or
+lacks a symbol, a self-check mismatch) leaves numpy in use for all four,
+silently: the library is used whole or not at all.
 """
 
 from __future__ import annotations
@@ -315,12 +315,6 @@ _FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 _BUILD_TIMEOUT_S = 120
 
 _I64, _U64, _F64, _PTR = ctypes.c_int64, ctypes.c_uint64, ctypes.c_double, ctypes.c_void_p
-_ARGTYPES = [_I64, _I64, _PTR, _PTR, _PTR, _PTR, _I64, _F64, _PTR,
-             *[_F64] * 8, _PTR, _I64, _I64, ctypes.c_int32, _PTR, _F64]
-_UNIFORM_ARGTYPES = [_I64, _I64, _U64, _U64, _U64, _I64, _PTR]
-_FIELD_ARGTYPES = [_I64, _I64, _PTR, _PTR, _I64, _PTR, _I64, *[_F64] * 7,
-                   *[_PTR] * 3, _F64]
-_SWEEP_ARGTYPES = [_I64, _I64, *[_PTR] * 3, *[_F64] * 9, *[_PTR] * 6]
 # Doubles per Philox counter step (each step fills four 64-bit words, and
 # random() reads one word per double), and the counter's range.
 _PER_COUNTER = 4
@@ -329,7 +323,8 @@ _WORD = 1 << 64
 
 class Library(NamedTuple):
     """The compiled functions, each with its numpy reference's signature
-    (or the references themselves, as ``load`` takes them)."""
+    (or the references themselves, as ``load`` takes them, or the rows of
+    ``_FUNCTIONS``)."""
 
     representative: Callable
     uniforms: Callable
@@ -369,13 +364,13 @@ def _f64(a, ndim: int) -> bool:
             and a.flags.aligned)
 
 
-def _fits(x0s, mflow, off, noise, disc, states, keep, costs) -> bool:
-    """Whether the compiled kernel takes these arguments, computing what the
-    numpy kernel computes and reading and writing nothing outside them:
-    float64 arrays, at least one path, ``x0s`` and ``costs`` of one entry
-    per path, ``costs`` contiguous and writeable, ``mflow``, ``off`` and
-    ``disc`` of at least one entry per step and, when ``keep``, ``states``
-    a writeable (paths, steps + 1) array."""
+def _representative_fits(x0s, mflow, off, noise, dt, disc, *rest) -> bool:
+    """Whether the compiled kernel takes these arguments: float64 arrays,
+    at least one path, ``x0s`` and ``costs`` of one entry per path,
+    ``costs`` contiguous and writeable, ``mflow``, ``off`` and ``disc`` of
+    at least one entry per step and, when ``keep``, ``states`` a writeable
+    (paths, steps + 1) array."""
+    *_, states, keep, costs = rest
     if not _f64(noise, 2):
         return False
     n_paths, n_steps = noise.shape
@@ -387,54 +382,65 @@ def _fits(x0s, mflow, off, noise, disc, states, keep, costs) -> bool:
                               and states.flags.writeable)))
 
 
-def _bind_representative(lib, reference, limit: float):
-    """The library's kernel as a function with ``reference``'s signature;
-    arguments it does not take (``_fits``) go to ``reference``."""
-    fn = lib.mfglab_representative
-    fn.argtypes = _ARGTYPES
-    fn.restype = _I64
-
-    def representative(x0s, mflow, off, noise, dt, disc, b1, b2, b3, b4, A, C, fx, fm,
-                       states, keep, costs):
-        if not _fits(x0s, mflow, off, noise, disc, states, keep, costs):
-            return reference(x0s, mflow, off, noise, dt, disc, b1, b2, b3, b4, A, C, fx, fm,
-                             states, keep, costs)
-        n_paths, n_steps = noise.shape
-        x = x0s.copy()
-        noise = np.asfortranarray(noise)
-        mflow, off, disc = map(np.ascontiguousarray, (mflow, off, disc))
-        s_row, s_col = (s // 8 for s in states.strides) if keep else (0, 0)
-        step = fn(n_paths, n_steps, x.ctypes.data, mflow.ctypes.data, off.ctypes.data,
-                  noise.ctypes.data, noise.strides[1] // 8, float(dt), disc.ctypes.data,
-                  *map(float, (b1, b2, b3, b4, A, C, fx, fm)), states.ctypes.data,
-                  s_row, s_col, bool(keep), costs.ctypes.data, limit)
-        return x, step
-
-    return representative
+def _call_representative(fn, limit, x0s, mflow, off, noise, dt, disc, *rest):
+    *coefficients, states, keep, costs = rest
+    n_paths, n_steps = noise.shape
+    x = x0s.copy()
+    noise = np.asfortranarray(noise)
+    mflow, off, disc = map(np.ascontiguousarray, (mflow, off, disc))
+    # without keep, ``states`` is never read and may be anything
+    s_row, s_col = (s // 8 for s in states.strides) if keep else (0, 0)
+    step = fn(n_paths, n_steps, x.ctypes.data, mflow.ctypes.data, off.ctypes.data,
+              noise.ctypes.data, noise.strides[1] // 8, float(dt), disc.ctypes.data,
+              *map(float, coefficients), states.ctypes.data if keep else None,
+              s_row, s_col, bool(keep), costs.ctypes.data, limit)
+    return x, step
 
 
-def _bind_uniforms(lib, reference):
-    """The library's draw as a function with ``reference``'s signature,
-    ``uniforms(k0, first_index, first_col, out)``; an ``out`` that is not a
-    writeable float64 array in Fortran order, or a counter that does not
-    fit one 64-bit word, goes to ``reference``."""
-    fn = lib.mfglab_uniforms
-    fn.argtypes = _UNIFORM_ARGTYPES
-    fn.restype = None
-
-    def uniforms(k0, first_index, first_col, out):
-        if not (_f64(out, 2) and out.flags.f_contiguous and out.flags.writeable
-                and 0 <= first_col < _PER_COUNTER * _WORD):
-            return reference(k0, first_index, first_col, out)
-        n_rows, n_cols = out.shape
-        counter, skip = divmod(first_col, _PER_COUNTER)
-        fn(n_rows, n_cols, k0 % _WORD, first_index % _WORD, counter, skip, out.ctypes.data)
-        return out
-
-    return uniforms
+def _representative_cases():
+    """One small band with every coefficient nonzero and keep on, and the
+    same band forced to diverge at step 5 by a huge increment."""
+    n, steps = 5, 9
+    x0s = np.linspace(-1.5, 2.0, n)
+    mflow = 0.4 + 0.3 * np.cos(np.arange(steps) / 3.0)
+    off = 0.2 * np.sin(np.arange(steps) + 1.0)
+    disc = np.exp(-0.7 * 0.01 * np.arange(steps))
+    coefficients = (0.01, disc, -0.1, 0.5, 2.0, 0.3, 2.0, 1.0, -0.9, 0.35)
+    for diverging in (False, True):
+        noise = np.asfortranarray(0.1 * np.sin(np.arange(n * steps).reshape(n, steps) * 1.7))
+        if diverging:
+            noise[2, 5] = 1e300
+        yield (x0s, mflow, off, noise, *coefficients, np.zeros((n, steps + 1)), True,
+               np.full(n, 0.25))
 
 
-def _field_fits(x0, u, xgrid, noise) -> bool:
+def _uniforms_fits(k0, first_index, first_col, out) -> bool:
+    """Whether the compiled draw takes these arguments: ints, a key word
+    that fits 64 bits and a counter that fits one 64-bit word, and a
+    writeable float64 ``out`` in Fortran order."""
+    return (all(isinstance(v, int) for v in (k0, first_index, first_col))
+            and 0 <= k0 < _WORD and 0 <= first_col < _PER_COUNTER * _WORD
+            and _f64(out, 2) and out.flags.f_contiguous and out.flags.writeable)
+
+
+def _call_uniforms(fn, limit, k0, first_index, first_col, out):
+    n_rows, n_cols = out.shape
+    counter, skip = divmod(first_col, _PER_COUNTER)
+    fn(n_rows, n_cols, k0, first_index % _WORD, counter, skip, out.ctypes.data)
+    return out
+
+
+def _uniforms_cases():
+    """Both key words at their top, stream indices wrapping past 2^64
+    across a group of rows, every ``first_col % 4``, and a counter carrying
+    out of its first word."""
+    top = _WORD - 1
+    for first_col in (0, 1, 2, 7):
+        yield top, _WORD - 3, first_col, np.empty((11, 9), order="F")
+    yield 0x5DEECE66D, 2**63, _PER_COUNTER * top + 3, np.empty((2, 6), order="F")
+
+
+def _field_fits(x0, u, xgrid, noise, *_) -> bool:
     """Whether the compiled forward field takes these arguments: float64
     arrays, at least one particle, ``x0`` of one entry per particle, a grid
     of 2 to 2^31 nodes (so every node index fits 32 bits) and a C-order
@@ -447,145 +453,79 @@ def _field_fits(x0, u, xgrid, noise) -> bool:
             and u.shape[0] >= n_steps and u.shape[1] >= xgrid.shape[0])
 
 
-def _bind_forward_field(lib, reference, limit: float):
-    """The library's forward field as a function with ``reference``'s
-    signature; arguments it does not take (``_field_fits``) go to
-    ``reference``."""
-    fn = lib.mfglab_forward_field
-    fn.argtypes = _FIELD_ARGTYPES
-    fn.restype = _I64
-
-    def forward_field(x0, u, xgrid, noise, dt, b1, b2, gain):
-        if not _field_fits(x0, u, xgrid, noise):
-            return reference(x0, u, xgrid, noise, dt, b1, b2, gain)
-        n_particles, n_steps = noise.shape
-        x = x0.copy()
-        noise = np.asfortranarray(noise)
-        means, w = np.empty(n_steps + 1), np.empty(n_particles)
-        idx = np.empty(n_particles, dtype=np.int32)
-        step = fn(n_particles, n_steps, x.ctypes.data, u.ctypes.data, u.strides[0] // 8,
-                  noise.ctypes.data, noise.strides[1] // 8, float(dt), float(b1), float(b2),
-                  -float(gain), float(xgrid[0]), float(xgrid[1] - xgrid[0]),
-                  float(xgrid.shape[0] - 2), means.ctypes.data, w.ctypes.data,
-                  idx.ctypes.data, limit)
-        return means, x, step
-
-    return forward_field
+def _call_forward_field(fn, limit, x0, u, xgrid, noise, dt, b1, b2, gain):
+    n_particles, n_steps = noise.shape
+    x = x0.copy()
+    noise = np.asfortranarray(noise)
+    means, w = np.empty(n_steps + 1), np.empty(n_particles)
+    idx = np.empty(n_particles, dtype=np.int32)
+    step = fn(n_particles, n_steps, x.ctypes.data, u.ctypes.data, u.strides[0] // 8,
+              noise.ctypes.data, noise.strides[1] // 8, float(dt), float(b1), float(b2),
+              float(-gain), float(xgrid[0]), float(xgrid[1] - xgrid[0]),
+              float(xgrid.shape[0] - 2), means.ctypes.data, w.ctypes.data,
+              idx.ctypes.data, limit)
+    return means, x, step
 
 
-def _sweep_fits(u, mflow, x, lu) -> bool:
-    """Whether the compiled sweep takes these arguments: float64 arrays, a
-    writeable C-order ``u`` of at least three nodes, ``mflow`` of one entry
-    per time and ``x`` of one per node, and a factorisation of the
-    interior nodes whose pivots are the identity, the one case LAPACK's
-    solve makes no row swap in."""
-    dl, d, du, du2, ipiv = lu
-    if not (_f64(u, 2) and u.flags.c_contiguous and u.flags.writeable):
-        return False
-    nt, nx = u.shape
-    n = nx - 2
-    return (n > 0 and _f64(mflow, 1) and mflow.shape[0] >= nt and _f64(x, 1)
-            and x.shape == (nx,) and _f64(d, 1) and d.shape == (n,)
-            and all(_f64(v, 1) and v.shape[0] >= n - 1 for v in (dl, du))
-            and _f64(du2, 1) and du2.shape[0] >= n - 2
-            and np.array_equal(ipiv, np.arange(1, n + 1)))
-
-
-def _bind_sweep(lib, reference):
-    """The library's backward sweep as a function with ``reference``'s
-    signature; arguments it does not take (``_sweep_fits``) go to
-    ``reference``."""
-    fn = lib.mfglab_backward_sweep
-    fn.argtypes = _SWEEP_ARGTYPES
-    fn.restype = _I64
-
-    def backward_sweep(u, mflow, x, dt, dx, lam, b1, b2, b4, A, r, gain, lu):
-        if not _sweep_fits(u, mflow, x, lu):
-            return reference(u, mflow, x, dt, dx, lam, b1, b2, b4, A, r, gain, lu)
-        nt, nx = u.shape
-        mflow, x, dl, d, du, du2 = map(np.ascontiguousarray, (mflow, x, *lu[:4]))
-        g = np.empty(nx)
-        cfl = _F64()
-        step = fn(nt, nx, u.ctypes.data, mflow.ctypes.data, x.ctypes.data,
-                  *map(float, (dt, dx, lam, b1, b2, b4, 2.0 * A, r, gain)),
-                  dl.ctypes.data, d.ctypes.data, du.ctypes.data, du2.ctypes.data,
-                  g.ctypes.data, ctypes.addressof(cfl))
-        return step, cfl.value
-
-    return backward_sweep
-
-
-def _self_check(kernel, reference) -> bool:
-    """Whether ``kernel`` and ``reference`` agree bit for bit on one small
-    band with every coefficient nonzero and keep on, and on the same band
-    forced to diverge at step 5 by a huge increment."""
-    n, steps = 5, 9
-    x0s = np.linspace(-1.5, 2.0, n)
-    mflow = 0.4 + 0.3 * np.cos(np.arange(steps) / 3.0)
-    off = 0.2 * np.sin(np.arange(steps) + 1.0)
-    disc = np.exp(-0.7 * 0.01 * np.arange(steps))
-    noise = np.asfortranarray(0.1 * np.sin(np.arange(n * steps).reshape(n, steps) * 1.7))
-    coefficients = (0.01, disc, -0.1, 0.5, 2.0, 0.3, 2.0, 1.0, -0.9, 0.35)
-    diverging = noise.copy(order="F")
-    diverging[2, 5] = 1e300
-    for dw in (noise, diverging):
-        got, ref = [], []
-        for fn, out in ((kernel, got), (reference, ref)):
-            states, costs = np.zeros((n, steps + 1)), np.full(n, 0.25)
-            x, step = fn(x0s, mflow, off, dw, *coefficients, states, True, costs)
-            out += [x.tobytes(), step, states.tobytes(), costs.tobytes()]
-        if got != ref:
-            return False
-    return True
-
-
-def _draw_self_check(uniforms, reference) -> bool:
-    """Whether ``uniforms`` and ``reference`` fill the same bits: both key
-    words at their top, stream indices wrapping past 2^64 across a group of
-    rows, every ``first_col % 4``, and a counter carrying out of its first
-    word."""
-    top = _WORD - 1
-    cases = [(top, _WORD - 3, first_col, 11, 9) for first_col in (0, 1, 2, 7)]
-    cases.append((0x5DEECE66D, 2**63, _PER_COUNTER * top + 3, 2, 6))
-    for k0, first_index, first_col, n_rows, n_cols in cases:
-        got, ref = (fn(k0, first_index, first_col, np.empty((n_rows, n_cols), order="F"))
-                    for fn in (uniforms, reference))
-        if got.tobytes() != ref.tobytes():
-            return False
-    return True
-
-
-def _field_self_check(forward_field, reference) -> bool:
-    """Whether ``forward_field`` and ``reference`` agree bit for bit: 8197
-    particles (a mean past numpy's 8192-element buffer, through every
-    branch of its pairwise sum) and 5 (its short branch), some left and
-    right of the grid, on its nodes and at -0.0, and the wide case forced
-    to diverge at step 2."""
+def _field_cases():
+    """8197 particles (a mean past numpy's 8192-element buffer, through
+    every branch of its pairwise sum) and 5 (its short branch), some left
+    and right of the grid, on its nodes and at -0.0, and the wide case
+    forced to diverge at step 2."""
     xgrid = np.linspace(-1.0, 1.0, 6)
     u = np.cos(0.7 * np.arange(4))[:, None] * np.sin(2.0 * xgrid - 0.3)[None, :]
-    cases = []
     for n in (8197, 5):
         x0 = np.linspace(-1.7, 1.9, n)
         x0[:3] = (-0.0, xgrid[2], xgrid[-1])
         noise = np.asfortranarray(0.05 * np.sin(1.3 * np.arange(3 * n).reshape(n, 3)))
-        cases.append((x0, noise))
-    diverging = cases[0][1].copy(order="F")
-    diverging[7, 2] = 1e300
-    cases.append((cases[0][0], diverging))
-    for x0, noise in cases:
-        (m1, x1, k1), (m2, x2, k2) = (fn(x0, u, xgrid, noise, 0.01, -0.2, 0.5, 1.7)
-                                      for fn in (forward_field, reference))
-        last = k1 if k1 >= 0 else noise.shape[1]
-        if (k1 != k2 or x1.tobytes() != x2.tobytes()
-                or m1[:last + 1].tobytes() != m2[:last + 1].tobytes()):
-            return False
-    return True
+        yield x0, u, xgrid, noise, 0.01, -0.2, 0.5, 1.7
+        if n > 5:  # and again, forced to diverge at step 2
+            noise = noise.copy(order="F")
+            noise[7, 2] = 1e300
+            yield x0, u, xgrid, noise, 0.01, -0.2, 0.5, 1.7
 
 
-def _sweep_self_check(sweep, reference) -> bool:
-    """Whether ``sweep`` and ``reference`` agree bit for bit on a drift
-    that changes sign across the grid, with every factor of the
-    tridiagonal solve nonzero, and on the stops: a step too large for the
+def _field_outputs(result):
+    """The means up to the step the field stopped at (the rest are never
+    written), the terminal ensemble and that step."""
+    means, x, step = result
+    last = step if step >= 0 else means.shape[0] - 1
+    return means[:last + 1].tobytes(), x.tobytes(), step
+
+
+def _sweep_fits(u, mflow, x, *rest) -> bool:
+    """Whether the compiled sweep takes these arguments, the last the
+    factorisation ``lu``: float64 arrays, a writeable C-order ``u`` of at
+    least five nodes, ``mflow`` of one entry per time, ``x`` of one per
+    node, and LAPACK's lengths (n - 1, n, n - 1, n - 2) for the n interior
+    nodes with the identity pivots, the one case its solve swaps no row."""
+    dl, d, du, du2, ipiv = rest[-1]
+    if not (_f64(u, 2) and u.flags.c_contiguous and u.flags.writeable):
+        return False
+    nt, nx = u.shape
+    n = nx - 2
+    return (n >= 3 and _f64(mflow, 1) and mflow.shape[0] >= nt and _f64(x, 1)
+            and x.shape == (nx,)
+            and all(_f64(v, 1) and v.shape == (size,)
+                    for v, size in ((dl, n - 1), (d, n), (du, n - 1), (du2, n - 2)))
+            and np.array_equal(ipiv, np.arange(1, n + 1)))
+
+
+def _call_sweep(fn, limit, u, mflow, x, dt, dx, lam, b1, b2, b4, A, r, gain, lu):
+    nt, nx = u.shape
+    mflow, x, dl, d, du, du2 = map(np.ascontiguousarray, (mflow, x, *lu[:4]))
+    g = np.empty(nx)
+    cfl = _F64()
+    step = fn(nt, nx, u.ctypes.data, mflow.ctypes.data, x.ctypes.data,
+              *map(float, (dt, dx, lam, b1, b2, b4, 2.0 * A, r, gain)),
+              dl.ctypes.data, d.ctypes.data, du.ctypes.data, du2.ctypes.data,
+              g.ctypes.data, ctypes.addressof(cfl))
+    return step, cfl.value
+
+
+def _sweep_cases():
+    """A drift that changes sign across the grid, with every factor of the
+    tridiagonal solve nonzero, and the stops: a step too large for the
     advection (CFL) after one step, and a source that overflows on the
     first step."""
     nt, nx = 7, 9
@@ -599,23 +539,65 @@ def _sweep_self_check(sweep, reference) -> bool:
     cases = [(mflow, base), (mflow, (0.45, *base[1:])),
              (1e4 * mflow, (*base[:4], 0.0, 1e305, *base[6:]))]
     for flow, coefficients in cases:
-        results = []
-        for fn in (sweep, reference):
-            u = np.zeros((nt, nx))
-            u[-1] = 0.3 * x - 0.1 * x * x
-            step, cfl = fn(u, flow, x, *coefficients, lu)
-            results.append((u.tobytes(), step, repr(float(cfl))))
-        if results[0] != results[1]:
-            return False
-    return True
+        u = np.zeros((nt, nx))
+        u[-1] = 0.3 * x - 0.1 * x * x
+        yield u, flow, x, *coefficients, lu
+
+
+# One contract per compiled function, in ``Library``'s order: (symbol,
+# argtypes, restype, fits, call, cases, outputs), as ``_bind`` and
+# ``_agree`` take them.
+_FUNCTIONS = Library(
+    ("mfglab_representative",
+     [_I64, _I64, *[_PTR] * 4, _I64, _F64, _PTR, *[_F64] * 8, _PTR, _I64, _I64,
+      ctypes.c_int32, _PTR, _F64],
+     _I64, _representative_fits, _call_representative, _representative_cases,
+     lambda result: (result[0].tobytes(), result[1])),
+    ("mfglab_uniforms", [_I64, _I64, _U64, _U64, _U64, _I64, _PTR], None,
+     _uniforms_fits, _call_uniforms, _uniforms_cases, lambda out: out.tobytes()),
+    ("mfglab_forward_field",
+     [_I64, _I64, _PTR, _PTR, _I64, _PTR, _I64, *[_F64] * 7, *[_PTR] * 3, _F64],
+     _I64, _field_fits, _call_forward_field, _field_cases, _field_outputs),
+    ("mfglab_backward_sweep", [_I64, _I64, *[_PTR] * 3, *[_F64] * 9, *[_PTR] * 6], _I64,
+     _sweep_fits, _call_sweep, _sweep_cases, lambda result: (result[0], repr(float(result[1])))),
+)
+
+
+def _bind(lib, reference, limit: float, symbol, argtypes, restype, fits, call):
+    """The C function ``symbol`` in ``lib`` as a function with
+    ``reference``'s positional signature: arguments that ``fits`` accepts
+    go to ``call``, with divergence limit ``limit``, all others to
+    ``reference``."""
+    fn = getattr(lib, symbol)
+    fn.argtypes, fn.restype = argtypes, restype
+
+    def bound(*args):
+        return call(fn, limit, *args) if fits(*args) else reference(*args)
+
+    return bound
+
+
+def _outcome(fn, args, outputs):
+    """``outputs`` of ``fn(*args)``, and the bytes of every array argument
+    after the call, which ``fn`` may have written."""
+    result = outputs(fn(*args))
+    return result, [a.tobytes() for a in args if isinstance(a, np.ndarray)]
+
+
+def _agree(fn, reference, cases, outputs) -> bool:
+    """Whether ``fn`` and ``reference`` agree bit for bit (``_outcome``) on
+    every argument tuple ``cases()`` yields; ``reference`` runs first, on
+    copies of the arrays, so what one writes in place the other never reads."""
+    return all(_outcome(reference, [a.copy(order="K") if isinstance(a, np.ndarray) else a
+                                    for a in args], outputs) == _outcome(fn, args, outputs)
+               for args in cases())
 
 
 def load(references: Library, limit: float) -> Library | None:
     """The compiled library, built if its cache holds none, or None when any
     step fails or any function disagrees with its numpy reference in
-    ``references`` (the representative kernel with divergence limit
-    ``limit``, the Philox draw, the forward field with the same limit and
-    the backward sweep)."""
+    ``references`` on its self-check; ``limit`` is the divergence limit of
+    the representative kernel and the forward field."""
     path = library_path()
     if not os.path.isabs(path):  # no home directory to cache in
         return None
@@ -623,13 +605,11 @@ def load(references: Library, limit: float) -> Library | None:
         if not os.path.exists(path):
             _build(path)
         lib = ctypes.CDLL(path)
-        compiled = Library(_bind_representative(lib, references.representative, limit),
-                           _bind_uniforms(lib, references.uniforms),
-                           _bind_forward_field(lib, references.forward_field, limit),
-                           _bind_sweep(lib, references.backward_sweep))
+        compiled = Library(*(_bind(lib, reference, limit, *row[:5])
+                             for reference, row in zip(references, _FUNCTIONS)))
     except (OSError, subprocess.SubprocessError, AttributeError):
         return None
-    checks = (_self_check, _draw_self_check, _field_self_check, _sweep_self_check)
-    if all(check(fn, ref) for check, fn, ref in zip(checks, compiled, references)):
+    if all(_agree(fn, reference, *row[5:])
+           for fn, reference, row in zip(compiled, references, _FUNCTIONS)):
         return compiled
     return None

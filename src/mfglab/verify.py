@@ -155,13 +155,15 @@ def _gateaux_feedbacks(model: LQModel, U: QuadraticValue, direction: float, epsi
 
 def _gateaux(epsilons, legs) -> CheckResult:
     """The Gateaux verdict on paired legs: per step eps a row (eps, mean
-    cost difference / eps), the slope 0 at eps = 0; the slopes pass when
-    each is at most the previous one in magnitude (plus 1e-9), so steps
-    given in decreasing order must shrink towards the minimum."""
+    cost difference / eps), the slope 0 at eps = 0, in the order of the
+    steps; the slopes pass when, taken in order of decreasing |eps|, each
+    is at most the previous one in magnitude (plus 1e-9), so they shrink
+    towards the minimum whatever order the steps are given in."""
     slopes = [(float(eps), float(diff.mean()) / eps if eps != 0.0 else 0.0)
               for eps, (_, diff) in zip(epsilons, legs)]
+    by_step = sorted(slopes, key=lambda row: -abs(row[0]))
     shrink = all(abs(s2) <= abs(s1) + 1e-9
-                 for (_, s1), (_, s2) in zip(slopes, slopes[1:]))
+                 for (_, s1), (_, s2) in zip(by_step, by_step[1:]))
     return CheckResult(shrink, "slopes " + ", ".join(f"{s:.4f}" for _, s in slopes),
                        ["epsilon", "slope"], slopes)
 

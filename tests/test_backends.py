@@ -4,8 +4,11 @@ the Philox draw, the forward-field kernel and the backward PDE sweep; the
 golden outputs hold on numpy too, and every way the library can fail to
 load leaves numpy in use without a word on stderr."""
 
+import itertools
 import json
+import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -136,10 +139,10 @@ def test_compiled_draw_matches_numpy_bitwise(seed, stream, first_index, n_rows, 
     assert got.tobytes() == ref.tobytes()
 
 
-def _field_results(kernel, x0, u, xgrid, noise):
+def _field_results(kernel, x0, u, xgrid, noise, b2=0.5):
     """The bytes of ``kernel``'s means up to the step it stopped at, of its
     terminal ensemble, and that step."""
-    means, x, step = kernel(x0, u, xgrid, noise, 0.01, -0.2, 0.5, 1.7)
+    means, x, step = kernel(x0, u, xgrid, noise, 0.01, -0.2, b2, 1.7)
     last = step if step >= 0 else noise.shape[1]
     return means[:last + 1].tobytes(), x.tobytes(), step
 
@@ -280,6 +283,192 @@ def test_arguments_the_compiled_loops_do_not_take_run_on_numpy():
     assert got == _sweep_results(_kernels._backward_sweep_numpy, terminal, args)
 
 
+def _on_each_backend(each_backend, run):
+    """``run()`` on the loaded backend and then on numpy: each result, or
+    the type of the exception it raised."""
+    results = []
+    for _ in each_backend():
+        try:
+            results.append(run())
+        except Exception as e:  # noqa: BLE001 - the type is what is compared
+            results.append(type(e))
+    return results
+
+
+def test_kernel_takes_no_states_without_keep(each_backend):
+    # with keep false the kernel never reads ``states``, so None is taken
+    # on both backends, as the numpy kernel takes it
+    n, steps = 6, 4
+    x0s, flow = np.linspace(-1.0, 1.0, n), np.linspace(0.5, 0.2, steps)
+    noise = np.asfortranarray(0.1 * np.cos(np.arange(n * steps).reshape(n, steps)))
+    coefs = (0.01, np.ones(steps), -0.1, 0.5, 2.0, 0.3, 2.0, 1.0, -0.9, 0.35)
+
+    def run():
+        costs = np.zeros(n)
+        x, step = _kernels.representative_kernel(x0s, flow, flow, noise, *coefs, None, False,
+                                                 costs)
+        return x.tobytes(), step, costs.tobytes()
+
+    got, ref = _on_each_backend(each_backend, run)
+    assert got == ref and ref[1] == -1
+
+
+@pytest.mark.parametrize("k0", [-1, 2**64, 7.0, np.uint64(7)],
+                         ids=["negative", "2^64", "float", "numpy uint64"])
+def test_draw_takes_the_keys_numpy_takes(k0, each_backend):
+    # a key word outside 64 bits raises numpy's OverflowError on both
+    # backends, and a float or numpy integer key draws numpy's uniforms
+    got, ref = _on_each_backend(
+        each_backend, lambda: _kernels.uniforms(k0, 3, 1, np.empty((5, 6), order="F")).tobytes())
+    assert got == ref
+    assert (ref is OverflowError) == (not 0 <= k0 < 2**64)
+
+
+def test_forward_field_multiplies_a_float32_b2_in_double(each_backend):
+    # b2 times the mean is a double product on both backends, whatever
+    # the type of b2
+    gen = np.random.default_rng(2)
+    xgrid = np.linspace(-1.0, 1.0, 7)
+    u, x0 = gen.normal(size=(4, 7)), gen.normal(size=9)
+    noise = np.asfortranarray(0.1 * gen.normal(size=(9, 4)))
+    got, ref = _on_each_backend(each_backend, lambda: _field_results(
+        _kernels.forward_field_kernel, x0, u, xgrid, noise, b2=np.float32(0.3)))
+    assert got == ref
+
+
+def test_forward_field_negates_an_integer_gain_as_numpy_does(each_backend):
+    # -0 is the integer 0, so the control u*(-gain) of an integer gain of 0
+    # is +0.0 on both backends, and the signed zeros below keep their signs
+    xgrid = np.linspace(-1.0, 1.0, 5)
+    got, ref = _on_each_backend(each_backend, lambda: _kernels.forward_field_kernel(
+        np.array([-0.0]), np.zeros((2, 5)), xgrid, np.array([[-0.0]]), 0.01, 0.5, -0.0,
+        0)[1].tobytes())
+    assert got == ref == np.array([0.0]).tobytes()
+
+
+@pytest.mark.parametrize("case", ["dl one long", "du one long", "du2 one long", "four nodes"])
+def test_sweep_takes_the_factorisations_lapack_takes(case, each_backend):
+    # LAPACK's solve refuses a factorisation whose lengths are not
+    # (n - 1, n, n - 1, n - 2) and one of fewer than three unknowns: the
+    # sweep raises its ValueError on both backends
+    if case == "four nodes":
+        lu = (np.full(1, -0.2), np.full(2, 1.5), np.full(1, -0.2), np.zeros(0),
+              np.arange(1, 3, dtype=np.int32))
+        terminal, args = np.linspace(-1.0, 1.0, 4), (np.zeros(3), np.linspace(-1.0, 1.0, 4))
+        args = (*args, 1e-3, 2.0 / 3.0, 0.1, 0.3, -0.4, 0.2, 0.5, 0.9, 1.3, lu)
+    else:
+        terminal, args = _sweep_case(np.random.default_rng(3), 5, 9, 1e-3)
+        j = ["dl", "d", "du", "du2"].index(case.split()[0])
+        lu = list(args[-1])
+        lu[j] = np.append(lu[j], 0.0)
+        args = (*args[:-1], tuple(lu))
+    got, ref = _on_each_backend(each_backend, lambda: _sweep_results(
+        _kernels.backward_sweep, terminal, args))
+    assert got == ref == ValueError
+
+
+def _leaves(args):
+    """The position and value of each argument, a tuple argument's entries
+    (the sweep's ``lu``) one by one."""
+    for i, a in enumerate(args):
+        if isinstance(a, tuple):
+            yield from (((i, j), v) for j, v in enumerate(a))
+        else:
+            yield (i,), a
+
+
+def _replace(args, position, value):
+    """``args`` with the leaf at ``position`` (``_leaves``) set to ``value``."""
+    args = list(args)
+    if len(position) == 1:
+        args[position[0]] = value
+    else:
+        i, j = position
+        args[i] = (*args[i][:j], value, *args[i][j + 1:])
+    return tuple(args)
+
+
+def _resized(a, axis, n):
+    """``a`` cut or grown (its last entry repeated) to ``n`` entries along
+    ``axis``, in ``a``'s layout."""
+    picked = np.take(a, np.minimum(np.arange(n), a.shape[axis] - 1), axis=axis)
+    return np.asfortranarray(picked) if not a.flags.c_contiguous else picked
+
+
+@np.errstate(all="ignore")
+def _variants(a, axis, spot):
+    """(name, value) for each variant of one argument that a numpy
+    reference may be given, ``axis`` and ``spot`` choosing where an array
+    is resized and which entry is made NaN or infinite."""
+    if isinstance(a, (bool, np.bool_)):
+        return [("flipped", not a), ("None", None)]
+    if isinstance(a, int):
+        return [("negative", -1 - a), ("past 2^64", a + 2**64), ("float", float(a)),
+                ("numpy uint64", np.uint64(a % 2**64))]
+    if not isinstance(a, np.ndarray):
+        return [("nan", math.nan), ("inf", math.inf), ("-inf", -math.inf),
+                ("float32", np.float32(a)), ("int", int(a))]
+    axis %= a.ndim
+    strided = np.zeros((*a.shape, 2), dtype=a.dtype)[..., 0]
+    strided[...] = a
+    read_only = a.copy(order="K")
+    read_only.flags.writeable = False
+    out = [("zero-size", _resized(a, axis, 0)), ("read-only", read_only),
+           ("strided", strided), ("C order", np.ascontiguousarray(a)),
+           ("Fortran order", np.asfortranarray(a)), ("float32", a.astype(np.float32)),
+           ("int64", a.astype(np.int64)), ("float64", a.astype(np.float64)),
+           ("one short", _resized(a, axis, a.shape[axis] - 1)),
+           ("one long", _resized(a, axis, a.shape[axis] + 1))]
+    # None only for float arrays: scipy's dgttrs, given the pivots
+    # ipiv=None, drops a reference to the int32 dtype each time it raises
+    if a.dtype.kind == "f":
+        out.append(("None", None))
+        for name, v in (("nan", np.nan), ("inf", np.inf), ("-inf", -np.inf)):
+            b = a.copy(order="K")
+            b.flat[spot % b.size] = v
+            out.append((name, b))
+    return out
+
+
+def _outcome(fn, args, outputs):
+    """What ``fn(*args)`` gives (``_native._outcome``), or the type of the
+    exception it raises."""
+    try:
+        return _native._outcome(fn, args, outputs)
+    except Exception as e:  # noqa: BLE001 - the type is what is compared
+        return type(e)
+
+
+@compiled
+@pytest.mark.parametrize("name", _native.Library._fields)
+@given(data=st.data())
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+def test_compiled_functions_keep_the_numpy_contract(name, data):
+    # every variant of every argument of a self-check case, the case's
+    # flags flipped or not: the compiled function gives the numpy
+    # reference's bytes and step, or raises the same exception type
+    symbol, *_, cases, outputs = getattr(_native._FUNCTIONS, name)
+    fn, reference = getattr(_kernels._compiled, name), getattr(_kernels._REFERENCES, name)
+    case = data.draw(st.integers(0, len(list(cases())) - 1))
+    flip = data.draw(st.booleans())
+    axis, spot = data.draw(st.sampled_from([0, -1])), data.draw(st.integers(0, 10**6))
+
+    def variant(k, v):
+        """Fresh arguments of the case, leaf ``k`` set to its variant ``v``."""
+        args = next(itertools.islice(cases(), case, None))
+        args = tuple(not a if isinstance(a, bool) and flip else a for a in args)
+        position, value = list(_leaves(args))[k]
+        label, new = _variants(value, axis, spot)[v]
+        return position, label, _replace(args, position, new)
+
+    leaves = list(_leaves(next(itertools.islice(cases(), case, None))))
+    for k, (_, value) in enumerate(leaves):
+        for v in range(len(_variants(value, axis, spot))):
+            position, label, mine = variant(k, v)
+            got = _outcome(fn, mine, outputs)
+            assert got == _outcome(reference, variant(k, v)[2], outputs), (symbol, position, label)
+
+
 @pytest.mark.parametrize("name", sorted(test_golden.CASES))
 def test_golden_outputs_on_numpy(name, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(_kernels, "_compiled", None)
@@ -325,13 +514,18 @@ void mfglab_uniforms(int64_t n_rows, int64_t n_cols, uint64_t k0, uint64_t first
     "mfglab_backward_sweep": "int64_t mfglab_backward_sweep(void) { return -1; }",
 }
 
-# the function each mismatch case replaces
-_MISMATCHES = {
-    "self-check mismatch": "mfglab_representative",
-    "draw self-check mismatch": "mfglab_uniforms",
-    "forward-field self-check mismatch": "mfglab_forward_field",
-    "sweep self-check mismatch": "mfglab_backward_sweep",
-}
+# the function each mismatch case replaces, one case per compiled function
+_MISMATCHES = {f"{name.replace('_', '-')} self-check mismatch": row[0]
+               for name, row in _native._FUNCTIONS._asdict().items()}
+
+
+def test_each_c_function_has_one_table_row():
+    # every function the C source exports is bound by exactly one row,
+    # every row binds one, and each has a wrong twin for its mismatch case
+    defined = re.findall(r"^\w+ (mfglab_\w+)\(", _native._SOURCE, flags=re.MULTILINE)
+    symbols = [row[0] for row in _native._FUNCTIONS]
+    assert sorted(defined) == sorted(set(defined)) == sorted(symbols) == sorted(_WRONG)
+
 
 # a small fixed-point run: the golden workload on fewer particles and a
 # shorter horizon

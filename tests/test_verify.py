@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -329,3 +330,15 @@ def test_lipschitz_scan_skips_coincident_pairs(example_model, example_selected):
     assert worst == pytest.approx(1.0)
     with pytest.raises(ValueError):
         lipschitz_scan(example_model, example_selected, [])
+
+
+@pytest.mark.parametrize("epsilons", list(itertools.permutations((0.25, 0.5, 1.0))))
+def test_gateaux_verdict_does_not_depend_on_step_order(example_model, example_selected,
+                                                       epsilons):
+    # the slopes are judged from the largest |eps| down, so increasing
+    # steps (slopes 0.1166, 0.2388, 0.4831 here) pass as decreasing ones
+    # do; the rows keep the order the steps were given in
+    cfg = RunConfig(example_model, InitialLaw.dirac(0.0), T=2.0, dt=0.01, n_paths=2000, seed=1)
+    rep = gateaux_slope(cfg, example_selected, 1.0, epsilons)
+    assert rep.passed
+    assert [row["epsilon"] for row in named_rows(rep)] == list(epsilons)
