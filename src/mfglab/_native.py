@@ -323,8 +323,7 @@ _WORD = 1 << 64
 
 class Library(NamedTuple):
     """The compiled functions, each with its numpy reference's signature
-    (or the references themselves, as ``load`` takes them, or the rows of
-    ``_FUNCTIONS``)."""
+    (or the references, as ``load`` takes them, or ``_FUNCTIONS``' rows)."""
 
     representative: Callable
     uniforms: Callable
@@ -497,8 +496,10 @@ def _sweep_fits(u, mflow, x, *rest) -> bool:
     """Whether the compiled sweep takes these arguments, the last the
     factorisation ``lu``: float64 arrays, a writeable C-order ``u`` of at
     least five nodes, ``mflow`` of one entry per time, ``x`` of one per
-    node, and LAPACK's lengths (n - 1, n, n - 1, n - 2) for the n interior
-    nodes with the identity pivots, the one case its solve swaps no row."""
+    node, and factors of LAPACK's lengths (n - 1, n, n - 1, n - 2) for the
+    n interior nodes, with the identity pivots (its solve swaps no row) and
+    finite (a NaN factor times a NaN keeps whichever NaN the compiler puts
+    first)."""
     dl, d, du, du2, ipiv = rest[-1]
     if not (_f64(u, 2) and u.flags.c_contiguous and u.flags.writeable):
         return False
@@ -506,7 +507,7 @@ def _sweep_fits(u, mflow, x, *rest) -> bool:
     n = nx - 2
     return (n >= 3 and _f64(mflow, 1) and mflow.shape[0] >= nt and _f64(x, 1)
             and x.shape == (nx,)
-            and all(_f64(v, 1) and v.shape == (size,)
+            and all(_f64(v, 1) and v.shape == (size,) and np.isfinite(v).all()
                     for v, size in ((dl, n - 1), (d, n), (du, n - 1), (du2, n - 2)))
             and np.array_equal(ipiv, np.arange(1, n + 1)))
 
@@ -564,10 +565,9 @@ _FUNCTIONS = Library(
 
 
 def _bind(lib, reference, limit: float, symbol, argtypes, restype, fits, call):
-    """The C function ``symbol`` in ``lib`` as a function with
-    ``reference``'s positional signature: arguments that ``fits`` accepts
-    go to ``call``, with divergence limit ``limit``, all others to
-    ``reference``."""
+    """The C function ``symbol`` in ``lib`` with ``reference``'s positional
+    signature: what ``fits`` accepts goes to ``call``, with divergence limit
+    ``limit``, and the rest to ``reference``."""
     fn = getattr(lib, symbol)
     fn.argtypes, fn.restype = argtypes, restype
 
@@ -596,8 +596,7 @@ def _agree(fn, reference, cases, outputs) -> bool:
 def load(references: Library, limit: float) -> Library | None:
     """The compiled library, built if its cache holds none, or None when any
     step fails or any function disagrees with its numpy reference in
-    ``references`` on its self-check; ``limit`` is the divergence limit of
-    the representative kernel and the forward field."""
+    ``references`` on its self-check; ``limit`` is the divergence limit."""
     path = library_path()
     if not os.path.isabs(path):  # no home directory to cache in
         return None
