@@ -28,7 +28,7 @@ equal to its numpy reference.
 - ``mfglab_backward_sweep`` is ``_kernels._backward_sweep_numpy``, with
   LAPACK ``dgtts2``'s formulas for the tridiagonal solve (what ``dgttrs``
   runs for one right-hand side) when the factorisation's pivots are the
-  identity; any other factorisation goes to the numpy code.
+  identity and its factors finite; any other goes to the numpy code.
 
 Each function's contract is stated once, as its row of ``_FUNCTIONS``:
 C symbol, argtypes and restype; ``fits`` and ``call``, which ``_bind``

@@ -283,16 +283,17 @@ def test_arguments_the_compiled_loops_do_not_take_run_on_numpy():
     assert got == _sweep_results(_kernels._backward_sweep_numpy, terminal, args)
 
 
+def _caught(run):
+    """``run()``, or the type of the exception it raised."""
+    try:
+        return run()
+    except Exception as e:  # noqa: BLE001 - the type is what is compared
+        return type(e)
+
+
 def _on_each_backend(each_backend, run):
-    """``run()`` on the loaded backend and then on numpy: each result, or
-    the type of the exception it raised."""
-    results = []
-    for _ in each_backend():
-        try:
-            results.append(run())
-        except Exception as e:  # noqa: BLE001 - the type is what is compared
-            results.append(type(e))
-    return results
+    """``_caught(run)`` on the loaded backend and then on numpy."""
+    return [_caught(run) for _ in each_backend()]
 
 
 def test_kernel_takes_no_states_without_keep(each_backend):
@@ -446,15 +447,6 @@ def _variants(a, axis, spot):
     return out
 
 
-def _outcome(fn, args, outputs):
-    """What ``fn(*args)`` gives (``_native._outcome``), or the type of the
-    exception it raises."""
-    try:
-        return _native._outcome(fn, args, outputs)
-    except Exception as e:  # noqa: BLE001 - the type is what is compared
-        return type(e)
-
-
 @compiled
 @pytest.mark.parametrize("name", _native.Library._fields)
 @given(data=st.data())
@@ -481,8 +473,10 @@ def test_compiled_functions_keep_the_numpy_contract(name, data):
     for k, (_, value) in enumerate(leaves):
         for v in range(len(_variants(value, axis, spot))):
             position, label, mine = variant(k, v)
-            got = _outcome(fn, mine, outputs)
-            assert got == _outcome(reference, variant(k, v)[2], outputs), (symbol, position, label)
+            theirs = variant(k, v)[2]
+            got = _caught(lambda: _native._outcome(fn, mine, outputs))
+            ref = _caught(lambda: _native._outcome(reference, theirs, outputs))
+            assert got == ref, (symbol, position, label)
 
 
 @pytest.mark.parametrize("name", sorted(test_golden.CASES))
