@@ -62,6 +62,7 @@ import os
 import subprocess
 import sysconfig
 import tempfile
+from collections import namedtuple
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -363,13 +364,13 @@ def _f64(a, ndim: int) -> bool:
             and a.flags.aligned)
 
 
-def _representative_fits(x0s, mflow, off, noise, dt, disc, *rest) -> bool:
+def _representative_fits(x0s, mflow, off, noise, dt, disc, b1, b2, b3, b4, A, C, fx, fm,
+                         states, keep, costs) -> bool:
     """Whether the compiled kernel takes these arguments: float64 arrays,
     at least one path, ``x0s`` and ``costs`` of one entry per path,
     ``costs`` contiguous and writeable, ``mflow``, ``off`` and ``disc`` of
     at least one entry per step and, when ``keep``, ``states`` a writeable
     (paths, steps + 1) array."""
-    *_, states, keep, costs = rest
     if not _f64(noise, 2):
         return False
     n_paths, n_steps = noise.shape
@@ -381,8 +382,8 @@ def _representative_fits(x0s, mflow, off, noise, dt, disc, *rest) -> bool:
                               and states.flags.writeable)))
 
 
-def _call_representative(fn, limit, x0s, mflow, off, noise, dt, disc, *rest):
-    *coefficients, states, keep, costs = rest
+def _call_representative(fn, limit, x0s, mflow, off, noise, dt, disc,
+                         b1, b2, b3, b4, A, C, fx, fm, states, keep, costs):
     n_paths, n_steps = noise.shape
     x = x0s.copy()
     noise = np.asfortranarray(noise)
@@ -391,7 +392,7 @@ def _call_representative(fn, limit, x0s, mflow, off, noise, dt, disc, *rest):
     s_row, s_col = (s // 8 for s in states.strides) if keep else (0, 0)
     step = fn(n_paths, n_steps, x.ctypes.data, mflow.ctypes.data, off.ctypes.data,
               noise.ctypes.data, noise.strides[1] // 8, float(dt), disc.ctypes.data,
-              *map(float, coefficients), states.ctypes.data if keep else None,
+              *map(float, (b1, b2, b3, b4, A, C, fx, fm)), states.ctypes.data if keep else None,
               s_row, s_col, bool(keep), costs.ctypes.data, limit)
     return x, step
 
@@ -422,7 +423,7 @@ def _uniforms_fits(k0, first_index, first_col, out) -> bool:
             and _f64(out, 2) and out.flags.f_contiguous and out.flags.writeable)
 
 
-def _call_uniforms(fn, limit, k0, first_index, first_col, out):
+def _call_uniforms(fn, _limit, k0, first_index, first_col, out):
     n_rows, n_cols = out.shape
     counter, skip = divmod(first_col, _PER_COUNTER)
     fn(n_rows, n_cols, k0, first_index % _WORD, counter, skip, out.ctypes.data)
@@ -439,7 +440,7 @@ def _uniforms_cases():
     yield 0x5DEECE66D, 2**63, _PER_COUNTER * top + 3, np.empty((2, 6), order="F")
 
 
-def _field_fits(x0, u, xgrid, noise, *_) -> bool:
+def _field_fits(x0, u, xgrid, noise, dt, b1, b2, gain) -> bool:
     """Whether the compiled forward field takes these arguments: float64
     arrays, at least one particle, ``x0`` of one entry per particle, a grid
     of 2 to 2^31 nodes (so every node index fits 32 bits) and a C-order
@@ -492,15 +493,14 @@ def _field_outputs(result):
     return means[:last + 1].tobytes(), x.tobytes(), step
 
 
-def _sweep_fits(u, mflow, x, *rest) -> bool:
-    """Whether the compiled sweep takes these arguments, the last the
-    factorisation ``lu``: float64 arrays, a writeable C-order ``u`` of at
-    least five nodes, ``mflow`` of one entry per time, ``x`` of one per
-    node, and factors of LAPACK's lengths (n - 1, n, n - 1, n - 2) for the
-    n interior nodes, with the identity pivots (its solve swaps no row) and
-    finite (a NaN factor times a NaN keeps whichever NaN the compiler puts
-    first)."""
-    dl, d, du, du2, ipiv = rest[-1]
+def _sweep_fits(u, mflow, x, dt, dx, lam, b1, b2, b4, A, r, gain, lu) -> bool:
+    """Whether the compiled sweep takes these arguments: float64 arrays, a
+    writeable C-order ``u`` of at least five nodes, ``mflow`` of one entry
+    per time, ``x`` of one per node, and the factorisation ``lu`` with
+    factors of LAPACK's lengths (n - 1, n, n - 1, n - 2) for the n interior
+    nodes, the identity pivots (its solve swaps no row) and finite (a NaN
+    factor times a NaN keeps whichever NaN the compiler puts first)."""
+    dl, d, du, du2, ipiv = lu
     if not (_f64(u, 2) and u.flags.c_contiguous and u.flags.writeable):
         return False
     nt, nx = u.shape
@@ -512,7 +512,7 @@ def _sweep_fits(u, mflow, x, *rest) -> bool:
             and np.array_equal(ipiv, np.arange(1, n + 1)))
 
 
-def _call_sweep(fn, limit, u, mflow, x, dt, dx, lam, b1, b2, b4, A, r, gain, lu):
+def _call_sweep(fn, _limit, u, mflow, x, dt, dx, lam, b1, b2, b4, A, r, gain, lu):
     nt, nx = u.shape
     mflow, x, dl, d, du, du2 = map(np.ascontiguousarray, (mflow, x, *lu[:4]))
     g = np.empty(nx)
@@ -545,22 +545,23 @@ def _sweep_cases():
         yield u, flow, x, *coefficients, lu
 
 
-# One contract per compiled function, in ``Library``'s order: (symbol,
-# argtypes, restype, fits, call, cases, outputs), as ``_bind`` and
-# ``_agree`` take them.
+# One contract per compiled function, in ``Library``'s order; ``call(fn,
+# limit, *args)`` runs the C function ``fn`` on the arguments ``fits`` takes.
+_Row = namedtuple("_Row", "symbol argtypes restype fits call cases outputs")
 _FUNCTIONS = Library(
-    ("mfglab_representative",
-     [_I64, _I64, *[_PTR] * 4, _I64, _F64, _PTR, *[_F64] * 8, _PTR, _I64, _I64,
-      ctypes.c_int32, _PTR, _F64],
-     _I64, _representative_fits, _call_representative, _representative_cases,
-     lambda result: (result[0].tobytes(), result[1])),
-    ("mfglab_uniforms", [_I64, _I64, _U64, _U64, _U64, _I64, _PTR], None,
-     _uniforms_fits, _call_uniforms, _uniforms_cases, lambda out: out.tobytes()),
-    ("mfglab_forward_field",
-     [_I64, _I64, _PTR, _PTR, _I64, _PTR, _I64, *[_F64] * 7, *[_PTR] * 3, _F64],
-     _I64, _field_fits, _call_forward_field, _field_cases, _field_outputs),
-    ("mfglab_backward_sweep", [_I64, _I64, *[_PTR] * 3, *[_F64] * 9, *[_PTR] * 6], _I64,
-     _sweep_fits, _call_sweep, _sweep_cases, lambda result: (result[0], repr(float(result[1])))),
+    _Row("mfglab_representative",
+         [_I64, _I64, *[_PTR] * 4, _I64, _F64, _PTR, *[_F64] * 8, _PTR, _I64, _I64,
+          ctypes.c_int32, _PTR, _F64],
+         _I64, _representative_fits, _call_representative, _representative_cases,
+         lambda result: (result[0].tobytes(), result[1])),
+    _Row("mfglab_uniforms", [_I64, _I64, _U64, _U64, _U64, _I64, _PTR], None,
+         _uniforms_fits, _call_uniforms, _uniforms_cases, lambda out: out.tobytes()),
+    _Row("mfglab_forward_field",
+         [_I64, _I64, _PTR, _PTR, _I64, _PTR, _I64, *[_F64] * 7, *[_PTR] * 3, _F64],
+         _I64, _field_fits, _call_forward_field, _field_cases, _field_outputs),
+    _Row("mfglab_backward_sweep", [_I64, _I64, *[_PTR] * 3, *[_F64] * 9, *[_PTR] * 6], _I64,
+         _sweep_fits, _call_sweep, _sweep_cases,
+         lambda result: (result[0], repr(float(result[1])))),
 )
 
 
@@ -608,7 +609,7 @@ def load(references: Library, limit: float) -> Library | None:
                              for reference, row in zip(references, _FUNCTIONS)))
     except (OSError, subprocess.SubprocessError, AttributeError):
         return None
-    if all(_agree(fn, reference, *row[5:])
+    if all(_agree(fn, reference, row.cases, row.outputs)
            for fn, reference, row in zip(compiled, references, _FUNCTIONS)):
         return compiled
     return None

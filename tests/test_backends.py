@@ -269,7 +269,7 @@ def test_arguments_the_compiled_loops_do_not_take_run_on_numpy():
     for args in ((x0.astype(np.float32), u, xgrid, noise),
                  (x0, np.asfortranarray(u), xgrid, noise),
                  (np.linspace(0.1, 0.9, 7), big_u, big_grid, np.zeros((7, 1), order="F"))):
-        assert not _native._field_fits(*args)
+        assert not _native._field_fits(*args, 0.01, -0.2, 0.5, 1.7)
         got = _field_results(_kernels._compiled.forward_field, *args)
         assert got == _field_results(_kernels._forward_field_numpy, *args)
 
@@ -278,7 +278,7 @@ def test_arguments_the_compiled_loops_do_not_take_run_on_numpy():
     *lu, info = dgttrf(off, np.full(10, 1.0), off)
     assert info == 0 and not np.array_equal(lu[4], np.arange(1, 11))
     args = (*args[:-1], lu)
-    assert not _native._sweep_fits(np.zeros((9, 12)), args[0], args[1], lu)
+    assert not _native._sweep_fits(np.zeros((9, 12)), *args)
     got = _sweep_results(_kernels._compiled.backward_sweep, terminal, args)
     assert got == _sweep_results(_kernels._backward_sweep_numpy, terminal, args)
 
@@ -455,28 +455,28 @@ def test_compiled_functions_keep_the_numpy_contract(name, data):
     # every variant of every argument of a self-check case, the case's
     # flags flipped or not: the compiled function gives the numpy
     # reference's bytes and step, or raises the same exception type
-    symbol, *_, cases, outputs = getattr(_native._FUNCTIONS, name)
+    row = getattr(_native._FUNCTIONS, name)
     fn, reference = getattr(_kernels._compiled, name), getattr(_kernels._REFERENCES, name)
-    case = data.draw(st.integers(0, len(list(cases())) - 1))
+    case = data.draw(st.integers(0, len(list(row.cases())) - 1))
     flip = data.draw(st.booleans())
     axis, spot = data.draw(st.sampled_from([0, -1])), data.draw(st.integers(0, 10**6))
 
     def variant(k, v):
         """Fresh arguments of the case, leaf ``k`` set to its variant ``v``."""
-        args = next(itertools.islice(cases(), case, None))
+        args = next(itertools.islice(row.cases(), case, None))
         args = tuple(not a if isinstance(a, bool) and flip else a for a in args)
         position, value = list(_leaves(args))[k]
         label, new = _variants(value, axis, spot)[v]
         return position, label, _replace(args, position, new)
 
-    leaves = list(_leaves(next(itertools.islice(cases(), case, None))))
+    leaves = list(_leaves(next(itertools.islice(row.cases(), case, None))))
     for k, (_, value) in enumerate(leaves):
         for v in range(len(_variants(value, axis, spot))):
             position, label, mine = variant(k, v)
             theirs = variant(k, v)[2]
-            got = _caught(lambda: _native._outcome(fn, mine, outputs))
-            ref = _caught(lambda: _native._outcome(reference, theirs, outputs))
-            assert got == ref, (symbol, position, label)
+            got = _caught(lambda: _native._outcome(fn, mine, row.outputs))
+            ref = _caught(lambda: _native._outcome(reference, theirs, row.outputs))
+            assert got == ref, (row.symbol, position, label)
 
 
 @pytest.mark.parametrize("name", sorted(test_golden.CASES))
@@ -525,7 +525,7 @@ void mfglab_uniforms(int64_t n_rows, int64_t n_cols, uint64_t k0, uint64_t first
 }
 
 # the function each mismatch case replaces, one case per compiled function
-_MISMATCHES = {f"{name.replace('_', '-')} self-check mismatch": row[0]
+_MISMATCHES = {f"{name.replace('_', '-')} self-check mismatch": row.symbol
                for name, row in _native._FUNCTIONS._asdict().items()}
 
 
@@ -533,7 +533,7 @@ def test_each_c_function_has_one_table_row():
     # every function the C source exports is bound by exactly one row,
     # every row binds one, and each has a wrong twin for its mismatch case
     defined = re.findall(r"^\w+ (mfglab_\w+)\(", _native._SOURCE, flags=re.MULTILINE)
-    symbols = [row[0] for row in _native._FUNCTIONS]
+    symbols = [row.symbol for row in _native._FUNCTIONS]
     assert sorted(defined) == sorted(set(defined)) == sorted(symbols) == sorted(_WRONG)
 
 
