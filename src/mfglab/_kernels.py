@@ -64,7 +64,6 @@ population kernel.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import dgttrs
 
 from . import _native
 
@@ -253,7 +252,7 @@ def _forward_field_numpy(x0, u, xgrid, noise, dt, b1, b2, gain):
     return means, x, -1
 
 
-def backward_sweep(u, mflow, x, dt, dx, lam, b1, b2, b4, A, r, gain, lu):
+def backward_sweep(u, mflow, x, dt, dx, b1, b2, b4, A, r, gain):
     """Fill rows nt - 2, ..., 0 of the decoupling field ``u`` (nt, nx) from
     its last row, one backward step of the PDE (``fixed_point``) each;
     returns (stopped_step, cfl).
@@ -268,28 +267,34 @@ def backward_sweep(u, mflow, x, dt, dx, lam, b1, b2, b4, A, r, gain, lu):
     with ``dudx`` the upwind difference (node i takes (u[i] - u[i-1])/dx
     where g > 0 and (u[i+1] - u[i])/dx elsewhere, the edge nodes their one
     inward difference), and then solves the implicit diffusion on the
-    interior nodes, whose right-hand side takes lam times each boundary
-    value; the boundary nodes keep the explicit value.  ``lu`` is
-    ``dgttrf``'s factorisation (dl, d, du, du2, ipiv) of that constant
-    operator.  The sweep stops at the first step whose ``cfl`` exceeds 1,
-    before writing its row, or whose row is not finite; ``stopped_step``
-    is that step, or -1, and ``cfl`` is the CFL number of the last step
-    begun (NaN when its drift is not finite).  The compiled sweep runs
-    when it loaded (``BACKEND`` is "c"), ``_backward_sweep_numpy``
-    otherwise; their results are bitwise equal.
+    interior nodes: the constant operator with 1 + 2*lam on the diagonal
+    and -lam beside it, lam = dt/(2*dx*dx), factored once per call, whose
+    right-hand side takes lam times each boundary value; the boundary nodes
+    keep the explicit value.  The sweep stops at the first step whose
+    ``cfl`` exceeds 1, before writing its row, or whose row is not finite;
+    ``stopped_step`` is that step, or -1, and ``cfl`` is the CFL number of
+    the last step begun (NaN when its drift is not finite).  The compiled
+    sweep runs when it loaded (``BACKEND`` is "c"),
+    ``_backward_sweep_numpy`` otherwise; their results are bitwise equal.
     """
     sweep = _backward_sweep_numpy if _compiled is None else _compiled.backward_sweep
-    return sweep(u, mflow, x, dt, dx, lam, b1, b2, b4, A, r, gain, lu)
+    return sweep(u, mflow, x, dt, dx, b1, b2, b4, A, r, gain)
 
 
 @np.errstate(all="ignore")
-def _backward_sweep_numpy(u, mflow, x, dt, dx, lam, b1, b2, b4, A, r, gain, lu):
-    """``backward_sweep`` in numpy and LAPACK's ``dgttrs``: the fallback,
-    and the reference the compiled sweep is checked against.  Each step is
+def _backward_sweep_numpy(u, mflow, x, dt, dx, b1, b2, b4, A, r, gain):
+    """``backward_sweep`` in numpy and LAPACK, the operator factored by
+    ``dgttrf`` and each step solved by ``dgttrs``: the fallback, and the
+    reference the compiled sweep is checked against.  Each step is
     evaluated into buffers allocated once per call, in the operation order
     of the expressions in the comments, so every IEEE result equals
     evaluating those expressions directly."""
+    from scipy.linalg.lapack import dgttrf, dgttrs
+
     nt, nx = u.shape
+    lam = dt / (2.0 * dx * dx)
+    off = np.full(nx - 3, -lam)
+    *lu, _info = dgttrf(off, np.full(nx - 2, 1.0 + 2.0 * lam), off)
     b1x = b1 * x
     ax2 = 2.0 * A * x
     g = np.empty(nx)

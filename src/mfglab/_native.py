@@ -25,10 +25,13 @@ equal to its numpy reference.
   both bounds being whole numbers; the gather of the two node values and
   the interpolation; and the Euler update.  The first and last vectorise
   at the baseline instruction set, as does the divergence check.
-- ``mfglab_backward_sweep`` is ``_kernels._backward_sweep_numpy``, with
-  LAPACK ``dgtts2``'s formulas for the tridiagonal solve (what ``dgttrs``
-  runs for one right-hand side) when the factorisation's pivots are the
-  identity and its factors finite; any other goes to the numpy code.
+- ``mfglab_backward_sweep`` is ``_kernels._backward_sweep_numpy``.  It
+  works out lam = dt/(2*dx*dx) and factors the implicit-diffusion operator
+  itself, with LAPACK's arithmetic for a factorisation that swaps no row
+  (this operator never pivots for a finite lam >= 0), and solves each step
+  with ``dgtts2``'s formulas, what LAPACK's solve runs for one right-hand
+  side.  A ``dt`` or ``dx`` that is not a Python float, or any other lam,
+  goes to the numpy code.
 
 Each function's contract is stated once, as its row of ``_FUNCTIONS``:
 C symbol, argtypes and restype; ``fits`` and ``call``, which ``_bind``
@@ -48,16 +51,17 @@ per key; a build is written to a temporary file and renamed into place, so
 processes building at once leave one whole library.  It is used only when
 every function agrees with its reference bit for bit on its self-check
 cases, so a numpy that changed its summation order, or a LAPACK that
-changed its solve, would leave numpy in use rather than change a bit.  Any
-failure (no compiler, an unwritable cache, a library that will not load or
-lacks a symbol, a self-check mismatch) leaves numpy in use for all four,
-silently: the library is used whole or not at all.
+changed its factorisation or solve, would leave numpy in use rather than
+change a bit.  Any failure (no compiler, an unwritable cache, a library
+that will not load or lacks a symbol, a self-check mismatch) leaves numpy
+in use for all four, silently: the library is used whole or not at all.
 """
 
 from __future__ import annotations
 
 import ctypes
 import hashlib
+import math
 import os
 import subprocess
 import sysconfig
@@ -253,15 +257,27 @@ int64_t mfglab_forward_field(
     return -1;
 }
 
-/* The backward decoupling-field sweep; the tridiagonal solve is LAPACK
-   dgtts2's with the identity pivot. */
+/* The backward decoupling-field sweep.  Its implicit diffusion operator,
+   1 + 2 lam on the diagonal and -lam beside it, is factored once with
+   LAPACK dgttrf's arithmetic for a factorisation that swaps no row, which
+   this one never does for 0 <= lam < inf: d[0] = 1 + 2 lam and
+   d[i + 1] = 1 + 2 lam - lam^2 / d[i] >= 1 + lam > lam (rounded, each d[i]
+   stays >= lam, as lam / d[i] <= 1 and 2 lam is exact).  Each step's solve
+   is dgtts2's with the identity pivot and du2 all zero.  work holds 3 nx
+   doubles: the drift, the diagonal d and the multipliers l. */
 int64_t mfglab_backward_sweep(
     int64_t nt, int64_t nx, double *u, const double *mflow, const double *x,
-    double dt, double dx, double lam, double b1, double b2, double b4, double a2,
-    double r, double gain, const double *dl, const double *d, const double *du,
-    const double *du2, double *g, double *cfl_out)
+    double dt, double dx, double b1, double b2, double b4, double a2, double r,
+    double gain, double *work, double *cfl_out)
 {
     const int64_t n = nx - 2;
+    const double lam = dt / (2.0 * dx * dx), diag = 1.0 + 2.0 * lam, off = -lam;
+    double *g = work, *d = work + nx, *l = work + 2 * nx;
+    d[0] = diag;
+    for (int64_t i = 0; i < n - 1; i++) {
+        l[i] = off / d[i];
+        d[i + 1] = diag - l[i] * off;
+    }
     *cfl_out = NAN;
     for (int64_t k = nt - 2; k >= 0; k--) {
         const double *uk1 = u + (k + 1) * nx;
@@ -299,12 +315,12 @@ int64_t mfglab_backward_sweep(
         b[0] += lam * row[0];
         b[n - 1] += lam * row[nx - 1];
         for (int64_t i = 0; i < n - 1; i++)
-            b[i + 1] -= dl[i] * b[i];
+            b[i + 1] -= l[i] * b[i];
         b[n - 1] /= d[n - 1];
-        if (n > 1)
-            b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2];
+        b[n - 2] = (b[n - 2] - off * b[n - 1]) / d[n - 2];
+        /* dgtts2's du2 term stays, so signed zeros and NaNs are LAPACK's */
         for (int64_t i = n - 3; i >= 0; i--)
-            b[i] = (b[i] - du[i] * b[i + 1] - du2[i] * b[i + 2]) / d[i];
+            b[i] = (b[i] - off * b[i + 1] - 0.0 * b[i + 2]) / d[i];
         for (int64_t i = 0; i < nx; i++)
             if (!isfinite(row[i]))
                 return k;
@@ -335,7 +351,9 @@ class Library(NamedTuple):
 def library_path() -> str:
     """Where the library for this source, these flags and this platform is
     cached."""
-    cache = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    cache = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(cache):  # unset, empty or relative: the XDG spec ignores it
+        cache = os.path.join(os.path.expanduser("~"), ".cache")
     key = "\0".join([_SOURCE, *_FLAGS, sysconfig.get_platform()])
     return os.path.join(cache, "mfglab", f"kernels-{hashlib.sha256(key.encode()).hexdigest()}.so")
 
@@ -493,56 +511,47 @@ def _field_outputs(result):
     return means[:last + 1].tobytes(), x.tobytes(), step
 
 
-def _sweep_fits(u, mflow, x, dt, dx, lam, b1, b2, b4, A, r, gain, lu) -> bool:
+def _sweep_fits(u, mflow, x, dt, dx, b1, b2, b4, A, r, gain) -> bool:
     """Whether the compiled sweep takes these arguments: float64 arrays, a
     writeable C-order ``u`` of at least five nodes, ``mflow`` of one entry
-    per time, ``x`` of one per node, and the factorisation ``lu`` with
-    factors of LAPACK's lengths (n - 1, n, n - 1, n - 2) for the n interior
-    nodes, the identity pivots (its solve swaps no row) and finite (a NaN
-    factor times a NaN keeps whichever NaN the compiler puts first)."""
-    dl, d, du, du2, ipiv = lu
-    if not (_f64(u, 2) and u.flags.c_contiguous and u.flags.writeable):
+    per time, ``x`` of one per node, and Python floats ``dt`` and ``dx``
+    whose lam = dt/(2*dx*dx) is finite and not negative (numpy would work
+    out a float32 ``dt``'s lam in float32, and a negative lam may pivot)."""
+    if not (_f64(u, 2) and u.flags.c_contiguous and u.flags.writeable
+            and isinstance(dt, float) and isinstance(dx, float)):
         return False
     nt, nx = u.shape
-    n = nx - 2
-    return (n >= 3 and _f64(mflow, 1) and mflow.shape[0] >= nt and _f64(x, 1)
-            and x.shape == (nx,)
-            and all(_f64(v, 1) and v.shape == (size,) and np.isfinite(v).all()
-                    for v, size in ((dl, n - 1), (d, n), (du, n - 1), (du2, n - 2)))
-            and np.array_equal(ipiv, np.arange(1, n + 1)))
+    scale = 2.0 * dx * dx
+    return (nx >= 5 and _f64(mflow, 1) and mflow.shape[0] >= nt and _f64(x, 1)
+            and x.shape == (nx,) and scale > 0.0 and 0.0 <= dt / scale < math.inf)
 
 
-def _call_sweep(fn, _limit, u, mflow, x, dt, dx, lam, b1, b2, b4, A, r, gain, lu):
+def _call_sweep(fn, _limit, u, mflow, x, dt, dx, b1, b2, b4, A, r, gain):
     nt, nx = u.shape
-    mflow, x, dl, d, du, du2 = map(np.ascontiguousarray, (mflow, x, *lu[:4]))
-    g = np.empty(nx)
+    mflow, x = map(np.ascontiguousarray, (mflow, x))
+    work = np.empty(3 * nx)
     cfl = _F64()
     step = fn(nt, nx, u.ctypes.data, mflow.ctypes.data, x.ctypes.data,
-              *map(float, (dt, dx, lam, b1, b2, b4, 2.0 * A, r, gain)),
-              dl.ctypes.data, d.ctypes.data, du.ctypes.data, du2.ctypes.data,
-              g.ctypes.data, ctypes.addressof(cfl))
+              *map(float, (dt, dx, b1, b2, b4, 2.0 * A, r, gain)), work.ctypes.data,
+              ctypes.addressof(cfl))
     return step, cfl.value
 
 
 def _sweep_cases():
-    """A drift that changes sign across the grid, with every factor of the
-    tridiagonal solve nonzero, and the stops: a step too large for the
-    advection (CFL) after one step, and a source that overflows on the
-    first step."""
+    """A drift that changes sign across the grid, lam = 0.1, and the stops:
+    a step too large for the advection (CFL) after one step, and a source
+    that overflows on the first step."""
     nt, nx = 7, 9
     x = np.linspace(-2.0, 2.0, nx)
     mflow = 0.6 - 0.2 * np.arange(nt)
-    n = nx - 2
-    lu = (np.full(n - 1, -0.21), 1.5 + 0.1 * np.cos(np.arange(n)), np.full(n - 1, -0.3),
-          np.full(n - 2, 0.01), np.arange(1, n + 1, dtype=np.int32))
-    # dt, dx, lam, b1, b2, b4, A, r, gain
-    base = (0.05, 0.5, 0.1, 0.3, -0.4, 0.2, 0.5, 0.9, 1.3)
+    # dt, dx, b1, b2, b4, A, r, gain
+    base = (0.05, 0.5, 0.3, -0.4, 0.2, 0.5, 0.9, 1.3)
     cases = [(mflow, base), (mflow, (0.45, *base[1:])),
-             (1e4 * mflow, (*base[:4], 0.0, 1e305, *base[6:]))]
+             (1e4 * mflow, (*base[:3], 0.0, 1e305, *base[5:]))]
     for flow, coefficients in cases:
         u = np.zeros((nt, nx))
         u[-1] = 0.3 * x - 0.1 * x * x
-        yield u, flow, x, *coefficients, lu
+        yield u, flow, x, *coefficients
 
 
 # One contract per compiled function, in ``Library``'s order; ``call(fn,
@@ -559,7 +568,7 @@ _FUNCTIONS = Library(
     _Row("mfglab_forward_field",
          [_I64, _I64, _PTR, _PTR, _I64, _PTR, _I64, *[_F64] * 7, *[_PTR] * 3, _F64],
          _I64, _field_fits, _call_forward_field, _field_cases, _field_outputs),
-    _Row("mfglab_backward_sweep", [_I64, _I64, *[_PTR] * 3, *[_F64] * 9, *[_PTR] * 6], _I64,
+    _Row("mfglab_backward_sweep", [_I64, _I64, *[_PTR] * 3, *[_F64] * 8, *[_PTR] * 2], _I64,
          _sweep_fits, _call_sweep, _sweep_cases,
          lambda result: (result[0], repr(float(result[1])))),
 )

@@ -18,11 +18,11 @@ Discretization: upwind advection and source explicit, diffusion implicit
 (a constant tridiagonal operator, LU-factored once per solve and applied
 per step), zero-curvature extrapolation at the space boundaries.
 
-The two loops of a sweep live in ``_kernels``: the backward steps in
-``backward_sweep`` (after LAPACK's ``dgttrf`` factors the operator here)
-and the particle push in ``forward_field_kernel``.  Both run compiled
-where the library loaded, bitwise equal to their numpy references, so a
-solve's outputs are the same bytes on either backend.
+The two loops of a sweep live in ``_kernels``: the backward steps, with
+the diffusion operator and its factorisation, in ``backward_sweep``, and
+the particle push in ``forward_field_kernel``.  Both run compiled where
+the library loaded, bitwise equal to their numpy references, so a solve's
+outputs are the same bytes on either backend.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf
 
 from . import _kernels, rng
 from .config import RunConfig
@@ -92,8 +91,9 @@ def backward_field_solve(
     """Backward finite-difference solve of the decoupling-field PDE.
 
     ``terminal`` is a callable of x giving u at the truncation horizon.
-    The grid needs at least 5 nodes (scipy's ``dgttrf`` takes at least 3
-    interior ones): ValueError otherwise.
+    The grid needs at least 5 nodes (LAPACK's tridiagonal factorisation,
+    in the numpy sweep, takes at least 3 interior ones): ValueError
+    otherwise.
     """
     x = np.asarray(grid, dtype=float)
     nx = x.size
@@ -105,19 +105,8 @@ def backward_field_solve(
 
     u = np.empty((nt, nx))
     u[-1] = np.asarray(terminal(x), dtype=float) * np.ones(nx)
-
-    # constant implicit-diffusion operator (interior rows), factored once;
-    # LAPACK's partial pivoting does not swap rows of this diagonally
-    # dominant matrix, so each step's solve is the arithmetic of ?gtsv,
-    # the case the compiled sweep takes
-    lam = dt / (2.0 * dx * dx)
-    off = np.full(nx - 3, -lam)
-    *lu, info = dgttrf(off, np.full(nx - 2, 1.0 + 2.0 * lam), off)
-    if info != 0:
-        raise DivergedError(nt - 2)
-
-    step, cfl = _kernels.backward_sweep(u, flow.m, x, dt, dx, lam, model.b1, model.b2,
-                                        model.b4, model.A, model.r, model.control_gain, lu)
+    step, cfl = _kernels.backward_sweep(u, flow.m, x, dt, dx, model.b1, model.b2, model.b4,
+                                        model.A, model.r, model.control_gain)
     if step >= 0:
         if cfl > 1.0:
             raise StepTooLargeError(

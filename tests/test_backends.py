@@ -179,19 +179,21 @@ def test_compiled_forward_field_matches_numpy_bitwise(n, steps, spread, seed, fa
 
 
 def _sweep_case(gen, nt, nx, dt):
-    """A sweep's arguments on a random grid: coefficients, a flow and a
-    terminal row with signs that vary, and the factorisation
-    ``backward_field_solve`` makes."""
-    x = gen.uniform(-3.0, 0.0) + gen.uniform(0.05, 0.5) * np.arange(nx)
-    dx = float(x[1] - x[0])
-    lam = dt / (2.0 * dx * dx)
-    off = np.full(nx - 3, -lam)
-    *lu, info = dgttrf(off, np.full(nx - 2, 1.0 + 2.0 * lam), off)
-    assert info == 0
+    """A sweep's arguments on a random grid whose lam = dt/(2*dx*dx) is
+    log-uniform on [1e-8, 1e8]: coefficients, a flow and a terminal row
+    with signs that vary, the drift scaled so that the first step's CFL
+    number is uniform on [0.1, 1.2] (else a large lam would stop nearly
+    every sweep before its first solve)."""
+    lam = 10.0 ** gen.uniform(-8.0, 8.0)
+    dx = math.sqrt(dt / (2.0 * lam))
+    x = dx * (np.arange(nx) - gen.uniform(0.0, nx - 1))
     b1, b2, b4, A, r, gain = gen.uniform(-2.0, 2.0, size=6)
     mflow = gen.normal(size=nt)
     terminal = gen.normal(size=nx)
-    return terminal, (mflow, x, dt, dx, lam, b1, b2, b4, A, r, gain, lu)
+    drift = np.abs(b1 * x + b2 * mflow[-1] - gain * terminal).max()
+    scale = gen.uniform(0.1, 1.2) * dx / (dt * drift)
+    b1, b2, gain = scale * b1, scale * b2, scale * gain
+    return terminal, (mflow, x, dt, dx, b1, b2, b4, A, r, gain)
 
 
 def _sweep_results(sweep, terminal, args):
@@ -211,13 +213,13 @@ def _sweep_results(sweep, terminal, args):
 )
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 def test_compiled_sweep_matches_numpy_bitwise(nt, nx, dt, seed, fault):
-    # dt = 0.5 stops most sweeps on the CFL bound; a huge b4 overflows the
-    # source to inf and a NaN in the flow makes the drift NaN
+    # a CFL number above 1 stops a sweep; a huge b4 overflows the source to
+    # inf and a NaN in the flow makes the drift NaN
     gen = np.random.default_rng(seed)
     terminal, args = _sweep_case(gen, nt, nx, dt)
     args = list(args)
     if fault == "huge source":
-        args[7] = 1e305
+        args[6] = 1e305
         args[0] = args[0] * 1e4
     elif fault == "nan flow":
         args[0][gen.integers(nt)] = np.nan
@@ -251,8 +253,8 @@ def test_sweep_stops_report_the_same_step_and_ratio(backend, monkeypatch):
 @compiled
 def test_arguments_the_compiled_loops_do_not_take_run_on_numpy():
     # float32 particles, a non-contiguous field, a grid too large for
-    # 32-bit node indices and a pivoting factorisation: each goes to the
-    # numpy code, whose result the call returns
+    # 32-bit node indices and a sweep whose operator pivots: each goes to
+    # the numpy code, whose result the call returns
     gen = np.random.default_rng(4)
     xgrid = np.linspace(-1.0, 1.0, 9)
     u = gen.normal(size=(6, 9))
@@ -273,14 +275,17 @@ def test_arguments_the_compiled_loops_do_not_take_run_on_numpy():
         got = _field_results(_kernels._compiled.forward_field, *args)
         assert got == _field_results(_kernels._forward_field_numpy, *args)
 
-    terminal, args = _sweep_case(gen, 9, 12, 1e-3)
-    off = np.full(9, 5.0)
-    *lu, info = dgttrf(off, np.full(10, 1.0), off)
-    assert info == 0 and not np.array_equal(lu[4], np.arange(1, 11))
-    args = (*args[:-1], lu)
+    # dt < 0 makes lam < 0, whose operator LAPACK factors with row swaps
+    x = np.linspace(-1.0, 1.0, 12)
+    dt, dx = -0.05, float(x[1] - x[0])
+    lam = dt / (2.0 * dx * dx)
+    off = np.full(9, -lam)
+    assert not np.array_equal(dgttrf(off, np.full(10, 1.0 + 2.0 * lam), off)[4],
+                              np.arange(1, 11))
+    args = (np.linspace(0.5, 0.2, 9), x, dt, dx, 0.3, -0.4, 0.2, 0.5, 0.9, 1.3)
     assert not _native._sweep_fits(np.zeros((9, 12)), *args)
-    got = _sweep_results(_kernels._compiled.backward_sweep, terminal, args)
-    assert got == _sweep_results(_kernels._backward_sweep_numpy, terminal, args)
+    got = _sweep_results(_kernels._compiled.backward_sweep, np.cos(x), args)
+    assert got == _sweep_results(_kernels._backward_sweep_numpy, np.cos(x), args)
 
 
 def _caught(run):
@@ -347,62 +352,27 @@ def test_forward_field_negates_an_integer_gain_as_numpy_does(each_backend):
     assert got == ref == np.array([0.0]).tobytes()
 
 
-@pytest.mark.parametrize("case", ["dl one long", "du one long", "du2 one long", "four nodes"])
+@pytest.mark.parametrize("case", ["four nodes", "three nodes"])
 def test_sweep_takes_the_factorisations_lapack_takes(case, each_backend):
-    # LAPACK's solve refuses a factorisation whose lengths are not
-    # (n - 1, n, n - 1, n - 2) and one of fewer than three unknowns: the
-    # sweep raises its ValueError on both backends
-    if case == "four nodes":
-        lu = (np.full(1, -0.2), np.full(2, 1.5), np.full(1, -0.2), np.zeros(0),
-              np.arange(1, 3, dtype=np.int32))
-        terminal, args = np.linspace(-1.0, 1.0, 4), (np.zeros(3), np.linspace(-1.0, 1.0, 4))
-        args = (*args, 1e-3, 2.0 / 3.0, 0.1, 0.3, -0.4, 0.2, 0.5, 0.9, 1.3, lu)
-    else:
-        terminal, args = _sweep_case(np.random.default_rng(3), 5, 9, 1e-3)
-        j = ["dl", "d", "du", "du2"].index(case.split()[0])
-        lu = list(args[-1])
-        lu[j] = np.append(lu[j], 0.0)
-        args = (*args[:-1], tuple(lu))
+    # LAPACK's factorisation refuses fewer than three unknowns: the sweep
+    # raises its ValueError on both backends
+    nx = {"four nodes": 4, "three nodes": 3}[case]
+    x = np.linspace(-1.0, 1.0, nx)
+    args = (np.zeros(3), x, 1e-3, float(x[1] - x[0]), 0.3, -0.4, 0.2, 0.5, 0.9, 1.3)
     got, ref = _on_each_backend(each_backend, lambda: _sweep_results(
-        _kernels.backward_sweep, terminal, args))
+        _kernels.backward_sweep, x, args))
     assert got == ref == ValueError
 
 
-def test_sweep_with_a_nan_factor_gives_numpys_bytes(each_backend):
-    # a NaN factor meets NaNs of the other sign in the overflowing rows, and
-    # which NaN a product keeps is up to the compiler: the sweep leaves such
-    # a factorisation to LAPACK on both backends, so every NaN keeps its sign
-    x = np.linspace(-2.0, 2.0, 9)
-    du = np.full(6, -0.3)
-    du[0] = np.nan
-    lu = (np.full(6, -0.21), 1.5 + 0.1 * np.cos(np.arange(7)), du, np.full(5, 0.01),
-          np.arange(1, 8, dtype=np.int32))
-    args = (1e4 * (0.6 - 0.2 * np.arange(7)), x, 0.05, 0.5, 0.1, 0.3, 0.0, 1e305, 0.5, 0.9,
-            1.3, lu)
+def test_sweep_with_an_overflowing_lam_gives_numpys_bytes(each_backend):
+    # dt/(2*dx*dx) overflows to inf, and LAPACK's factors of that operator
+    # are NaN; with no drift the CFL bound passes, so the first solve runs
+    # and stops the sweep: numpy's bytes and step on both backends
+    x = 1e-160 * np.arange(9)
+    args = (np.linspace(0.6, -0.6, 7), x, 1.0, 1e-160, 0.0, 0.0, 0.2, 0.5, 0.9, 0.0)
     got, ref = _on_each_backend(each_backend, lambda: _sweep_results(
-        _kernels.backward_sweep, 0.3 * x - 0.1 * x * x, args))
-    assert got == ref
-
-
-def _leaves(args):
-    """The position and value of each argument, a tuple argument's entries
-    (the sweep's ``lu``) one by one."""
-    for i, a in enumerate(args):
-        if isinstance(a, tuple):
-            yield from (((i, j), v) for j, v in enumerate(a))
-        else:
-            yield (i,), a
-
-
-def _replace(args, position, value):
-    """``args`` with the leaf at ``position`` (``_leaves``) set to ``value``."""
-    args = list(args)
-    if len(position) == 1:
-        args[position[0]] = value
-    else:
-        i, j = position
-        args[i] = (*args[i][:j], value, *args[i][j + 1:])
-    return tuple(args)
+        _kernels.backward_sweep, np.cos(x), args))
+    assert got == ref and ref[1] == 5
 
 
 def _resized(a, axis, n):
@@ -435,15 +405,11 @@ def _variants(a, axis, spot):
            ("Fortran order", np.asfortranarray(a)), ("float32", a.astype(np.float32)),
            ("int64", a.astype(np.int64)), ("float64", a.astype(np.float64)),
            ("one short", _resized(a, axis, a.shape[axis] - 1)),
-           ("one long", _resized(a, axis, a.shape[axis] + 1))]
-    # None only for float arrays: scipy's dgttrs, given the pivots
-    # ipiv=None, drops a reference to the int32 dtype each time it raises
-    if a.dtype.kind == "f":
-        out.append(("None", None))
-        for name, v in (("nan", np.nan), ("inf", np.inf), ("-inf", -np.inf)):
-            b = a.copy(order="K")
-            b.flat[spot % b.size] = v
-            out.append((name, b))
+           ("one long", _resized(a, axis, a.shape[axis] + 1)), ("None", None)]
+    for name, v in (("nan", np.nan), ("inf", np.inf), ("-inf", -np.inf)):
+        b = a.copy(order="K")
+        b.flat[spot % b.size] = v
+        out.append((name, b))
     return out
 
 
@@ -462,21 +428,19 @@ def test_compiled_functions_keep_the_numpy_contract(name, data):
     axis, spot = data.draw(st.sampled_from([0, -1])), data.draw(st.integers(0, 10**6))
 
     def variant(k, v):
-        """Fresh arguments of the case, leaf ``k`` set to its variant ``v``."""
-        args = next(itertools.islice(row.cases(), case, None))
-        args = tuple(not a if isinstance(a, bool) and flip else a for a in args)
-        position, value = list(_leaves(args))[k]
-        label, new = _variants(value, axis, spot)[v]
-        return position, label, _replace(args, position, new)
+        """Fresh arguments of the case, argument ``k`` set to its variant ``v``."""
+        args = [not a if isinstance(a, bool) and flip else a
+                for a in next(itertools.islice(row.cases(), case, None))]
+        label, args[k] = _variants(args[k], axis, spot)[v]
+        return label, tuple(args)
 
-    leaves = list(_leaves(next(itertools.islice(row.cases(), case, None))))
-    for k, (_, value) in enumerate(leaves):
+    for k, value in enumerate(next(itertools.islice(row.cases(), case, None))):
         for v in range(len(_variants(value, axis, spot))):
-            position, label, mine = variant(k, v)
-            theirs = variant(k, v)[2]
+            label, mine = variant(k, v)
+            theirs = variant(k, v)[1]
             got = _caught(lambda: _native._outcome(fn, mine, row.outputs))
             ref = _caught(lambda: _native._outcome(reference, theirs, row.outputs))
-            assert got == ref, (row.symbol, position, label)
+            assert got == ref, (row.symbol, k, label)
 
 
 @pytest.mark.parametrize("name", sorted(test_golden.CASES))
@@ -605,3 +569,11 @@ def test_load_builds_once_and_reuses_the_library(tmp_path, monkeypatch):
     stamp = os.stat(path).st_mtime_ns
     assert _native.load(*references) is not None
     assert os.stat(path).st_mtime_ns == stamp
+
+
+def test_a_relative_cache_home_is_ignored(tmp_path, monkeypatch):
+    # the XDG Base Directory spec makes a relative XDG_CACHE_HOME invalid,
+    # so the library is cached in ~/.cache rather than not at all
+    monkeypatch.setenv("XDG_CACHE_HOME", "relcache")
+    monkeypatch.setenv("HOME", str(tmp_path))
+    assert os.path.dirname(_native.library_path()) == str(tmp_path / ".cache" / "mfglab")
