@@ -22,23 +22,36 @@ absent), read before the first pair, so that a compiled kernel is built
 before any run is timed; every run's end-to-end metrics and
 ``fail_share``, the per-pair change/parent ratios, each side's median
 and quartiles, and how many pairs the change wins on each metric (ties
-count for neither side).
+count for neither side).  Before the first pair it runs the tier-1 suite,
+
+    python3 -m pytest -q --durations=10
+
+once in each side's root with that side's ``src`` on ``PYTHONPATH``, and
+stores each side's wall time, exit code, count of each outcome (passed,
+failed, error, skipped, ...) and ten slowest test phases under ``tier1``.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 
 ROOT = os.getcwd()
 PAIRS = 10
 SEEDS = tuple(range(501, 501 + PAIRS))
 SECONDS = 55
 RUN_TIMEOUT_S = 400  # mfgbench ends a run within 180 s
+TIER1_TIMEOUT_S = 1800
+# pytest's summary counts ("467 passed, 2 skipped in 93.12s") and its
+# durations lines ("13.61s call     tests/test_acceptance.py::test_x")
+_OUTCOME = re.compile(r"(\d+) (passed|failed|error|skipped|xfailed|xpassed|deselected)s?\b")
+_DURATION = re.compile(r"^(\d+(?:\.\d+)?)s (setup|call|teardown) +(\S.*)$")
 
 
 def git(*args: str) -> str:
@@ -64,6 +77,24 @@ def bench(root: str, workload: str, seed: int) -> dict:
         "metrics": {k: m["value"] for k, m in result["metrics"].items()},
         "fail_share": result["failed"] / result["attempted"],
     }
+
+
+def tier1(root: str) -> dict:
+    """One tier-1 run from ``root``: its wall time, outcome counts and ten
+    slowest test phases."""
+    cmd = [sys.executable, "-m", "pytest", "-q", "--durations=10"]
+    env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
+    start = time.perf_counter()
+    proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True,
+                          timeout=TIER1_TIMEOUT_S)
+    wall_s = time.perf_counter() - start
+    lines = proc.stdout.splitlines()
+    summary = lines[-1] if lines else ""
+    counts = {name: int(n) for n, name in _OUTCOME.findall(summary)}
+    slowest = [{"seconds": float(m[1]), "phase": m[2], "test": m[3]}
+               for m in map(_DURATION.match, lines) if m]
+    return {"wall_s": wall_s, "exit_code": proc.returncode, "counts": counts,
+            "slowest": slowest}
 
 
 def kernels_backend(root: str) -> str:
@@ -121,6 +152,11 @@ def main(argv: list[str]) -> int:
         backends = {side: kernels_backend(root) for side, root in roots.items()}
         print(f"kernels backend: parent {backends['parent']}, change {backends['change']}",
               flush=True)
+        tier1_runs = {}
+        for side, root in roots.items():
+            tier1_runs[side] = tier1(root)
+            print(f"tier-1 {side}: {tier1_runs[side]['counts']} in "
+                  f"{tier1_runs[side]['wall_s']:.1f} s", flush=True)
         runs = {w: [] for w in workloads}
         for i, seed in enumerate(SEEDS):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -141,6 +177,7 @@ def main(argv: list[str]) -> int:
                                "kernels_backend": backends["parent"]},
                     "change": {**first["change"]["machine"], "git_revision": change_rev,
                                "kernels_backend": backends["change"]}},
+        "tier1": tier1_runs,
         "workloads": {},
     }
     for w in workloads:

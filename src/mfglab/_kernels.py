@@ -8,24 +8,26 @@ sqrt(dt)*g_k, as ``simulate.draw_block`` returns them: every noise block
 is scaled once, in place, and every kernel call over it reads those
 increments.  The block is in Fortran order, so step k's column
 ``noise[:, k]`` is contiguous (any order gives the same results, only
-slower).  Each step evaluates its update into work buffers allocated once
-per call (``np.multiply(..., out=)``, ``+=``, ``take(..., out=)``), in
-exactly the operation order of the expressions below, so every IEEE
-result is the same as evaluating them directly and runs are
-bitwise-reproducible.  Loop-invariant scalars are made 0-d float64
-arrays once per call: the same IEEE operand, without numpy's per-call
-promotion of a Python float.  In the representative kernel every
-operation is elementwise across paths, so a path's trajectory and cost do
-not depend on which other paths share the call; single-path replay and
-batched replay both rely on this.  Nor do they depend on how the horizon
-is cut into time bands: the representative kernel steps one band per
-call, and its terminal states and its ``costs`` accumulator carry into
-the next band's call, so the same operations run in the same order.  The
-population kernel steps a band's slice of the history, whose first row
-the previous band wrote.
+slower).  The numpy references of the three compiled stepping loops are
+the per-step expressions themselves, one fresh array per operation.  Only
+the population kernel evaluates its update into work buffers allocated
+once per call (``np.multiply(..., out=)``, ``+=``), in exactly the
+operation order of the expressions below, so every IEEE result is the
+same as evaluating them directly and runs are bitwise-reproducible.
+Loop-invariant scalars are made 0-d float64 arrays once per call: the
+same IEEE operand, without numpy's per-call promotion of a Python float.
+In the representative kernel every operation is elementwise across
+paths, so a path's trajectory and cost do not depend on which other paths
+share the call; single-path replay and batched replay both rely on this.
+Nor do they depend on how the horizon is cut into time bands: the
+representative kernel steps one band per call, and its terminal states
+and its ``costs`` accumulator carry into the next band's call, so the
+same operations run in the same order.  The population kernel steps a
+band's slice of the history, whose first row the previous band wrote.
 
-Update rule (explicit Euler-Maruyama, unit diffusion), stated once in
-``_euler_step`` and called by all three kernels:
+Update rule (explicit Euler-Maruyama, unit diffusion), evaluated into
+buffers by ``_euler_step`` in the population kernel and written out as this
+expression in the other two:
 
     x  <- x + (b1*x + b2*m_k + ctrl)*dt + dw_k,   dw_k = sqrt(dt)*g_k
 
@@ -55,10 +57,10 @@ The library is built on the first import into a per-user cache, and used
 only once self-checks of all four against their references pass; if
 anything fails, all four run in numpy.  ``BACKEND`` says which loaded: "c"
 (all compiled) or "numpy".  The population kernel, and the clip and
-inverse CDF that turn uniforms into Gaussians (``rng``), are numpy and
-scipy on every backend, so the flow-consistency identity (deviation
-exactly 0) checks the compiled representative kernel against the numpy
-population kernel.
+inverse CDF that turn uniforms into Gaussians (``rng.normal_quantile``),
+are numpy and scipy on every backend, so the flow-consistency identity
+(deviation exactly 0) checks the compiled representative kernel against
+the numpy population kernel.
 """
 
 from __future__ import annotations
@@ -158,37 +160,19 @@ def _representative_numpy(x0s, mflow, off, noise, dt, disc,
                           b1, b2, b3, b4, A, C, fx, fm, states, keep, costs):
     """``representative_kernel`` in numpy: the fallback, and the reference
     the compiled kernel is checked against."""
-    n_paths, n_steps = noise.shape
+    n_steps = noise.shape[1]
     dt, b1, b3, b4, A, C, fx = _f64(dt, b1, b3, b4, A, C, fx)
     x = x0s.copy()
-    a = np.empty(n_paths)
-    t1 = np.empty(n_paths)
-    t2 = np.empty(n_paths)
     if keep:
         states[:, 0] = x
     for k in range(n_steps):
         m = mflow[k]
-        # a = fx*x + fm*m + off[k]
-        np.multiply(x, fx, out=a)
-        a += fm * m
-        a += off[k]
-        # costs += disc[k]*(b4*x*m + A*x*x + C*a*a)*dt
-        np.multiply(x, b4, out=t1)
-        t1 *= m
-        np.multiply(x, A, out=t2)
-        t2 *= x
-        t1 += t2
-        np.multiply(a, C, out=t2)
-        t2 *= a
-        t1 += t2
-        t1 *= disc[k]
-        t1 *= dt
-        costs += t1
-        a *= b3  # ctrl
-        _euler_step(x, m, a, noise[:, k], dt, b1, b2, x, t1)
+        a = fx * x + fm * m + off[k]
+        costs += disc[k] * (b4 * x * m + A * x * x + C * a * a) * dt
+        x = x + (b1 * x + b2 * m + b3 * a) * dt + noise[:, k]
         if keep:
             states[:, k + 1] = x
-        if _diverged(x, t1):
+        if not np.abs(x).max() < _DIVERGE_LIMIT:
             return x, k
     return x, -1
 
@@ -211,44 +195,27 @@ def forward_field_kernel(x0, u, xgrid, noise, dt, b1, b2, gain):
 def _forward_field_numpy(x0, u, xgrid, noise, dt, b1, b2, gain):
     """``forward_field_kernel`` in numpy: the fallback, and the reference
     the compiled kernel is checked against.  The floor is clamped as a
-    float and cast once; w subtracts that float, which equals idx exactly,
-    and u_k[idx + 1] is read as u_k[1:][idx]."""
-    n_particles, n_steps = noise.shape
-    nx = xgrid.shape[0]
-    dt, b1, b2, neg_gain, x_lo, dx, top, zero, one = _f64(
-        dt, b1, b2, -gain, xgrid[0], xgrid[1] - xgrid[0], nx - 2, 0.0, 1.0)
+    float, which w subtracts (equal to idx), and cast; a NaN casts to an
+    index out of range, which ``take`` clips."""
+    n_steps = noise.shape[1]
+    dt, b1, b2, neg_gain, x_lo, dx, top = _f64(
+        dt, b1, b2, -gain, xgrid[0], xgrid[1] - xgrid[0], xgrid.shape[0] - 2)
     means = np.empty(n_steps + 1)
     x = x0.copy()
-    pos = np.empty(n_particles)
-    idx = np.empty(n_particles, dtype=np.int64)
-    uval = np.empty(n_particles)
-    t = np.empty(n_particles)
     for k in range(n_steps):
-        m = _mean(x)
+        m = float(x.mean())
         means[k] = m
-        np.subtract(x, x_lo, out=pos)
-        pos /= dx
-        np.floor(pos, out=t)
-        # maximum(-0.0, 0.0) is +0.0, so w = pos - t keeps the sign of
-        # pos - idx
-        np.maximum(t, zero, out=t)
-        np.minimum(t, top, out=t)
-        np.copyto(idx, t, casting="unsafe")
-        pos -= t  # the weight w
+        pos = (x - x_lo) / dx
+        # maximum(-0.0, 0.0) is +0.0, so w keeps the sign of pos - idx
+        cell = np.minimum(np.maximum(np.floor(pos), 0.0), top)
+        idx = cell.astype(np.int64)
+        w = pos - cell
         uk = u[k]
-        # uk[idx]*(1 - w) + uk[idx + 1]*w; idx is in range, so "clip"
-        # only spares take a buffered copy
-        uk.take(idx, out=uval, mode="clip")
-        np.subtract(one, pos, out=t)
-        uval *= t
-        uk[1:].take(idx, out=t, mode="clip")
-        t *= pos
-        uval += t
-        uval *= neg_gain  # ctrl
-        _euler_step(x, m, uval, noise[:, k], dt, b1, b2, x, t)
-        if _diverged(x, t):
+        uval = uk.take(idx, mode="clip") * (1.0 - w) + uk[1:].take(idx, mode="clip") * w
+        x = x + (b1 * x + b2 * m + uval * neg_gain) * dt + noise[:, k]
+        if not np.abs(x).max() < _DIVERGE_LIMIT:
             return means, x, k
-    means[n_steps] = _mean(x)
+    means[n_steps] = float(x.mean())
     return means, x, -1
 
 
@@ -285,58 +252,33 @@ def backward_sweep(u, mflow, x, dt, dx, b1, b2, b4, A, r, gain):
 def _backward_sweep_numpy(u, mflow, x, dt, dx, b1, b2, b4, A, r, gain):
     """``backward_sweep`` in numpy and LAPACK, the operator factored by
     ``dgttrf`` and each step solved by ``dgttrs``: the fallback, and the
-    reference the compiled sweep is checked against.  Each step is
-    evaluated into buffers allocated once per call, in the operation order
-    of the expressions in the comments, so every IEEE result equals
-    evaluating those expressions directly."""
+    reference the compiled sweep is checked against."""
     from scipy.linalg.lapack import dgttrf, dgttrs
 
     nt, nx = u.shape
     lam = dt / (2.0 * dx * dx)
     off = np.full(nx - 3, -lam)
     *lu, _info = dgttrf(off, np.full(nx - 2, 1.0 + 2.0 * lam), off)
-    b1x = b1 * x
-    ax2 = 2.0 * A * x
-    g = np.empty(nx)
-    tmp = np.empty(nx)
-    diff = np.empty(nx - 1)
-    dudx = np.empty(nx)
-    upwind = np.empty(nx - 2, dtype=bool)
     cfl = np.nan
     for k in range(nt - 2, -1, -1):
         uk1 = u[k + 1]
         m = mflow[k + 1]
-        # g = b1*x + b2*m - gain*uk1
-        np.add(b1x, b2 * m, out=g)
-        np.multiply(uk1, gain, out=tmp)
-        g -= tmp
-        np.abs(g, out=tmp)
-        cfl = tmp.max() * dt / dx
+        g = b1 * x + b2 * m - gain * uk1
+        cfl = np.abs(g).max() * dt / dx
         if cfl > 1.0:
             return k, cfl
-        # upwind first derivative from the one-sided differences
-        # diff[i] = (uk1[i+1] - uk1[i])/dx
-        np.subtract(uk1[1:], uk1[:-1], out=diff)
-        diff /= dx
-        dudx[:-1] = diff
-        dudx[-1] = diff[-1]
-        np.greater(g[1:-1], 0.0, out=upwind)
-        np.copyto(dudx[1:-1], diff[:-1], where=upwind)
-        # u[k] = uk1 + dt*(g*dudx + src - r*uk1), src = b1*uk1 + b4*m + 2*A*x
-        row = u[k]
-        np.multiply(uk1, b1, out=row)
-        row += b4 * m
-        row += ax2
-        np.multiply(g, dudx, out=tmp)
-        tmp += row
-        np.multiply(uk1, r, out=row)
-        tmp -= row
-        tmp *= dt
-        np.add(uk1, tmp, out=row)
+        # node i takes diff[i - 1] where g > 0 and diff[i] elsewhere; the
+        # edge nodes take their one inward difference either way
+        diff = (uk1[1:] - uk1[:-1]) / dx
+        dudx = np.where(g > 0.0, np.concatenate((diff[:1], diff)),
+                        np.concatenate((diff, diff[-1:])))
+        src = b1 * uk1 + b4 * m + 2.0 * A * x
+        row = uk1 + dt * (g * dudx + src - r * uk1)
         rhs = row[1:-1]
         rhs[0] += lam * row[0]
         rhs[-1] += lam * row[-1]
-        row[1:-1], info = dgttrs(*lu, rhs, overwrite_b=1)
+        row[1:-1], info = dgttrs(*lu, rhs)
+        u[k] = row
         if info != 0 or not np.isfinite(row).all():
             return k, cfl
     return -1, cfl

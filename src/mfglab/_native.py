@@ -386,14 +386,17 @@ def _representative_fits(x0s, mflow, off, noise, dt, disc, b1, b2, b3, b4, A, C,
                          states, keep, costs) -> bool:
     """Whether the compiled kernel takes these arguments: float64 arrays,
     at least one path, ``x0s`` and ``costs`` of one entry per path,
-    ``costs`` contiguous and writeable, ``mflow``, ``off`` and ``disc`` of
-    at least one entry per step and, when ``keep``, ``states`` a writeable
-    (paths, steps + 1) array."""
+    ``costs`` contiguous and writeable, ``mflow``, ``off`` and ``disc``
+    contiguous, of at least one entry per step, and, when ``keep``,
+    ``states`` a writeable (paths, steps + 1) array.  The kernel reads
+    ``mflow``, ``off`` and ``disc`` in place, where the numpy kernel reads
+    them, so they may share memory with ``states`` or ``costs``."""
     if not _f64(noise, 2):
         return False
     n_paths, n_steps = noise.shape
     return (n_paths > 0 and _f64(x0s, 1) and x0s.shape == (n_paths,)
-            and all(_f64(v, 1) and v.shape[0] >= n_steps for v in (mflow, off, disc))
+            and all(_f64(v, 1) and v.flags.c_contiguous and v.shape[0] >= n_steps
+                    for v in (mflow, off, disc))
             and _f64(costs, 1) and costs.shape == (n_paths,) and costs.flags.c_contiguous
             and costs.flags.writeable
             and (not keep or (_f64(states, 2) and states.shape == (n_paths, n_steps + 1)
@@ -405,7 +408,6 @@ def _call_representative(fn, limit, x0s, mflow, off, noise, dt, disc,
     n_paths, n_steps = noise.shape
     x = x0s.copy()
     noise = np.asfortranarray(noise)
-    mflow, off, disc = map(np.ascontiguousarray, (mflow, off, disc))
     # without keep, ``states`` is never read and may be anything
     s_row, s_col = (s // 8 for s in states.strides) if keep else (0, 0)
     step = fn(n_paths, n_steps, x.ctypes.data, mflow.ctypes.data, off.ctypes.data,
@@ -513,22 +515,25 @@ def _field_outputs(result):
 
 def _sweep_fits(u, mflow, x, dt, dx, b1, b2, b4, A, r, gain) -> bool:
     """Whether the compiled sweep takes these arguments: float64 arrays, a
-    writeable C-order ``u`` of at least five nodes, ``mflow`` of one entry
-    per time, ``x`` of one per node, and Python floats ``dt`` and ``dx``
-    whose lam = dt/(2*dx*dx) is finite and not negative (numpy would work
-    out a float32 ``dt``'s lam in float32, and a negative lam may pivot)."""
+    writeable C-order ``u`` of at least five nodes, contiguous ``mflow`` of
+    one entry per time and ``x`` of one per node, and Python floats ``dt``
+    and ``dx`` whose lam = dt/(2*dx*dx) is finite and not negative (numpy
+    would work out a float32 ``dt``'s lam in float32, and a negative lam
+    may pivot).  The sweep reads ``mflow`` and ``x`` in place at every
+    step, as the numpy sweep does, so a row of ``u`` passed as either
+    gives numpy's results."""
     if not (_f64(u, 2) and u.flags.c_contiguous and u.flags.writeable
             and isinstance(dt, float) and isinstance(dx, float)):
         return False
     nt, nx = u.shape
     scale = 2.0 * dx * dx
-    return (nx >= 5 and _f64(mflow, 1) and mflow.shape[0] >= nt and _f64(x, 1)
-            and x.shape == (nx,) and scale > 0.0 and 0.0 <= dt / scale < math.inf)
+    return (nx >= 5 and _f64(mflow, 1) and mflow.flags.c_contiguous and mflow.shape[0] >= nt
+            and _f64(x, 1) and x.flags.c_contiguous and x.shape == (nx,)
+            and scale > 0.0 and 0.0 <= dt / scale < math.inf)
 
 
 def _call_sweep(fn, _limit, u, mflow, x, dt, dx, b1, b2, b4, A, r, gain):
     nt, nx = u.shape
-    mflow, x = map(np.ascontiguousarray, (mflow, x))
     work = np.empty(3 * nx)
     cfl = _F64()
     step = fn(nt, nx, u.ctypes.data, mflow.ctypes.data, x.ctypes.data,

@@ -7,8 +7,9 @@ counter-based, so any band of a stream's draws is addressable too:
 ``gaussian_block`` draws a band of steps exactly, without the steps before
 it.  Gaussians come from the inverse CDF applied to the raw uniform stream:
 the uniforms are ``_kernels.uniforms``, compiled from C when the library
-loaded and numpy's Philox otherwise, bitwise equal either way, and the
-clip and the inverse CDF (scipy's ``ndtri``) stay numpy and scipy.
+loaded and numpy's Philox otherwise, bitwise equal either way, and
+``normal_quantile``, the one clipped inverse CDF (scipy's ``ndtri``), turns
+them into Gaussians; ``simulate``'s inverse-CDF initial laws use it too.
 """
 
 from __future__ import annotations
@@ -40,6 +41,16 @@ def make_generator(seed: int, stream: int, index: int = 0) -> np.random.Generato
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def normal_quantile(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The standard normal inverse CDF of ``u`` clipped to [2.5e-17,
+    1 - 1e-16], written into ``out`` when given (which may be ``u``).
+
+    ``random()`` can return exactly 0.0, where the inverse CDF is -inf.  As
+    a double, 1 - 1e-16 is the largest below 1, which no ``random()`` draw
+    exceeds, so the upper clip leaves every uniform draw as it is."""
+    return ndtri(np.clip(u, 2.5e-17, 1 - 1e-16, out=out), out=out)
+
+
 def gaussian_block(
     seed: int, stream: int, first_index: int, n_rows: int, n_cols: int,
     first_col: int = 0, out: np.ndarray | None = None,
@@ -65,6 +76,4 @@ def gaussian_block(
         raise ValueError(f"out must be a writeable ({n_rows}, {n_cols}) float64 array "
                          "in Fortran order")
     _kernels.uniforms(_key0(seed, stream), first_index, first_col, out)
-    # random() can return exactly 0.0, where the inverse CDF is -inf.
-    np.clip(out, 2.5e-17, None, out=out)
-    return ndtri(out, out=out)
+    return normal_quantile(out, out=out)

@@ -53,7 +53,6 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import _kernels, rng
 from .errors import DivergedError, MFGLabError
@@ -117,7 +116,7 @@ class InitialLaw:
         u = np.asarray(u, dtype=float)
         if self.kind == "dirac":
             return np.full_like(u, self.x0)
-        return self.mean_ + self.sd * ndtri(np.clip(u, 2.5e-17, 1 - 1e-16))
+        return self.mean_ + self.sd * rng.normal_quantile(u)
 
     def sample(self, n: int, seed: int) -> np.ndarray:
         """``n`` initial states; an empirical law is its own ensemble, in

@@ -48,6 +48,7 @@ from .simulate import (
     AffineFeedback,
     InitialLaw,
     TrajectoryBatch,
+    _by_rows,
     estimate_cost,
     simulate_legs,
     simulate_population,
@@ -257,13 +258,16 @@ def _value_estimate(
         model, fb, x0=x, mean_flow=mean_flow, T=T, dt=dt, seed=seed,
         n_paths=n_paths, keep_states=True,
     )
-    times = batch.times
     m = batch.mean_flow
-    X = batch.states  # (n_paths, nt)
-    Y = 2.0 * U.a1 * X + U.a2 * m[None, :]
-    dhx = hamiltonian_H_dx(model, X, m[None, :], Y)
-    disc = np.exp(-model.r * times)
-    functional = (disc[None, :-1] * dhx[:, :-1]).sum(axis=1) * dt + disc[-1] * Y[:, -1]
+    disc = np.exp(-model.r * batch.times)
+
+    def path_functional(X):
+        """The functional of each path of the states X (paths, nt)."""
+        Y = 2.0 * U.a1 * X + U.a2 * m[None, :]
+        dhx = hamiltonian_H_dx(model, X, m[None, :], Y)
+        return (disc[None, :-1] * dhx[:, :-1]).sum(axis=1) * dt + disc[-1] * Y[:, -1]
+
+    functional = _by_rows(path_functional, batch.states)
     mean = float(functional.mean())
     se = float(functional.std(ddof=1) / math.sqrt(n_paths))
     return mean, se
@@ -321,10 +325,11 @@ def weak_uniqueness_check(
         pop = simulate_population(
             model, fb, InitialLaw.empirical(xi), n_particles, cfg.T, cfg.dt, seed
         )
-        mean, se = _value_estimate(
-            model, U, x, pop.means, cfg.T, cfg.dt, seed, cfg.n_paths
-        )
-        results.append((mean, se, pop.states[-1]))
+        # a copy of the terminal row: a view would keep the whole history
+        means, terminal = pop.means, pop.states[-1].copy()
+        del pop
+        mean, se = _value_estimate(model, U, x, means, cfg.T, cfg.dt, seed, cfg.n_paths)
+        results.append((mean, se, terminal))
 
     (mean_a, se_a, term_a), (mean_b, se_b, term_b) = results
     denom = math.hypot(se_a, se_b)

@@ -443,6 +443,44 @@ def test_compiled_functions_keep_the_numpy_contract(name, data):
             assert got == ref, (row.symbol, k, label)
 
 
+def _aliased(case):
+    """(name, arguments) of a compiled function with an argument it reads
+    sharing memory with one it writes: the sweep's self-check case with its
+    grid a row of ``u`` or its flow a column of ``u``, and a kernel band
+    whose mean flow is the column of the state history it starts."""
+    if case == "kernel flow a column of states":
+        n, steps = 12, 9
+        states = np.zeros((n, steps + 1))
+        noise = np.asfortranarray(0.1 * np.sin(np.arange(n * steps).reshape(n, steps) * 1.7))
+        disc = np.exp(-0.7 * 0.01 * np.arange(steps))
+        return "representative", (np.linspace(-1.5, 2.0, n), states[:, 0],
+                                  0.2 * np.sin(np.arange(steps) + 1.0), noise, 0.01, disc,
+                                  -0.1, 0.5, 2.0, 0.3, 2.0, 1.0, -0.9, 0.35, states, True,
+                                  np.full(n, 0.25))
+    u, flow, x, *coefficients = next(_native._sweep_cases())
+    if case == "sweep grid a row of u":
+        u[3] = x
+        x = u[3]
+    else:
+        u[:, 0] = flow
+        flow = u[:, 0]
+    return "backward_sweep", (u, flow, x, *coefficients)
+
+
+@compiled
+@pytest.mark.parametrize("case", ["sweep grid a row of u", "sweep flow a column of u",
+                                  "kernel flow a column of states"])
+def test_compiled_functions_read_aliased_arguments_as_numpy_does(case):
+    # the numpy reference reads its arguments where they are, at the step
+    # it uses them, also after writing to memory they share: the compiled
+    # function gives the same bytes, step and CFL number
+    name, args = _aliased(case)
+    row = getattr(_native._FUNCTIONS, name)
+    got = _native._outcome(getattr(_kernels._compiled, name), args, row.outputs)
+    ref = _native._outcome(getattr(_kernels._REFERENCES, name), _aliased(case)[1], row.outputs)
+    assert got == ref
+
+
 @pytest.mark.parametrize("name", sorted(test_golden.CASES))
 def test_golden_outputs_on_numpy(name, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(_kernels, "_compiled", None)

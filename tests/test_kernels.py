@@ -38,10 +38,12 @@ def test_divergence_reported():
 
 
 # ---------------------------------------------------------------------------
-# Expression-form references: the kernels as plain numpy expressions, one
-# fresh array per operation, forming sdt*noise[:, k] at each step.  The
-# in-place kernels, given the block pre-scaled as sdt*noise, must match them
-# bitwise.
+# The population kernel against its expression form, one fresh array per
+# operation, forming sdt*noise[:, k] at each step: given the block
+# pre-scaled as sdt*noise, the buffered kernel must match it bitwise.  The
+# other kernels' numpy references are their expression forms; the compiled
+# kernels must match them bitwise (``each_backend`` runs the loaded one and
+# then numpy).
 # ---------------------------------------------------------------------------
 
 
@@ -60,70 +62,17 @@ def _ref_population(states, noise, dt, sdt, b1, b2, b3, fx, fm, off):
     return means, -1
 
 
-def _ref_representative(x0s, mflow, off, noise, dt, sdt, disc,
-                        b1, b2, b3, b4, A, C, fx, fm, states, keep):
-    n_paths, n_steps = noise.shape
-    x = x0s.copy()
-    costs = np.zeros(n_paths)
-    if keep:
-        states[:, 0] = x
-    for k in range(n_steps):
-        m = mflow[k]
-        a = fx * x + fm * m + off[k]
-        f = b4 * x * m + A * x * x + C * a * a
-        costs += disc[k] * f * dt
-        x = x + (b1 * x + b2 * m + b3 * a) * dt + sdt * noise[:, k]
-        if keep:
-            states[:, k + 1] = x
-        if not np.all(np.abs(x) < _kernels._DIVERGE_LIMIT):
-            return costs, x, k
-    return costs, x, -1
-
-
-def _ref_forward_field(x0, u, xgrid, noise, dt, sdt, b1, b2, gain):
-    n_particles, n_steps = noise.shape
-    nx = xgrid.shape[0]
-    dx = xgrid[1] - xgrid[0]
-    means = np.empty(n_steps + 1)
-    x = x0.copy()
-    for k in range(n_steps):
-        m = float(x.mean())
-        means[k] = m
-        pos = (x - xgrid[0]) / dx
-        idx = np.clip(np.floor(pos).astype(np.int64), 0, nx - 2)
-        w = pos - idx
-        uk = u[k]
-        uval = uk[idx] * (1.0 - w) + uk[idx + 1] * w
-        x = x + (b1 * x + b2 * m - gain * uval) * dt + sdt * noise[:, k]
-        if not np.all(np.abs(x) < _kernels._DIVERGE_LIMIT):
-            return means, x, k
-    means[n_steps] = float(x.mean())
-    return means, x, -1
-
-
 def _population(states, noise, dt, sdt, *rest):
     """population_kernel on the block pre-scaled to sdt*noise, called with
     the reference's arguments."""
     return _kernels.population_kernel(states, sdt * noise, dt, *rest)
 
 
-def _representative(x0s, mflow, off, noise, dt, sdt, *rest, kernel=None):
-    """representative_kernel (or ``kernel``, a backend's) on the block
-    pre-scaled to sdt*noise, adding to zero costs; returns (costs, terminal,
-    diverged_step) as the reference does."""
+def _representative(x0s, mflow, off, noise, dt, *rest):
+    """representative_kernel, adding to zero costs; returns (costs,
+    terminal, diverged_step)."""
     costs = np.zeros(x0s.shape[0])
-    kernel = kernel or _kernels.representative_kernel
-    return (costs, *kernel(x0s, mflow, off, sdt * noise, dt, *rest, costs))
-
-
-# the representative kernel's backends: the loaded one (the compiled kernel
-# where it built) and numpy
-REPRESENTATIVE_BACKENDS = [None, _kernels._representative_numpy]
-
-
-def _forward_field(x0, u, xgrid, noise, dt, sdt, *rest):
-    """forward_field_kernel on the block pre-scaled to sdt*noise."""
-    return _kernels.forward_field_kernel(x0, u, xgrid, sdt * noise, dt, *rest)
+    return (costs, *_kernels.representative_kernel(x0s, mflow, off, noise, dt, *rest, costs))
 
 
 def _noise(n, steps, order, seed=11):
@@ -165,26 +114,23 @@ def _representative_case(n, steps, order, keep):
     off = 0.25 * np.sin(np.arange(steps) / 3.0)
     dt = 0.01
     disc = np.exp(-1.3 * dt * np.arange(steps))
-    noise = _noise(n, steps, order)
+    noise = np.sqrt(dt) * _noise(n, steps, order)
     states = np.empty((n, steps + 1)) if keep else np.empty((0, 0))
-    return [x0s, mflow, off, noise, dt, np.sqrt(dt), disc,
+    return [x0s, mflow, off, noise, dt, disc,
             -0.1, 0.5, 2.0, 0.5, 2.0, 1.0, -0.9, 0.3, states, keep]
 
 
 @ORDERS
 @pytest.mark.parametrize("keep", [False, True])
 @pytest.mark.parametrize("n", [1, 37])
-def test_representative_kernel_matches_reference(order, keep, n):
-    for kernel in REPRESENTATIVE_BACKENDS:
+def test_representative_kernel_matches_reference(order, keep, n, each_backend):
+    results = []
+    for _ in each_backend():
         args = _representative_case(n, 80, order, keep)
-        ref_args = list(args)
-        ref_args[15] = args[15].copy()
-        got = _representative(*args, kernel=kernel)
-        ref = _ref_representative(*ref_args)
-        _same(got, ref)
-        assert np.array_equal(args[15], ref_args[15])
+        results.append((*_representative(*args), args[14]))
         # the kernel reads its inputs and never writes them
         assert np.array_equal(args[0], np.linspace(-1.0, 2.0, n))
+    _same(*results)
 
 
 def _field_case(n, steps, order):
@@ -193,8 +139,8 @@ def _field_case(n, steps, order):
     # particles start both left and right of the grid, so the interpolation
     # index is clipped at 0 and at nx - 2 as well as inside
     x0 = np.linspace(-1.6, 1.7, n)
-    noise = _noise(n, steps, order)
-    return [x0, u, xgrid, noise, 0.01, 0.1, -0.2, 0.5, 1.7]
+    noise = 0.1 * _noise(n, steps, order)
+    return [x0, u, xgrid, noise, 0.01, -0.2, 0.5, 1.7]
 
 
 @ORDERS
@@ -204,28 +150,25 @@ def test_forward_field_kernel_matches_reference(order, each_backend):
     pos = (x0 - xgrid[0]) / (xgrid[1] - xgrid[0])
     idx = np.floor(pos)
     assert idx.min() < 0 and idx.max() > xgrid.size - 2
-    ref = _ref_forward_field(*args)
-    for _ in each_backend():
-        _same(_forward_field(*args), ref)
+    _same(*[_kernels.forward_field_kernel(*args) for _ in each_backend()])
 
 
-def test_forward_field_interpolation_at_the_grid_edges():
+def test_forward_field_interpolation_at_the_grid_edges(each_backend):
     # particles on every node (the last one included), at -0.0 and 0.0, and
     # beyond both ends, near and far, interpolate and extrapolate bit for
     # bit as the expression form does
     xgrid = np.linspace(0.0, 2.0, 21)
     u = np.cos(np.arange(31)[:, None] / 5.0) * (xgrid[None, :] - 0.7) ** 3
     x0 = np.concatenate([xgrid, [-0.0, -1e-12, 2.0 + 1e-12, -0.35, 2.35, -40.0, 55.0]])
-    for noise in (np.zeros((x0.size, 30)), _noise(x0.size, 30, "F")):
-        args = [x0, u, xgrid, noise, 0.01, 0.1, -0.2, 0.5, 1.7]
-        got = _forward_field(*args)
-        ref = _ref_forward_field(*args)
+    for noise in (np.zeros((x0.size, 30)), 0.1 * _noise(x0.size, 30, "F")):
+        args = [x0, u, xgrid, noise, 0.01, -0.2, 0.5, 1.7]
+        got, ref = [_kernels.forward_field_kernel(*args) for _ in each_backend()]
         assert got[2] == ref[2] == -1
         assert got[0].tobytes() == ref[0].tobytes()
         assert got[1].tobytes() == ref[1].tobytes()
 
 
-def test_kernels_report_nan_noise_at_its_step():
+def test_kernels_report_nan_noise_at_its_step(each_backend):
     # a NaN in one noise entry makes that step's state non-finite; each
     # kernel must stop and report exactly that step
     step = 23
@@ -234,16 +177,16 @@ def test_kernels_report_nan_noise_at_its_step():
     _, div = _population(states, noise, *args)
     assert div == step
 
-    for kernel in REPRESENTATIVE_BACKENDS:
+    for _ in each_backend():
         args = _representative_case(37, 80, "F", True)
         args[3][5, step] = np.nan
-        _, _, div = _representative(*args, kernel=kernel)
+        _, _, div = _representative(*args)
         assert div == step
 
-    args = _field_case(41, 70, "F")
-    args[3][5, step] = np.nan
-    _, _, div = _forward_field(*args)
-    assert div == step
+        args = _field_case(41, 70, "F")
+        args[3][5, step] = np.nan
+        _, _, div = _kernels.forward_field_kernel(*args)
+        assert div == step
 
 
 def test_euler_step_broadcasts_over_stacked_legs():

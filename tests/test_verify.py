@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from mfglab import EXAMPLE_MODEL, rng, verify
+from mfglab import EXAMPLE_MODEL, rng, simulate, verify
 from mfglab import (
     InitialLaw,
     RunConfig,
@@ -247,6 +247,20 @@ def test_weak_uniqueness_dirac_same_seed_exact(example_model, example_selected):
     [row] = named_rows(rep)
     assert row["z"] == 0.0
     assert row["ks"] == 0.0
+
+
+def test_weak_uniqueness_peak_memory(example_model, example_selected, monkeypatch,
+                                     live_noise_peak):
+    # the check holds no population history past its terminal row, and it
+    # takes the value functional over row chunks: the peak stays well under
+    # three histories of (steps + 1) x 2000 doubles
+    monkeypatch.setattr(simulate, "BLOCK_DOUBLES", 20_000)
+    cfg = RunConfig(example_model, InitialLaw.gaussian(1.0, 0.5), T=1.0, dt=0.01,
+                    n_paths=2_000, seed=1)
+    peak, _ = live_noise_peak(weak_uniqueness_check, cfg, example_selected, 0.0,
+                              seeds=(21, 22), n_particles=2_000)
+    history = 101 * 2_000 * 8
+    assert peak < 3.5 * history, peak / history
 
 
 def test_weak_uniqueness_rejects_shifted_law(instance_b, instance_b_selected,
